@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ class RunConfig:
     order: int = DEFAULT_ORDER
     seed: int = DEFAULT_SEED
     as_json: bool = False
-    tol_annihilation: float = roots_mod.ANNIHILATION_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt_idx(idx) -> str:
-    return "(" + ",".join(str(v) for v in idx) + ")"
 
 
 def _fmt_vec(vec) -> str:
@@ -71,7 +67,7 @@ def cmd_dims(config: RunConfig) -> int:
     gamma = coset_representatives(p)
     if config.as_json:
         payload = {
-            "profile": _profile_json(p),
+            "profile": p.to_json(),
             "rank": report.rank,
             "dim_Y": report.dim_Y,
             "dim_R": report.dim_R,
@@ -90,10 +86,10 @@ def cmd_dims(config: RunConfig) -> int:
     print(f"dim Y     : {report.dim_Y}   (algebraic solutions)")
     print(f"dim R     : {report.dim_R}   (root-sum relations)")
     print(f"dim S     : {report.dim_S}   (logarithmic solutions)")
-    print(f"B'  ({report.card_Bprime}): " + " ".join(_fmt_idx(i) for i in bprime))
+    print(f"B'  ({report.card_Bprime}): " + " ".join(_fmt_vec(i) for i in bprime))
     print(f"B'' ({len(missing)}): " +
-          (" ".join(_fmt_idx(i) for i in missing) if missing else "-"))
-    print(f"Gamma ({len(gamma)}): " + " ".join(_fmt_idx(i) for i in gamma))
+          (" ".join(_fmt_vec(i) for i in missing) if missing else "-"))
+    print(f"Gamma ({len(gamma)}): " + " ".join(_fmt_vec(i) for i in gamma))
     return 0
 
 
@@ -113,7 +109,7 @@ def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
     lattice = lattice_matrices(p)
     if config.as_json:
         payload = {
-            "profile": _profile_json(p),
+            "profile": p.to_json(),
             "mellin": [op.to_json() for op in mellin],
             "cleared": [op.to_json() for op in cleared],
             "horn_w": [op.to_json() for op in horn_w],
@@ -177,11 +173,13 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
         chosen.append(("principal", principal_series(p, config.order)))
     if basis is not None:
         idx = tuple(int(v) for v in basis.split(","))
-        chosen.append((f"basis{_fmt_idx(idx)}",
+        chosen.append((f"basis{_fmt_vec(idx)}",
                        convenient_basis_series(p, idx, config.order)))
     if show_roots:
+        ypr = principal_series(p, config.order)
         for j in range(p.m):
-            chosen.append((f"root[{j}]", scaled_root_series(p, j, config.order)))
+            chosen.append((f"root[{j}]",
+                           scaled_root_series(p, j, config.order, series=ypr)))
     if not chosen:
         raise ProfileError("nothing selected: use --principal, --basis or --roots")
     gen_result = None
@@ -190,7 +188,7 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
         gen_result = is_generating(target, p)
     if config.as_json:
         payload = {
-            "profile": _profile_json(p),
+            "profile": p.to_json(),
             "order": config.order,
             "series": [{"name": name, **series_to_json(s)}
                        for name, s in chosen],
@@ -218,15 +216,10 @@ class Check:
     detail: str
 
 
-def _profile_json(p: ExponentProfile) -> dict:
-    return {"m": p.m, "m_list": list(p.m_list), "n": p.n, "d": p.d}
-
-
 def run_verification(config: RunConfig) -> list[Check]:
     """The full battery for one profile; every check is deterministic."""
     p = config.profile
     order = config.order
-    tol = config.tol_annihilation
     checks: list[Check] = []
 
     def add(name, ok, detail):
@@ -295,9 +288,13 @@ def run_verification(config: RunConfig) -> list[Check]:
                 "skipped: coincidence holds only for d = 1 "
                 f"(proportionality here: {ratio})")
 
-    dev = roots_mod.scaled_root_max_deviation(p, min(order, 8))
-    add("scaled-roots", dev < roots_mod.SUBSTITUTION_TOL,
-        f"max jet/rotation gap {dev:.3e} at order {min(order, 8)}")
+    jet_order = min(order, 8)
+    try:
+        dev = roots_mod.scaled_root_max_deviation(p, jet_order)
+        detail = f"max jet/rotation gap {dev:.3e} at order {jet_order}"
+    except roots_mod.RootFindingError as exc:
+        dev, detail = math.inf, f"Newton lift at order {jet_order}: {exc}"
+    add("scaled-roots", dev < roots_mod.SUBSTITUTION_TOL, detail)
 
     base = tuple(0.2 * cmath.exp(0.7j * (j + 1)) for j in range(p.n))
     inst = roots_mod.EquationInstance(p, (0,) * p.n, base)
@@ -308,25 +305,20 @@ def run_verification(config: RunConfig) -> list[Check]:
         f"{len(vals)} distinct roots at a fixed base point; "
         f"degree-1 symmetric residual {abs(vieta):.3e}")
 
-    jets = roots_mod.lift_jets(roots_mod.origin_instance(p), order)
-    total = roots_mod.jet_sum(jets)
+    branches = [scaled_root_series(p, j, order, series=ypr)
+                for j in range(p.m)]
+    total = sum(branches[1:], branches[0])
     if p.m_list[0] == p.m - 1:
-        expect = TruncatedSeries.variable(total.ring, p.n, order, 0)
-        gap = (total + expect).max_abs()
-    else:
-        gap = total.max_abs()
-    add("jet-root-sum", gap < roots_mod.SUBSTITUTION_TOL,
+        total = total + TruncatedSeries.variable(total.ring, p.n, order, 0)
+    gap = total.max_abs()
+    add("jet-root-sum", gap == 0,
         f"sum of origin branches matches -[y^(m-1)] ({gap:.3e})")
 
     if p.d == 1:
         basis_r = relation_basis(p)
-        rel_ok = True
-        worst = 0.0
-        for vec in basis_r:
-            res = roots_mod.relation_check(p, vec, order)
-            worst = max(worst, res)
-            rel_ok = rel_ok and res < roots_mod.SUBSTITUTION_TOL
-        add("relation-residuals", rel_ok,
+        worst = max((roots_mod.relation_check(p, vec, order)
+                     for vec in basis_r), default=0.0)
+        add("relation-residuals", worst == 0,
             f"{len(basis_r)} basis vectors, worst residual {worst:.3e}")
 
         yjets = [jet.series for block in
@@ -336,19 +328,14 @@ def run_verification(config: RunConfig) -> list[Check]:
             f"rank of the {len(yjets)} coset-equation jets = {yrank} "
             f"(dim Y = {report.dim_Y})")
 
-        chis = []
-        chi_ok = True
-        worst_chi = 0.0
-        for vec in basis_r:
-            sol = roots_mod.log_solution(p, vec, order)
-            res = roots_mod.mellin_residual(p, sol.chi)
-            worst_chi = max(worst_chi, res)
-            chi_ok = chi_ok and res < tol
-            chis.append(sol.chi)
+        sols = [roots_mod.log_solution(p, vec, order) for vec in basis_r]
+        chis = [sol.chi for sol in sols]
+        worst_chi = max((roots_mod.mellin_residual(p, part)
+                         for sol in sols for part in sol.parts), default=0.0)
         if basis_r:
-            add("log-solutions", chi_ok,
-                f"{len(chis)} logarithmic solutions, worst relative "
-                f"residual {worst_chi:.3e}")
+            add("log-solutions", worst_chi == 0,
+                f"{len(chis)} logarithmic solutions, worst exact residual "
+                f"{worst_chi:.3e}")
         full_rank = independence_rank(yjets + chis, roots_mod.RANK_TOL)
         add("direct-sum", full_rank == report.rank,
             f"rank(Y-jets + logs) = {full_rank} (expected {report.rank})")
@@ -356,7 +343,7 @@ def run_verification(config: RunConfig) -> list[Check]:
         witness = roots_mod.invariant_subspace_witness(p.m, p.m_list[0], order)
         blocks_ok = (all(r == p.m // p.d for r in witness.block_ranks)
                      and witness.joint_rank == p.m
-                     and witness.max_residual < tol)
+                     and witness.max_residual == 0)
         add("invariant-subspaces", blocks_ok,
             f"block ranks {list(witness.block_ranks)}, joint "
             f"{witness.joint_rank}, residual {witness.max_residual:.3e}, "
@@ -385,11 +372,10 @@ def cmd_verify(config: RunConfig) -> int:
     ok_all = all(c.ok for c in checks)
     if config.as_json:
         payload = {
-            "profile": _profile_json(config.profile),
+            "profile": config.profile.to_json(),
             "order": config.order,
             "seed": config.seed,
             "tolerances": {
-                "annihilation": config.tol_annihilation,
                 "substitution": roots_mod.SUBSTITUTION_TOL,
                 "rank": roots_mod.RANK_TOL,
             },
@@ -426,9 +412,6 @@ def _add_common(sub):
                      help="seed for root-finder perturbations (default 0)")
     sub.add_argument("--json", action="store_true", dest="as_json",
                      help="emit JSON (schema in docs/schema.md)")
-    sub.add_argument("--tol-annihilation", type=float,
-                     default=roots_mod.ANNIHILATION_TOL,
-                     help="relative annihilation tolerance (default 1e-8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,8 +450,7 @@ def main(argv=None) -> int:
     try:
         profile = make_profile(ns.m, ns.m_list)
         config = RunConfig(profile=profile, order=ns.order, seed=ns.seed,
-                           as_json=ns.as_json,
-                           tol_annihilation=ns.tol_annihilation)
+                           as_json=ns.as_json)
         if ns.command == "dims":
             return cmd_dims(config)
         if ns.command == "operators":

@@ -41,6 +41,10 @@ class ExponentProfile:
             left.append(f"{x} y^{mj}" if mj > 1 else f"{x} y")
         return " + ".join(left) + " - 1 = 0"
 
+    def to_json(self) -> dict:
+        return {"m": self.m, "m_list": list(self.m_list), "n": self.n,
+                "d": self.d}
+
 
 def var_names(n: int, letter: str = "x") -> list[str]:
     if n == 1:

@@ -1,20 +1,23 @@
-"""Numeric root branches of the twisted equations and what they span.
+"""Root branches of the twisted equations and what they span.
 
-Everything here is double-precision complex with documented tolerances;
-the relation vectors stay exact rationals.  The pieces:
+Every branch of every twisted equation has a closed form over the group
+ring Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), and everything
+here that sums, logs or spans branches is built from it exactly:
 
-* an Aberth-style simultaneous root finder (no companion matrix) for
-  scalar root evaluation at a base point,
-* Newton lifting of all m Taylor branches at the origin, where the roots
-  are the distinct m-th roots of unity and the Jacobian never degenerates,
-* root-sum relation residuals over the coset representatives and the
-  logarithmic combinations sum_k c_k sum_i y_i log y_i built from them,
+* root-sum relation residuals over the coset representatives, decided by
+  an exact zero test in Q(zeta_m),
+* the logarithmic combinations sum_k c_k sum_b y_b log y_b, assembled from
+  two exact group-ring series,
 * annihilation residuals under the Mellin operators, and rank witnesses
   for the invariant-subspace splitting in the univariate d > 1 case.
 
-Default tolerances (also surfaced by the CLI): substitution residual
-1e-10, annihilation residual 1e-8 relative, rank pivots 1e-10 relative.
-They sit one to two orders above double-precision noise at order-12 jets.
+Two numeric witnesses stay independent of the closed form: an Aberth-style
+simultaneous root finder (no companion matrix) for scalar roots at a base
+point, and Newton lifting of all m Taylor branches at the origin, where the
+roots are the distinct m-th roots of unity and the Jacobian never
+degenerates.  Their tolerances (also surfaced by the CLI): substitution
+residual 1e-10, rank pivots 1e-10 relative.  They sit one to two orders
+above double-precision noise at order-12 jets.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from fractions import Fraction
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        make_profile)
-from .rings import COMPLEX
-from .series import TruncatedSeries, independence_rank, scaled_root_series
+from .rings import COMPLEX, get_cyclotomic_ring
+from .series import (TruncatedSeries, independence_rank, principal_series,
+                     scaled_root_series)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
-ANNIHILATION_TOL = 1e-8
 RANK_TOL = 1e-10
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_SEPARATION_TOL = 1e-8
@@ -215,6 +218,13 @@ def jet_sum(jets) -> TruncatedSeries:
     return total
 
 
+def _branches(profile: ExponentProfile, twist,
+              ypr: TruncatedSeries) -> list[TruncatedSeries]:
+    """The m exact branches of the equation twisted by ``twist``."""
+    return [scaled_root_series(profile, j, ypr.order, twist, ypr)
+            for j in range(profile.m)]
+
+
 def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     """Max coefficient gap between origin jets and the rotated principal root.
 
@@ -222,12 +232,9 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     e^j * y_pr(e^{j m_1} x_1, ..., e^{j m_n} x_n) coefficientwise.
     """
     jets = lift_jets(origin_instance(profile), order)
-    worst = 0.0
-    for j, jet in enumerate(jets):
-        target = scaled_root_series(profile, j, order).to_complex()
-        diff = jet.series - target
-        worst = max(worst, diff.max_abs())
-    return worst
+    targets = _branches(profile, None, principal_series(profile, order))
+    return max((jet.series - target.to_complex()).max_abs()
+               for jet, target in zip(jets, targets))
 
 
 def scaled_root_identity_check(profile: ExponentProfile, order: int,
@@ -237,24 +244,26 @@ def scaled_root_identity_check(profile: ExponentProfile, order: int,
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
     """Jets of every branch of every coset-representative equation."""
-    out = []
-    for rep in coset_representatives(profile):
-        out.append(lift_jets(origin_instance(profile, rep), order))
-    return out
+    ypr = principal_series(profile, order)
+    return [[PointJet(branch_id=j, series=s.to_complex(), order=order)
+             for j, s in enumerate(_branches(profile, rep, ypr))]
+            for rep in coset_representatives(profile)]
 
 
 def relation_check(profile: ExponentProfile, c, order: int) -> float:
-    """Max coefficient magnitude of sum_k c_k (root sum of equation k)."""
+    """Max coefficient magnitude of sum_k c_k (root sum of equation k).
+
+    The sum is exact over Q[Z/m], so a true relation gives exactly 0.0.
+    """
     if profile.d > 1:
         raise ProfileError("root-sum relations are defined only for d = 1")
     reps = coset_representatives(profile)
     if len(c) != len(reps):
         raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
-    blocks = coset_equation_jets(profile, order)
-    total = TruncatedSeries.zero(COMPLEX, profile.n, order)
-    for ck, jets in zip(c, blocks):
-        total = total + jet_sum(jets).scale(complex(Fraction(ck)))
-    return total.max_abs()
+    ypr = principal_series(profile, order)
+    terms = [s.scale_rational(Fraction(ck)) for ck, rep in zip(c, reps)
+             for s in _branches(profile, rep, ypr)]
+    return sum(terms[1:], terms[0]).max_abs()
 
 
 @dataclass(frozen=True)
@@ -264,43 +273,51 @@ class LogSolution:
     constant_offsets records exactly which branch constants enter: entries
     (k, b, q) stand for c_k * q * 2*pi*i * zeta^b with q = b/m, the branch
     logarithm at the origin being fixed as log zeta^b = 2*pi*i*b/m.
+
+    parts = (A, B) are exact group-ring series with chi = A + (2*pi*i/m) B:
+    A = sum_k c_k sum_b e^b R_b(y_pr log y_pr) and B = sum_k c_k sum_b b y_b,
+    R_b being the rotation that carries y_pr to e^{-b} y_b.
     """
 
     c: tuple
     chi: TruncatedSeries
     constant_offsets: tuple
+    parts: tuple
 
 
-def log_solution(profile: ExponentProfile, c, order: int,
-                 relation_tol: float = ANNIHILATION_TOL) -> LogSolution:
-    """Assemble the logarithmic solution attached to a relation vector."""
+def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
+    """Assemble the logarithmic solution attached to a relation vector.
+
+    Rotation is a ring homomorphism, so log(e^{-b} y_b) = R_b(log y_pr)
+    and y_b log y_b = e^b R_b(y_pr log y_pr) + (2*pi*i*b/m) y_b: no
+    group-ring logarithm or inverse is needed.
+    """
     residual = relation_check(profile, c, order)
-    if residual >= relation_tol:
+    if residual != 0:
         raise ValueError(
-            f"relation residual {residual:.3e} too large: the logarithmic "
+            f"relation residual {residual:.3e} is not zero: the logarithmic "
             "combination would break the homogeneity of the system")
     m = profile.m
-    zeta = cmath.exp(2j * cmath.pi / m)
-    blocks = coset_equation_jets(profile, order)
-    chi = TruncatedSeries.zero(COMPLEX, profile.n, order)
-    offsets = []
-    for k, (ck, jets) in enumerate(zip(c, blocks)):
+    ypr = principal_series(profile, order)
+    ylog = ypr * ypr.log()
+    a_terms, b_terms, offsets = [], [], []
+    for k, (ck, rep) in enumerate(zip(c, coset_representatives(profile))):
         ckq = Fraction(ck)
         if ckq == 0:
             continue
-        for jet in jets:
-            b = jet.branch_id
-            # log(y_b) = 2*pi*i*b/m + log(y_b / zeta^b), principal branch
-            reduced = jet.series.scale(zeta ** (-b))
-            log_series = reduced.log()
-            branch_const = 2j * cmath.pi * b / m
-            log_full = log_series + TruncatedSeries.constant(
-                COMPLEX, profile.n, order, branch_const)
-            chi = chi + (jet.series * log_full).scale(complex(ckq))
+        for b, yb in enumerate(_branches(profile, rep, ypr)):
+            a_terms.append(scaled_root_series(profile, b, order, rep, ylog)
+                           .scale_rational(ckq))
             if b:
+                b_terms.append(yb.scale_rational(ckq * b))
                 offsets.append((k, b, ckq * Fraction(b, m)))
+    zero = TruncatedSeries.zero(get_cyclotomic_ring(m), profile.n, order)
+    part_a = sum(a_terms, zero)
+    part_b = sum(b_terms, zero)
+    chi = part_a.to_complex() + part_b.to_complex().scale(2j * cmath.pi / m)
     return LogSolution(c=tuple(Fraction(v) for v in c), chi=chi,
-                       constant_offsets=tuple(offsets))
+                       constant_offsets=tuple(offsets),
+                       parts=(part_a, part_b))
 
 
 def mellin_residual(profile: ExponentProfile, series: TruncatedSeries) -> float:
@@ -308,6 +325,7 @@ def mellin_residual(profile: ExponentProfile, series: TruncatedSeries) -> float:
 
     Applies each operator and returns the largest output coefficient
     magnitude at reliable order, divided by the largest input magnitude.
+    Over Q and Q[Z/m] the operators act exactly, so a solution gives 0.0.
     """
     if series.order < profile.m + 2:
         raise ValueError("series order must be at least m + 2")
@@ -335,29 +353,23 @@ class SubspaceWitness:
 
 
 def invariant_subspace_witness(m: int, m1: int, order: int) -> SubspaceWitness:
-    """Lift the d twisted-equation blocks and certify their ranks.
+    """Build the d twisted-equation blocks and certify their ranks.
 
     For each k < d the m/d branches j = 0..m/d-1 of
-    y^m + e^k x y^{m1} - 1 = 0 realize e^j y_pr(e^{j m1 + k} x); they must
-    each satisfy the single Mellin operator and the d blocks must have
-    rank m/d apiece and rank m jointly.  The m branches of the untwisted
-    equation alone span only m/d-fold-collapsed directions; their rank is
-    reported for the polyquadratic-style checks.
+    y^m + e^k x y^{m1} - 1 = 0 are e^j y_pr(e^{j m1 + k} x); they must
+    each be annihilated exactly by the single Mellin operator and the d
+    blocks must have rank m/d apiece and rank m jointly.  The m branches
+    of the untwisted equation alone span only m/d-fold-collapsed
+    directions; their rank is reported for the polyquadratic-style checks.
     """
     profile = make_profile(m, [m1])
     d = profile.d
-    blocks = []
-    worst = 0.0
-    for k in range(d):
-        jets = lift_jets(origin_instance(profile, (k,)), order)
-        chosen = [jet.series for jet in jets[: m // d]]
-        for s in chosen:
-            worst = max(worst, mellin_residual(profile, s))
-        blocks.append(chosen)
+    ypr = principal_series(profile, order)
+    blocks = [_branches(profile, (k,), ypr)[: m // d] for k in range(d)]
+    worst = max(mellin_residual(profile, s) for block in blocks for s in block)
     block_ranks = tuple(independence_rank(block, RANK_TOL) for block in blocks)
     joint = independence_rank([s for block in blocks for s in block], RANK_TOL)
-    original = [jet.series for jet in lift_jets(origin_instance(profile), order)]
-    original_rank = independence_rank(original, RANK_TOL)
+    original_rank = independence_rank(_branches(profile, (0,), ypr), RANK_TOL)
     return SubspaceWitness(m=m, m1=m1, d=d, block_ranks=block_ranks,
                            joint_rank=joint, max_residual=worst,
                            original_root_rank=original_rank)
@@ -367,27 +379,26 @@ def equation_report(profile: ExponentProfile, twist, order: int,
                     seed: int = 0) -> dict:
     """JSON-able verification record for one twisted equation.
 
-    Lifts the m branches at the origin and reports substitution and
-    annihilation residuals together with the rank they span.  Origin
-    jets are deterministic; the seed is recorded so reports stay
-    self-describing next to seeded scalar root computations.
+    Takes the m closed-form branches and reports the substitution residual
+    of their complex embeddings, their exact annihilation residual and the
+    rank they span.  The seed is recorded so reports stay self-describing
+    next to seeded scalar root computations.
     """
     inst = origin_instance(profile, twist)
-    jets = lift_jets(inst, order)
+    branches = _branches(profile, inst.twist, principal_series(profile, order))
+    jets = [s.to_complex() for s in branches]
     xs = [TruncatedSeries.variable(COMPLEX, profile.n, order, j)
           for j in range(profile.n)]
-    sub = max(_substitute(inst, jet.series, xs).max_abs() for jet in jets)
-    ann = max(mellin_residual(profile, jet.series) for jet in jets)
-    rank = independence_rank([jet.series for jet in jets], RANK_TOL)
     return {
-        "profile": {"m": profile.m, "m_list": list(profile.m_list),
-                    "n": profile.n, "d": profile.d},
+        "profile": profile.to_json(),
         "twist": list(inst.twist),
         "order": order,
         "seed": seed,
-        "substitution_residual": sub,
-        "annihilation_residual": ann,
-        "rank": rank,
+        "substitution_residual": max(_substitute(inst, y, xs).max_abs()
+                                     for y in jets),
+        "annihilation_residual": max(mellin_residual(profile, s)
+                                     for s in branches),
+        "rank": independence_rank(jets, RANK_TOL),
     }
 
 

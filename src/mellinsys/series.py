@@ -20,7 +20,6 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import factorial
 
@@ -84,10 +83,15 @@ class TruncatedSeries:
         return not self.terms
 
     def max_abs(self) -> float:
-        """Largest coefficient magnitude under the complex embedding."""
-        if not self.terms:
-            return 0.0
-        return max(abs(self.ring.to_complex(c)) for c in self.terms.values())
+        """Largest coefficient magnitude under the complex embedding.
+
+        A group-ring coefficient whose embedding vanishes exactly in
+        Q(zeta_m) counts as 0, so an exact identity measures exactly 0.0.
+        """
+        exact = isinstance(self.ring, CyclotomicRing)
+        return max((abs(self.ring.to_complex(c)) for c in self.terms.values()
+                    if not (exact and self.ring.is_zero_complex(c))),
+                   default=0.0)
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -184,7 +188,7 @@ class TruncatedSeries:
         out = {_zero_exp(self.n_vars): inv0}
         # fill by increasing total degree: c0*g_e = -sum f_u g_{e-u}
         by_degree: dict[int, list] = {}
-        for s in self._exponents_up_to(self.n_vars, self.order):
+        for s in exponents_up_to(self.n_vars, self.order):
             by_degree.setdefault(sum(s), []).append(s)
         for deg in range(1, self.order + 1):
             for e in by_degree.get(deg, []):
@@ -199,28 +203,16 @@ class TruncatedSeries:
         return TruncatedSeries(ring, self.n_vars, self.order, out)
 
     def log(self):
-        """Series logarithm.
-
-        Over the rationals the constant term must be exactly 1 (the log of
-        any other rational is irrational and cannot live in the ring); over
-        the complex ring the principal branch of the constant is folded in.
-        """
+        """Series logarithm of a rational series with constant term exactly 1."""
         c0 = self.coefficient(_zero_exp(self.n_vars))
         if self.ring.is_zero(c0):
             raise ZeroDivisionError("logarithm of a series with zero constant term")
-        if self.ring.name == "rational":
-            if c0 != 1:
-                raise ValueError("rational-series logarithm needs constant term 1")
-            const = None
-            h = self + TruncatedSeries.constant(self.ring, self.n_vars,
-                                                self.order, Fraction(-1))
-        elif self.ring.name == "complex":
-            const = cmath.log(c0)
-            h = self.scale(1.0 / c0) + TruncatedSeries.constant(
-                self.ring, self.n_vars, self.order, -1.0)
-        else:
-            raise ValueError("logarithm is supported over the rational and "
-                             "complex rings only")
+        if self.ring.name != "rational":
+            raise ValueError("logarithm is supported over the rational ring only")
+        if c0 != 1:
+            raise ValueError("rational-series logarithm needs constant term 1")
+        h = self + TruncatedSeries.constant(self.ring, self.n_vars,
+                                            self.order, Fraction(-1))
         acc = TruncatedSeries.zero(self.ring, self.n_vars, self.order)
         power = TruncatedSeries.constant(self.ring, self.n_vars, self.order,
                                          self.ring.one)
@@ -231,9 +223,6 @@ class TruncatedSeries:
                 break
             acc = acc + power.scale_rational(Fraction(sign, k))
             sign = -sign
-        if const is not None and const != 0:
-            acc = acc + TruncatedSeries.constant(self.ring, self.n_vars,
-                                                 self.order, const)
         return acc
 
     def diff(self, j: int):
@@ -279,10 +268,6 @@ class TruncatedSeries:
         return TruncatedSeries(ring, self.n_vars, self.order,
                                {s: ring.from_rational(c)
                                 for s, c in self.terms.items()})
-
-    @staticmethod
-    def _exponents_up_to(n_vars, order):
-        return exponents_up_to(n_vars, order)
 
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
@@ -425,14 +410,23 @@ def rotate(series: TruncatedSeries, index, m: int | None = None) -> TruncatedSer
     return TruncatedSeries(ring, series.n_vars, series.order, terms)
 
 
-def scaled_root_series(profile: ExponentProfile, j: int,
-                       order: int) -> TruncatedSeries:
-    """The j-th root branch e^j * y_pr(e^{j m_1} x_1, ..., e^{j m_n} x_n)."""
+def scaled_root_series(profile: ExponentProfile, j: int, order: int,
+                       twist=None, series=None) -> TruncatedSeries:
+    """Branch j of the equation twisted by I: e^j * f(e^{j m_k + i_k} x_k).
+
+    f is the principal root y_pr unless ``series`` is given; callers that
+    need many branches pass a precomputed y_pr.  With the default twist
+    I = 0 the result is the j-th root branch of the untwisted equation,
+    the one taking the value e^j at the origin.  Exact over Q[Z/m].
+    """
     m = profile.m
     if not 0 <= j < m:
         raise ValueError(f"branch index {j} out of range 0..{m - 1}")
-    twist = tuple((j * mj) % m for mj in profile.m_list)
-    rot = rotate(principal_series(profile, order), twist, m)
+    twist = (0,) * profile.n if twist is None else tuple(twist)
+    if series is None:
+        series = principal_series(profile, order)
+    index = tuple(j * mk + ik for mk, ik in zip(profile.m_list, twist))
+    rot = rotate(series.truncate(order), index, m)
     return rot.scale(rot.ring.root(j))
 
 

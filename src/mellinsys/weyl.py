@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
 
 from .profiles import ExponentProfile, make_profile, var_names
+from .rings import _poly_sub
 from .series import TruncatedSeries
 
 
@@ -400,16 +402,17 @@ def indicial_theta_poly(profile: ExponentProfile, j: int) -> ThetaPoly:
     return theta_product(profile.n, factors)
 
 
-def mellin_system(profile: ExponentProfile) -> list[DiffOperator]:
-    """The n operators P_j(theta) - (-1)^{m_j} m^m D_j^m in canonical form."""
+@lru_cache(maxsize=32)
+def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
+    """The n operators P_j(theta) - (-1)^{m_j} m^m D_j^m in canonical form.
+
+    Built once per recently used profile; callers share the returned tuple.
+    """
     m, n = profile.m, profile.n
-    out = []
-    for j in range(n):
-        op = indicial_theta_poly(profile, j).to_operator()
-        sign = (-1) ** profile.m_list[j]
-        op = op - DiffOperator.partial(n, j, m, coeff=sign * m**m)
-        out.append(op)
-    return out
+    return tuple(indicial_theta_poly(profile, j).to_operator()
+                 - DiffOperator.partial(n, j, m,
+                                        coeff=(-1) ** profile.m_list[j] * m**m)
+                 for j in range(n))
 
 
 def mellin_system_theta_form(profile: ExponentProfile) -> list[DiffOperator]:
@@ -624,13 +627,13 @@ def right_divide_theta_minus_one(op: DiffOperator):
     carry = [Fraction(0)]
     for i in range(r, 0, -1):
         ti = t[i] if i < len(t) else []
-        num = _poly_sub_list(ti, _poly_scale(carry, i - 1))
+        num = _poly_sub(ti, _poly_scale(carry, i - 1))
         if num and num[0] != 0:
             return None
         quotient = num[1:] if num else []
         l[i - 1] = quotient
         carry = quotient
-    check = _poly_sub_list(t[0], _poly_scale(l[0], -1))
+    check = _poly_sub(t[0], _poly_scale(l[0], -1))
     if any(check):
         return None
     out = {}
@@ -644,17 +647,6 @@ def right_divide_theta_minus_one(op: DiffOperator):
 def _poly_scale(p, c):
     c = Fraction(c)
     return [v * c for v in p]
-
-
-def _poly_sub_list(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from mellinsys import roots
 from mellinsys.cli import main
 
 
@@ -113,12 +116,19 @@ def test_verify_quadratic(capsys):
     assert "theta-factorization" in out
 
 
-def test_verify_failure_exit_code(capsys):
-    # an absurdly tight tolerance forces the log-solution check to fail
-    code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--order", "10",
-                           "--tol-annihilation", "1e-14")
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # a zero substitution tolerance makes the numeric scaled-roots witness fail
+    monkeypatch.setattr(roots, "SUBSTITUTION_TOL", 0.0)
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--order", "10")
     assert code == 2
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("m,m1", [(m, m1) for m in range(2, 10)
+                                  for m1 in range(1, m)])
+def test_verify_univariate_sweep(capsys, m, m1):
+    code, out, _ = run_cli(capsys, "verify", str(m), str(m1))
+    assert code == 0, out
 
 
 def test_output_is_byte_identical(capsys):

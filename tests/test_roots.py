@@ -7,9 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinsys.profiles import make_profile
+from mellinsys.profiles import make_profile, relation_basis
 from mellinsys.rings import COMPLEX
-from mellinsys.roots import (ANNIHILATION_TOL, RANK_TOL, SUBSTITUTION_TOL,
+from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, elementary_symmetric,
                              invariant_subspace_witness, jet_sum, lift_jets,
@@ -22,6 +22,9 @@ from mellinsys.series import (TruncatedSeries, exponents_up_to,
 from mellinsys.profiles import ProfileError
 
 F = Fraction
+
+# relative residual allowed for double-precision series under the operators
+ANNIHILATION_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,21 @@ def test_relation_check_general_cubic():
     assert relation_check(p, [F(1), F(0), F(0)], 10) > 1e-3
 
 
+@pytest.mark.parametrize("m,ms", [(3, [2, 1]), (9, [2])])
+def test_relation_check_exact_zero_on_basis(m, ms):
+    p = make_profile(m, ms)
+    for vec in relation_basis(p):
+        assert relation_check(p, vec, 12) == 0.0
+
+
+@pytest.mark.parametrize("m,ms", [(3, [2, 1]), (9, [2])])
+def test_log_solution_parts_annihilated_exactly(m, ms):
+    p = make_profile(m, ms)
+    for vec in relation_basis(p):
+        sol = log_solution(p, vec, 12)
+        assert all(mellin_residual(p, part) == 0 for part in sol.parts)
+
+
 def test_relation_check_depressed_cubic():
     assert relation_check(make_profile(3, [1]), [F(1)], 10) < 1e-10
 
@@ -278,6 +296,12 @@ def test_invariant_subspaces_sextic():
     assert w.block_ranks == (3, 3)
     assert w.joint_rank == 6
     assert w.max_residual < ANNIHILATION_TOL
+
+
+def test_invariant_subspaces_exact_residual():
+    w = invariant_subspace_witness(6, 3, 12)
+    assert w.block_ranks == (2, 2, 2)
+    assert w.max_residual == 0
 
 
 def test_polyquadratic_roots_span_dimension_two():

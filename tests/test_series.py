@@ -413,14 +413,6 @@ def test_log_requires_unit_constant():
         two.log()
 
 
-def test_log_complex_constant_folded():
-    import cmath
-    s = TruncatedSeries(COMPLEX, 1, 4, {(0,): 2.0 + 0j, (1,): 1.0 + 0j})
-    got = s.log()
-    assert abs(got.coefficient((0,)) - cmath.log(2)) < 1e-14
-    assert abs(got.coefficient((1,)) - 0.5) < 1e-14
-
-
 def test_diff():
     s = TruncatedSeries(RATIONAL, 1, 4, {(2,): Fraction(1)})
     d = s.diff(0)
