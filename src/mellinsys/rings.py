@@ -9,9 +9,11 @@ Three interchangeable rings:
 * ``COMPLEX`` -- double-precision complex numbers.
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
-zero divisors, exact *complex* zero tests and ranks go through the field
+zero divisors, exact *complex* zero tests go through the field
 Q[t]/Phi_m(t) (Phi_m the m-th cyclotomic polynomial), which the embedding
-factors through.
+factors through.  Exact ranks over that field are proved without field
+arithmetic, from ranks mod primes
+(:func:`mellinsys.series.rank_cyclotomic_exact`).
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ class CyclotomicRing:
         self.m = m
         self.zero = tuple([_ZERO] * m)
         self.one = self.root(0)
+        self._embedding = tuple(cmath.exp(2j * cmath.pi * k / m)
+                                for k in range(m))
 
     def root(self, k: int):
         """The basis element e^k."""
@@ -160,7 +164,7 @@ class CyclotomicRing:
         return all(x == 0 for x in a)
 
     def to_complex(self, a) -> complex:
-        return sum(float(x) * cmath.exp(2j * cmath.pi * k / self.m)
+        return sum(float(x) * self._embedding[k]
                    for k, x in enumerate(a) if x)
 
     def to_field(self, a):

@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        make_profile)
@@ -250,6 +251,17 @@ def coset_equation_jets(profile: ExponentProfile, order: int):
             for rep in coset_representatives(profile)]
 
 
+@lru_cache(maxsize=32)
+def _root_sums(profile: ExponentProfile, order: int) -> tuple:
+    """Exact sum over the m branches of each coset-representative equation."""
+    ypr = principal_series(profile, order)
+    sums = []
+    for rep in coset_representatives(profile):
+        branches = _branches(profile, rep, ypr)
+        sums.append(sum(branches[1:], branches[0]))
+    return tuple(sums)
+
+
 def relation_check(profile: ExponentProfile, c, order: int) -> float:
     """Max coefficient magnitude of sum_k c_k (root sum of equation k).
 
@@ -257,12 +269,10 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
     """
     if profile.d > 1:
         raise ProfileError("root-sum relations are defined only for d = 1")
-    reps = coset_representatives(profile)
-    if len(c) != len(reps):
-        raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
-    ypr = principal_series(profile, order)
-    terms = [s.scale_rational(Fraction(ck)) for ck, rep in zip(c, reps)
-             for s in _branches(profile, rep, ypr)]
+    sums = _root_sums(profile, order)
+    if len(c) != len(sums):
+        raise ValueError(f"relation vector length {len(c)} != {len(sums)}")
+    terms = [s.scale_rational(Fraction(ck)) for ck, s in zip(c, sums)]
     return sum(terms[1:], terms[0]).max_abs()
 
 

@@ -131,6 +131,12 @@ def test_verify_univariate_sweep(capsys, m, m1):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("profile", [("4", "3", "1"), ("5", "3", "1")])
+def test_verify_bivariate(capsys, profile):
+    code, out, _ = run_cli(capsys, "verify", *profile)
+    assert code == 0, out
+
+
 def test_output_is_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "dims", "3", "2", "1")
     _, out2, _ = run_cli(capsys, "dims", "3", "2", "1")

@@ -1,5 +1,5 @@
 """Golden corpus: byte-for-byte stdout of fixed `dims` / `operators` /
-`series` invocations, text and --json, plus one error path.
+`series` / `verify` invocations, text and --json, plus one error path.
 
 The expected files live in ``tests/golden/``.  After a deliberate output
 change, rewrite them with ``PYTHONPATH=src python tests/test_golden.py`` and
@@ -42,6 +42,11 @@ CASES = [
      ["series", "4", "2", "--roots", "--order", "8", "--json"], 0),
     ("series-5-3-principal-roots",
      ["series", "5", "3", "--principal", "--roots", "--order", "7"], 0),
+    ("verify-3-2-1", ["verify", "3", "2", "1"], 0),
+    ("verify-4-2-1-order-6", ["verify", "4", "2", "1", "--order", "6"], 0),
+    ("verify-6-4-2", ["verify", "6", "4", "2"], 0),
+    ("verify-9-3", ["verify", "9", "3"], 0),
+    ("verify-5-3-1-json", ["verify", "5", "3", "1", "--json"], 0),
     ("error-dims-3-3-1", ["dims", "3", "3", "1"], 1),
 ]
 

@@ -9,14 +9,20 @@ are frozen from that expansion.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mellinsys.profiles import index_box, make_profile
-from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
+from mellinsys import series as series_mod
+from mellinsys.profiles import dims, index_box, make_profile
+from mellinsys.rings import (COMPLEX, RATIONAL, cyclotomic_field,
+                             get_cyclotomic_ring)
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, format_series,
                               independence_rank, is_generating,
-                              principal_coefficient, principal_series, rotate,
+                              principal_coefficient, principal_series,
+                              rank_cyclotomic_exact, rank_rational, rotate,
                               scaled_root_series, series_to_json, subseries)
 from mellinsys.weyl import mellin_system
 
@@ -390,6 +396,101 @@ def test_rank_cyclotomic_scalar_multiple_collapses():
                         {(0,): ring.root(0), (1,): ring.root(2)})
     t = s.scale(ring.root(1))
     assert independence_rank([s, t]) == 1
+
+
+def test_rank_of_four_variable_rotations():
+    p = make_profile(4, [3, 2, 1])
+    y = principal_series(p, 12)
+    rots = [rotate(y, idx, 4) for idx in index_box(p)]
+    assert len(rots) == 64
+    assert independence_rank(rots) == dims(p).card_Bprime == 49
+
+
+def field_rank_oracle(rows, m):
+    """Gauss-Jordan elimination in Q[t]/Phi_m(t) with Fraction arithmetic."""
+    fld = cyclotomic_field(m)
+    rows = [[fld.from_group_ring(c) for c in r] for r in rows]
+    if not rows or not rows[0]:
+        return 0
+    rank, col, ncols = 0, 0, len(rows[0])
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows))
+                      if not fld.is_zero(rows[r][col])), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = fld.inv(rows[rank][col])
+        rows[rank] = [fld.mul(v, inv) for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not fld.is_zero(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [fld.sub(a, fld.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+@st.composite
+def group_ring_matrices(draw):
+    """Small Q[Z/m] matrices with dependent rows, zero columns and entries
+    that are nonzero in Q[Z/m] but vanish in Q(zeta_m)."""
+    m = draw(st.integers(1, 9))
+    ring = get_cyclotomic_ring(m)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    element = st.builds(
+        lambda nums, den: tuple(Fraction(v, den) for v in nums),
+        st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+        st.integers(1, 4))
+    norm = tuple([Fraction(1)] * m)  # 1 + e + ... + e^{m-1}
+    entry = st.one_of(element, st.just(ring.zero), st.just(norm))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            row = [ring.zero] * ncols
+            for prev in rows:
+                g = draw(element)
+                row = [ring.add(a, ring.mul(g, b)) for a, b in zip(row, prev)]
+        else:
+            row = [draw(entry) for _ in range(ncols)]
+        rows.append(row)
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[j] = ring.zero
+    return m, rows
+
+
+@settings(deadline=None)
+@given(group_ring_matrices())
+def test_modular_rank_matches_field_elimination(case):
+    m, rows = case
+    want = field_rank_oracle(rows, m)
+    assert rank_cyclotomic_exact(rows, m) == want
+    if m == 1:
+        assert rank_rational([[c[0] for c in r] for r in rows]) == want
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_rank_survives_a_vanishing_first_prime(m):
+    # the determinant is p1, the first prime tried: rank 1 mod p1, 2 over Q
+    p1, _ = series_mod._prime_root(m, 0)
+    assert series_mod._rank_mod_p(np.array([[1, 1], [1, 1]], dtype=np.int64),
+                                  p1) == 1
+    ring = get_cyclotomic_ring(m)
+    rows = [[ring.one, ring.one], [ring.one, ring.from_rational(1 + p1)]]
+    assert rank_cyclotomic_exact(rows, m) == 2
+    if m == 1:
+        assert rank_rational([[1, 1], [1, 1 + p1]]) == 2
+
+
+def test_rank_of_empty_and_zero_matrices():
+    assert rank_rational([]) == 0
+    assert rank_rational([[]]) == 0
+    assert rank_rational([[0, 0], [0, 0]]) == 0
+    ring = get_cyclotomic_ring(3)
+    norm = ring.add(ring.add(ring.root(0), ring.root(1)), ring.root(2))
+    assert rank_cyclotomic_exact([[norm, ring.zero]], 3) == 0
 
 
 # ---------------------------------------------------------------------------
