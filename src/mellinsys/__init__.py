@@ -11,10 +11,9 @@ from .profiles import (DimensionReport, ExponentProfile, ProfileError,
                        algebraic_index_set, beukers_heckman_reducible,
                        coset_representatives, dims, index_box, make_profile,
                        missing_index_set, modular_count, relation_basis)
-from .rings import (COMPLEX, RATIONAL, CyclotomicField, CyclotomicRing,
-                    cyclotomic_field, cyclotomic_polynomial,
+from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
                     get_cyclotomic_ring)
-from .roots import (EquationInstance, LogSolution, PointJet, RootFindingError,
+from .roots import (EquationInstance, LogSolution, RootFindingError,
                     SubspaceWitness, aberth_roots, coset_equation_jets,
                     equation_report, invariant_subspace_witness, lift_jets,
                     log_solution, mellin_residual, origin_instance,
@@ -33,13 +32,13 @@ from .weyl import (DiffOperator, LatticeData, ThetaFactorization, ThetaPoly,
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPLEX", "RATIONAL", "CyclotomicField", "CyclotomicRing",
+    "COMPLEX", "RATIONAL", "CyclotomicRing",
     "DiffOperator", "DimensionReport", "EquationInstance", "ExponentProfile",
-    "LatticeData", "LogSolution", "PointJet", "ProfileError",
+    "LatticeData", "LogSolution", "ProfileError",
     "RootFindingError", "SubspaceWitness", "ThetaFactorization", "ThetaPoly",
     "TruncatedSeries", "aberth_roots", "algebraic_index_set",
     "beukers_heckman_reducible", "convenient_basis_series",
-    "coset_equation_jets", "coset_representatives", "cyclotomic_field",
+    "coset_equation_jets", "coset_representatives",
     "cyclotomic_polynomial", "derivative_factorization", "dims",
     "discriminant_poly", "equals_up_to_rational_scale", "factorization_check",
     "equation_report", "get_cyclotomic_ring", "horn_mellin_multiplier",

@@ -321,8 +321,8 @@ def run_verification(config: RunConfig) -> list[Check]:
         add("relation-residuals", worst == 0,
             f"{len(basis_r)} basis vectors, worst residual {worst:.3e}")
 
-        yjets = [jet.series for block in
-                 roots_mod.coset_equation_jets(p, order) for jet in block]
+        yjets = [jet for block in roots_mod.coset_equation_jets(p, order)
+                 for jet in block]
         yrank = independence_rank(yjets, roots_mod.RANK_TOL)
         add("algebraic-span", yrank == report.dim_Y,
             f"rank of the {len(yjets)} coset-equation jets = {yrank} "

@@ -8,12 +8,17 @@ Three interchangeable rings:
   no further reduction (rotation arithmetic only needs exponents mod m),
 * ``COMPLEX`` -- double-precision complex numbers.
 
+Every per-ring decision of the series code is a method here, so that code
+never asks which ring it holds: arithmetic, inverting a unit, the exact
+test for a vanishing complex embedding, pruning, rendering a coefficient
+as text and as JSON, and the map of an exact coefficient into Q[Z/m].
+
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
-zero divisors, exact *complex* zero tests go through the field
-Q[t]/Phi_m(t) (Phi_m the m-th cyclotomic polynomial), which the embedding
-factors through.  Exact ranks over that field are proved without field
-arithmetic, from ranks mod primes
-(:func:`mellinsys.series.rank_cyclotomic_exact`).
+zero divisors, a nonzero element can embed to 0.  The embedding factors
+through Q[t]/Phi_m(t) (Phi_m the m-th cyclotomic polynomial), so it
+vanishes exactly when sum_k a_k t^k is divisible by Phi_m.  Exact ranks
+over that field are proved without field arithmetic, from ranks mod
+primes (:func:`mellinsys.series.rank_cyclotomic_exact`).
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+
+# Complex terms below this fraction of the largest magnitude (at least 1)
+# are dropped as double-precision noise.
+COMPLEX_PRUNE = 1e-12
 
 
 class RationalRing:
@@ -43,6 +52,10 @@ class RationalRing:
         return a * b
 
     @staticmethod
+    def inv(a):
+        return Fraction(1) / a
+
+    @staticmethod
     def scale_rational(a, q):
         return a * q
 
@@ -54,9 +67,38 @@ class RationalRing:
     def is_zero(a) -> bool:
         return a == 0
 
+    is_zero_complex = is_zero
+
     @staticmethod
     def to_complex(a) -> complex:
         return complex(a)
+
+    @staticmethod
+    def prune(terms):
+        return terms
+
+    @staticmethod
+    def coeff_text(a) -> str:
+        return str(a)
+
+    coeff_json = coeff_text
+
+    def json_fields(self) -> dict:
+        return {"ring": self.name}
+
+    @staticmethod
+    def group_ring(m=None):
+        """The ring Q[Z/m] and the map of coefficients into it."""
+        if m is None:
+            raise ValueError("rational coefficients need the modulus m")
+        ring = get_cyclotomic_ring(m)
+        return ring, ring.from_rational
+
+    def __eq__(self, other):
+        return type(other) is RationalRing
+
+    def __hash__(self):
+        return hash(RationalRing)
 
     def __repr__(self):
         return "RationalRing()"
@@ -82,6 +124,10 @@ class ComplexRing:
         return a * b
 
     @staticmethod
+    def inv(a):
+        return 1.0 / a
+
+    @staticmethod
     def scale_rational(a, q):
         return a * float(q)
 
@@ -93,9 +139,40 @@ class ComplexRing:
     def is_zero(a) -> bool:
         return a == 0
 
+    is_zero_complex = is_zero
+
     @staticmethod
     def to_complex(a) -> complex:
         return complex(a)
+
+    @staticmethod
+    def prune(terms):
+        """Drop terms below COMPLEX_PRUNE * max(1, largest magnitude)."""
+        if not terms:
+            return terms
+        thr = COMPLEX_PRUNE * max(1.0, max(abs(c) for c in terms.values()))
+        return {s: c for s, c in terms.items() if abs(c) >= thr}
+
+    @staticmethod
+    def coeff_text(a) -> str:
+        return f"[{a.real:.12e}, {a.imag:.12e}]"
+
+    @staticmethod
+    def coeff_json(a) -> list:
+        return [a.real, a.imag]
+
+    def json_fields(self) -> dict:
+        return {"ring": self.name}
+
+    @staticmethod
+    def group_ring(m=None):
+        raise ValueError("only exact coefficients map into the group ring")
+
+    def __eq__(self, other):
+        return type(other) is ComplexRing
+
+    def __hash__(self):
+        return hash(ComplexRing)
 
     def __repr__(self):
         return "ComplexRing()"
@@ -120,6 +197,7 @@ class CyclotomicRing:
         self.one = self.root(0)
         self._embedding = tuple(cmath.exp(2j * cmath.pi * k / m)
                                 for k in range(m))
+        self._phi = cyclotomic_polynomial(m)
 
     def root(self, k: int):
         """The basis element e^k."""
@@ -151,6 +229,16 @@ class CyclotomicRing:
             return a
         return tuple(a[(i - k) % self.m] for i in range(self.m))
 
+    def inv(self, a):
+        """Inverse of a monomial unit q e^k, the units that series carry."""
+        support = [k for k, x in enumerate(a) if x]
+        if not support:
+            raise ZeroDivisionError("inverse of zero")
+        if len(support) > 1:
+            raise ValueError("only monomial units q e^k are inverted")
+        k = support[0]
+        return self.mul_root(self.from_rational(Fraction(1) / a[k]), -k)
+
     def scale_rational(self, a, q):
         q = Fraction(q)
         return tuple(x * q for x in a)
@@ -163,18 +251,39 @@ class CyclotomicRing:
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
 
+    def is_zero_complex(self, a) -> bool:
+        """Exact test of whether the complex embedding of ``a`` vanishes."""
+        return not _poly_divmod(a, self._phi)[1]
+
     def to_complex(self, a) -> complex:
         return sum(float(x) * self._embedding[k]
                    for k, x in enumerate(a) if x)
 
-    def to_field(self, a):
-        """Image of a group-ring element in Q[t]/Phi_m(t)."""
-        return cyclotomic_field(self.m).from_group_ring(a)
+    @staticmethod
+    def prune(terms):
+        return terms
 
-    def is_zero_complex(self, a) -> bool:
-        """Exact test of whether the complex embedding of ``a`` vanishes."""
-        fld = cyclotomic_field(self.m)
-        return fld.is_zero(fld.from_group_ring(a))
+    @staticmethod
+    def coeff_text(a) -> str:
+        return "[" + ", ".join(str(q) for q in a) + "]"
+
+    @staticmethod
+    def coeff_json(a) -> list:
+        return [str(q) for q in a]
+
+    def json_fields(self) -> dict:
+        return {"ring": self.name, "m": self.m}
+
+    def group_ring(self, m=None):
+        if m is not None and m != self.m:
+            raise ValueError("ring mismatch")
+        return self, lambda a: a
+
+    def __eq__(self, other):
+        return type(other) is CyclotomicRing and other.m == self.m
+
+    def __hash__(self):
+        return hash((CyclotomicRing, self.m))
 
     def __repr__(self):
         return f"CyclotomicRing({self.m})"
@@ -186,7 +295,7 @@ def get_cyclotomic_ring(m: int) -> CyclotomicRing:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic in the cyclotomic field Q[t]/Phi_m(t)
+# Rational polynomial arithmetic and the cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
 def _poly_trim(p):
@@ -248,83 +357,3 @@ def cyclotomic_polynomial(m: int) -> tuple:
     q, r = _poly_divmod(num, den)
     assert not r, "cyclotomic division must be exact"
     return tuple(q)
-
-
-class CyclotomicField:
-    """Q[t]/Phi_m(t), elements as degree < phi(m) rational coefficient tuples."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.modulus = list(cyclotomic_polynomial(m))
-        self.degree = len(self.modulus) - 1
-        self.zero = tuple([_ZERO] * self.degree)
-        one = [_ZERO] * self.degree
-        one[0] = Fraction(1)
-        self.one = tuple(one)
-        # reduction table for t^k, k = 0 .. m-1
-        self._powers = []
-        for k in range(m):
-            p = [Fraction(0)] * k + [Fraction(1)]
-            _, r = _poly_divmod(p, self.modulus)
-            r = r + [Fraction(0)] * (self.degree - len(r))
-            self._powers.append(tuple(r))
-
-    def from_group_ring(self, a):
-        out = [_ZERO] * self.degree
-        for k, c in enumerate(a):
-            if c:
-                pk = self._powers[k % self.m]
-                for i in range(self.degree):
-                    out[i] += c * pk[i]
-        return tuple(out)
-
-    def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        prod = _poly_mul(list(a), list(b))
-        _, r = _poly_divmod(prod, self.modulus)
-        r = r + [Fraction(0)] * (self.degree - len(r))
-        return tuple(r[:self.degree])
-
-    def inv(self, a):
-        """Inverse via the extended Euclidean algorithm in Q[t].
-
-        Maintains r_i = u_i * Phi_m + s_i * a; since Phi_m is irreducible
-        over Q the gcd with any nonzero residue is a nonzero constant.
-        """
-        if self.is_zero(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = self.modulus[:], _poly_trim(list(a))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1, "cyclotomic modulus must be irreducible"
-        c = r0[0]
-        res = [x / c for x in s0]
-        _, res = _poly_divmod(res, self.modulus)
-        res = res + [Fraction(0)] * (self.degree - len(res))
-        return tuple(res[:self.degree])
-
-    def to_complex(self, a) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return sum(float(c) * z**k for k, c in enumerate(a))
-
-    def __repr__(self):
-        return f"CyclotomicField({self.m})"
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_field(m: int) -> CyclotomicField:
-    return CyclotomicField(m)

@@ -141,18 +141,6 @@ def roots_at_point(instance: EquationInstance, seed: int = 0) -> list[complex]:
                                         round(abs(y), 9)))
 
 
-@dataclass(frozen=True)
-class PointJet:
-    """Truncated Taylor expansion of one root branch at the origin."""
-
-    branch_id: int
-    series: TruncatedSeries
-    order: int
-
-    def constant(self) -> complex:
-        return self.series.coefficient((0,) * self.series.n_vars)
-
-
 def _substitute(instance: EquationInstance, y: TruncatedSeries,
                 xs) -> TruncatedSeries:
     """p(y) for the defining polynomial of the instance."""
@@ -178,8 +166,8 @@ def _substitute_derivative(instance: EquationInstance, y: TruncatedSeries,
     return total
 
 
-def lift_jets(instance: EquationInstance, order: int) -> list[PointJet]:
-    """Newton-lift all m branches at the origin.
+def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
+    """Newton-lift all m branches at the origin; entry b is branch b.
 
     Branch b starts from the exact simple root zeta^b of y^m = 1, where
     the y-derivative m zeta^{b(m-1)} cannot vanish, and each Newton step
@@ -208,15 +196,8 @@ def lift_jets(instance: EquationInstance, order: int) -> list[PointJet]:
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
                 f"branch {b} substitution residual {residual:.3e}")
-        jets.append(PointJet(branch_id=b, series=y, order=order))
+        jets.append(y)
     return jets
-
-
-def jet_sum(jets) -> TruncatedSeries:
-    total = jets[0].series
-    for jet in jets[1:]:
-        total = total + jet.series
-    return total
 
 
 def _branches(profile: ExponentProfile, twist,
@@ -234,7 +215,7 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     """
     jets = lift_jets(origin_instance(profile), order)
     targets = _branches(profile, None, principal_series(profile, order))
-    return max((jet.series - target.to_complex()).max_abs()
+    return max((jet - target.to_complex()).max_abs()
                for jet, target in zip(jets, targets))
 
 
@@ -244,10 +225,9 @@ def scaled_root_identity_check(profile: ExponentProfile, order: int,
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
-    """Jets of every branch of every coset-representative equation."""
+    """Complex jets of every branch of every coset-representative equation."""
     ypr = principal_series(profile, order)
-    return [[PointJet(branch_id=j, series=s.to_complex(), order=order)
-             for j, s in enumerate(_branches(profile, rep, ypr))]
+    return [[s.to_complex() for s in _branches(profile, rep, ypr)]
             for rep in coset_representatives(profile)]
 
 
@@ -274,6 +254,13 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
         raise ValueError(f"relation vector length {len(c)} != {len(sums)}")
     terms = [s.scale_rational(Fraction(ck)) for ck, s in zip(c, sums)]
     return sum(terms[1:], terms[0]).max_abs()
+
+
+@lru_cache(maxsize=32)
+def _y_log_y(profile: ExponentProfile, order: int) -> TruncatedSeries:
+    """y_pr * log y_pr, exact over Q, shared by every relation vector."""
+    ypr = principal_series(profile, order)
+    return ypr * ypr.log()
 
 
 @dataclass(frozen=True)
@@ -309,7 +296,7 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
             "combination would break the homogeneity of the system")
     m = profile.m
     ypr = principal_series(profile, order)
-    ylog = ypr * ypr.log()
+    ylog = _y_log_y(profile, order)
     a_terms, b_terms, offsets = [], [], []
     for k, (ck, rep) in enumerate(zip(c, coset_representatives(profile))):
         ckq = Fraction(ck)

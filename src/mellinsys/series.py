@@ -27,10 +27,7 @@ from math import factorial, gcd, lcm, prod
 import numpy as np
 
 from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
-from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
-                    get_cyclotomic_ring)
-
-COMPLEX_PRUNE = 1e-12
+from .rings import COMPLEX, RATIONAL, cyclotomic_polynomial
 
 
 def _zero_exp(n):
@@ -52,13 +49,8 @@ class TruncatedSeries:
 
     @staticmethod
     def _prune(ring, order, terms):
-        kept = {s: c for s, c in terms.items()
-                if sum(s) <= order and not ring.is_zero(c)}
-        if ring.name == "complex" and kept:
-            top = max(abs(c) for c in kept.values())
-            thr = COMPLEX_PRUNE * max(1.0, top)
-            kept = {s: c for s, c in kept.items() if abs(c) >= thr}
-        return kept
+        return ring.prune({s: c for s, c in terms.items()
+                           if sum(s) <= order and not ring.is_zero(c)})
 
     # -- constructors -------------------------------------------------------
 
@@ -89,10 +81,9 @@ class TruncatedSeries:
         A group-ring coefficient whose embedding vanishes exactly in
         Q(zeta_m) counts as 0, so an exact identity measures exactly 0.0.
         """
-        exact = isinstance(self.ring, CyclotomicRing)
-        return max((abs(self.ring.to_complex(c)) for c in self.terms.values()
-                    if not (exact and self.ring.is_zero_complex(c))),
-                   default=0.0)
+        ring = self.ring
+        return max((abs(ring.to_complex(c)) for c in self.terms.values()
+                    if not ring.is_zero_complex(c)), default=0.0)
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -100,9 +91,7 @@ class TruncatedSeries:
     def _check_compatible(self, other):
         if self.n_vars != other.n_vars:
             raise ValueError("variable-count mismatch")
-        if self.ring.name != other.ring.name or (
-                isinstance(self.ring, CyclotomicRing)
-                and self.ring.m != other.ring.m):
+        if self.ring != other.ring:
             raise ValueError("ring mismatch")
 
     # -- ring operations -----------------------------------------------------
@@ -171,20 +160,12 @@ class TruncatedSeries:
         return result
 
     def inverse(self):
-        """Reciprocal; requires an invertible constant term (rational/complex)."""
-        c0 = self.coefficient(_zero_exp(self.n_vars))
-        if self.ring.name == "rational":
-            if c0 == 0:
-                raise ZeroDivisionError("series has zero constant term")
-            inv0 = Fraction(1) / c0
-        elif self.ring.name == "complex":
-            if c0 == 0:
-                raise ZeroDivisionError("series has zero constant term")
-            inv0 = 1.0 / c0
-        else:
-            raise ValueError("inverse is supported over the rational and "
-                             "complex rings only")
+        """Reciprocal; the constant term must be a unit the ring inverts."""
         ring = self.ring
+        c0 = self.coefficient(_zero_exp(self.n_vars))
+        if ring.is_zero(c0):
+            raise ZeroDivisionError("series has zero constant term")
+        inv0 = ring.inv(c0)
         rest = {s: c for s, c in self.terms.items() if sum(s) > 0}
         out = {_zero_exp(self.n_vars): inv0}
         # fill by increasing total degree: c0*g_e = -sum f_u g_{e-u}
@@ -204,27 +185,25 @@ class TruncatedSeries:
         return TruncatedSeries(ring, self.n_vars, self.order, out)
 
     def log(self):
-        """Series logarithm of a rational series with constant term exactly 1."""
-        c0 = self.coefficient(_zero_exp(self.n_vars))
-        if self.ring.is_zero(c0):
+        """Series logarithm of a series with constant term exactly 1.
+
+        The Euler operator E = sum_j x_j d/dx_j multiplies the term at s by
+        |s|, and E(log f) = E(f) / f, so one inverse and one product give
+        every coefficient (Brent-Kung, J. ACM 25, 1978).
+        """
+        ring, n = self.ring, self.n_vars
+        c0 = self.coefficient(_zero_exp(n))
+        if ring.is_zero(c0):
             raise ZeroDivisionError("logarithm of a series with zero constant term")
-        if self.ring.name != "rational":
-            raise ValueError("logarithm is supported over the rational ring only")
-        if c0 != 1:
-            raise ValueError("rational-series logarithm needs constant term 1")
-        h = self + TruncatedSeries.constant(self.ring, self.n_vars,
-                                            self.order, Fraction(-1))
-        acc = TruncatedSeries.zero(self.ring, self.n_vars, self.order)
-        power = TruncatedSeries.constant(self.ring, self.n_vars, self.order,
-                                         self.ring.one)
-        sign = 1
-        for k in range(1, self.order + 1):
-            power = power * h
-            if power.is_zero():
-                break
-            acc = acc + power.scale_rational(Fraction(sign, k))
-            sign = -sign
-        return acc
+        if c0 != ring.one:
+            raise ValueError("series logarithm needs constant term 1")
+        euler = TruncatedSeries(ring, n, self.order,
+                                {s: ring.scale_rational(c, sum(s))
+                                 for s, c in self.terms.items()})
+        quotient = euler * self.inverse()
+        return TruncatedSeries(ring, n, self.order,
+                               {s: ring.scale_rational(c, Fraction(1, sum(s)))
+                                for s, c in quotient.terms.items()})
 
     def diff(self, j: int):
         """Partial derivative; the reliable order drops by one."""
@@ -259,16 +238,10 @@ class TruncatedSeries:
             {s: self.ring.to_complex(c) for s, c in self.terms.items()})
 
     def to_cyclotomic(self, m: int):
-        ring = get_cyclotomic_ring(m)
-        if self.ring.name == "cyclotomic":
-            if self.ring.m != m:
-                raise ValueError("ring mismatch")
-            return self
-        if self.ring.name != "rational":
-            raise ValueError("only rational series embed into the group ring")
+        """The same series over the group ring Q[Z/m]."""
+        ring, embed = self.ring.group_ring(m)
         return TruncatedSeries(ring, self.n_vars, self.order,
-                               {s: ring.from_rational(c)
-                                for s, c in self.terms.items()})
+                               {s: embed(c) for s, c in self.terms.items()})
 
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
@@ -394,20 +367,9 @@ def rotate(series: TruncatedSeries, index, m: int | None = None) -> TruncatedSer
     The coefficient at exponent s picks up the factor e^{<I, s> mod m}.
     """
     index = tuple(index)
-    if series.ring.name == "cyclotomic":
-        ring = series.ring
-        if m is not None and m != ring.m:
-            raise ValueError("ring mismatch")
-        terms = {s: ring.mul_root(c, dot(index, s))
-                 for s, c in series.terms.items()}
-    elif series.ring.name == "rational":
-        if m is None:
-            raise ValueError("rotations of rational series need the modulus m")
-        ring = get_cyclotomic_ring(m)
-        terms = {s: ring.mul_root(ring.from_rational(c), dot(index, s))
-                 for s, c in series.terms.items()}
-    else:
-        raise ValueError("rotation acts on exact coefficient rings only")
+    ring, embed = series.ring.group_ring(m)
+    terms = {s: ring.mul_root(embed(c), dot(index, s))
+             for s, c in series.terms.items()}
     return TruncatedSeries(ring, series.n_vars, series.order, terms)
 
 
@@ -442,8 +404,8 @@ def subseries(series: TruncatedSeries, index, m: int) -> TruncatedSeries:
 def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
     """Whether every initial exponent I in B carries a nonzero coefficient.
 
-    Group-ring coefficients are tested for vanishing of their complex
-    embedding exactly, via the cyclotomic field.
+    A coefficient counts as zero when its complex embedding vanishes
+    exactly, as a group-ring coefficient can.
     """
     need = profile.n * (profile.m - 1)
     if series.order < need:
@@ -451,9 +413,7 @@ def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
                          "the box is not fully visible")
     for idx in index_box(profile):
         c = series.terms.get(idx)
-        if c is None:
-            return False
-        if series.ring.name == "cyclotomic" and series.ring.is_zero_complex(c):
+        if c is None or series.ring.is_zero_complex(c):
             return False
     return True
 
@@ -621,31 +581,23 @@ def independence_rank(series_list, rel_tol: float = 1e-10) -> int:
         return 0
     _, rows = _coefficient_matrix(series_list)
     ring = series_list[0].ring
-    if ring.name == "rational":
+    if ring == COMPLEX:
+        return rank_complex(rows, rel_tol)
+    if ring == RATIONAL:
         return rank_rational(rows)
-    if ring.name == "cyclotomic":
-        exact = rank_cyclotomic_exact(rows, ring.m)
-        numeric = rank_complex([[ring.to_complex(c) for c in r] for r in rows],
-                               rel_tol)
-        if exact != numeric:
-            raise ArithmeticError(
-                f"exact cyclotomic rank {exact} != numeric embedded rank "
-                f"{numeric}; numeric tolerance is unsound here")
-        return exact
-    return rank_complex(rows, rel_tol)
+    exact = rank_cyclotomic_exact(rows, ring.m)
+    numeric = rank_complex([[ring.to_complex(c) for c in r] for r in rows],
+                           rel_tol)
+    if exact != numeric:
+        raise ArithmeticError(
+            f"exact cyclotomic rank {exact} != numeric embedded rank "
+            f"{numeric}; numeric tolerance is unsound here")
+    return exact
 
 
 # ---------------------------------------------------------------------------
 # Rendering / serialization
 # ---------------------------------------------------------------------------
-
-def _fmt_coeff(ring, c) -> str:
-    if ring.name == "rational":
-        return str(c)
-    if ring.name == "cyclotomic":
-        return "[" + ", ".join(str(q) for q in c) + "]"
-    return f"[{c.real:.12e}, {c.imag:.12e}]"
-
 
 def format_series(series: TruncatedSeries, letter: str = "x") -> str:
     """Canonical one-term-per-line rendering, sorted by degree then lex."""
@@ -657,26 +609,16 @@ def format_series(series: TruncatedSeries, letter: str = "x") -> str:
         mono = " ".join(f"{nm}^{e}" if e > 1 else nm
                         for nm, e in zip(names, exp) if e)
         mono = mono or "1"
-        lines.append(f"{_fmt_coeff(series.ring, c)} * {mono}")
+        lines.append(f"{series.ring.coeff_text(c)} * {mono}")
     return "\n".join(lines)
 
 
 def series_to_json(series: TruncatedSeries) -> dict:
-    out = {
+    ring = series.ring
+    return {
         "n_vars": series.n_vars,
         "order": series.order,
-        "ring": series.ring.name,
+        **ring.json_fields(),
+        "terms": [{"exp": list(exp), "coeff": ring.coeff_json(c)}
+                  for exp, c in series.sorted_items()],
     }
-    if series.ring.name == "cyclotomic":
-        out["m"] = series.ring.m
-    terms = []
-    for exp, c in series.sorted_items():
-        if series.ring.name == "rational":
-            coeff = str(c)
-        elif series.ring.name == "cyclotomic":
-            coeff = [str(q) for q in c]
-        else:
-            coeff = [c.real, c.imag]
-        terms.append({"exp": list(exp), "coeff": coeff})
-    out["terms"] = terms
-    return out

@@ -221,11 +221,11 @@ def test_criterion_10_logarithmic_solutions():
     sol = log_solution(p31, [F(1)], ORDER)
     res31 = mellin_residual(p31, sol.chi)
     assert res31 < 1e-8
-    yjets31 = [j.series for b in coset_equation_jets(p31, ORDER) for j in b]
+    yjets31 = [j for b in coset_equation_jets(p31, ORDER) for j in b]
     assert independence_rank(yjets31 + [sol.chi], 1e-10) == 3
 
     p321 = make_profile(3, [2, 1])
-    yjets = [j.series for b in coset_equation_jets(p321, ORDER) for j in b]
+    yjets = [j for b in coset_equation_jets(p321, ORDER) for j in b]
     chis, worst = [], res31
     for c in ([F(1), F(-1), F(0)], [F(1), F(0), F(-1)]):
         s = log_solution(p321, c, ORDER)

@@ -1,12 +1,20 @@
 """Group ring, cyclotomic field, and embedding sanity checks."""
 
 import cmath
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mellinsys.rings import (cyclotomic_field, cyclotomic_polynomial,
-                             get_cyclotomic_ring)
+from field_oracle import cyclotomic_field
+from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
+                             cyclotomic_polynomial, get_cyclotomic_ring)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mellinsys"
 
 
 def _poly(*coeffs):
@@ -79,3 +87,85 @@ def test_field_embedding_consistent():
         a = ring.add(ring.root(1), ring.scale_rational(ring.root(2), Fraction(5, 3)))
         assert abs(fld.to_complex(fld.from_group_ring(a))
                    - ring.to_complex(a)) < 1e-12
+
+
+@st.composite
+def group_ring_elements(draw):
+    """Q[Z/m] elements, m = 1..12, many of them vanishing in Q(zeta_m):
+    rational combinations of coset sums sum_{j<d} e^(k + j m/d), d | m,
+    d > 1, sometimes perturbed by one more term and scaled by 10^30."""
+    m = draw(st.integers(1, 12))
+    ring = get_cyclotomic_ring(m)
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    divisors = [d for d in range(2, m + 1) if m % d == 0]
+    total = ring.zero
+    for _ in range(draw(st.integers(0, 3)) if divisors else 0):
+        d, k = draw(st.sampled_from(divisors)), draw(st.integers(0, m - 1))
+        coset = ring.zero
+        for j in range(d):
+            coset = ring.add(coset, ring.root(k + j * (m // d)))
+        total = ring.add(total, ring.scale_rational(coset, draw(rational)))
+    if draw(st.booleans()):
+        total = ring.add(total, ring.scale_rational(
+            ring.root(draw(st.integers(0, m - 1))), draw(rational)))
+    if draw(st.booleans()):
+        total = ring.scale_rational(total, 10**30)
+    return m, total
+
+
+@settings(deadline=None)
+@given(group_ring_elements())
+@example((1, (Fraction(10**30),)))
+@example((12, tuple([Fraction(10**30)] * 12)))
+@example((2, (Fraction(1), Fraction(1))))
+def test_exact_vanishing_matches_field_oracle(case):
+    m, a = case
+    fld = cyclotomic_field(m)
+    assert (get_cyclotomic_ring(m).is_zero_complex(a)
+            == fld.is_zero(fld.from_group_ring(a)))
+
+
+def test_ring_equality():
+    assert CyclotomicRing(3) == get_cyclotomic_ring(3)
+    assert hash(CyclotomicRing(3)) == hash(get_cyclotomic_ring(3))
+    assert CyclotomicRing(3) != CyclotomicRing(4)
+    assert RATIONAL != COMPLEX
+    assert RATIONAL != get_cyclotomic_ring(1)
+    assert type(RATIONAL)() == RATIONAL
+
+
+def test_unit_inverses():
+    assert RATIONAL.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert COMPLEX.inv(2j) == -0.5j
+    ring = get_cyclotomic_ring(5)
+    a = ring.scale_rational(ring.root(2), Fraction(3, 4))
+    assert ring.mul(a, ring.inv(a)) == ring.one
+    with pytest.raises(ZeroDivisionError):
+        ring.inv(ring.zero)
+    with pytest.raises(ValueError):
+        ring.inv(ring.add(ring.one, ring.root(1)))
+
+
+def test_coefficient_text_and_json_forms():
+    q = Fraction(-3, 4)
+    assert RATIONAL.coeff_text(q) == "-3/4"
+    assert json.dumps(RATIONAL.coeff_json(q)) == '"-3/4"'
+    ring = get_cyclotomic_ring(3)
+    a = (Fraction(1), Fraction(0), Fraction(-2, 5))
+    assert ring.coeff_text(a) == "[1, 0, -2/5]"
+    assert json.dumps(ring.coeff_json(a)) == '["1", "0", "-2/5"]'
+    z = 1.5 - 0.25j
+    assert COMPLEX.coeff_text(z) == "[1.500000000000e+00, -2.500000000000e-01]"
+    assert json.dumps(COMPLEX.coeff_json(z)) == "[1.5, -0.25]"
+
+
+def test_per_ring_decisions_stay_in_rings():
+    """Series code asks the ring, never which ring it holds."""
+    name_test = re.compile(r"ring\.name\s*[!=]=|[!=]=\s*[\w.]*ring\.name")
+    class_test = re.compile(
+        r"isinstance\([^)]*(Rational|Cyclotomic|Complex)Ring")
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert not name_test.search(text), path.name
+        if path.name != "rings.py":
+            assert not class_test.search(text), path.name

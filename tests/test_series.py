@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from mellinsys import series as series_mod
 from mellinsys.profiles import dims, index_box, make_profile
-from mellinsys.rings import (COMPLEX, RATIONAL, cyclotomic_field,
-                             get_cyclotomic_ring)
+from field_oracle import cyclotomic_field
+from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, format_series,
                               independence_rank, is_generating,
@@ -512,6 +512,55 @@ def test_log_requires_unit_constant():
     two = TruncatedSeries(RATIONAL, 1, 3, {(0,): Fraction(2)})
     with pytest.raises(ValueError):
         two.log()
+
+
+def log_oracle(f):
+    """log(1 + h) = sum_k (-1)^(k+1) h^k / k, one product per power of h."""
+    one = TruncatedSeries.constant(f.ring, f.n_vars, f.order, f.ring.one)
+    h = f - one
+    acc = TruncatedSeries.zero(f.ring, f.n_vars, f.order)
+    power = one
+    for k in range(1, f.order + 1):
+        power = power * h
+        if power.is_zero():
+            break
+        acc = acc + power.scale_rational(Fraction((-1) ** (k + 1), k))
+    return acc
+
+
+@st.composite
+def unit_constant_series(draw):
+    """Rational series with constant term 1, n <= 3 and order <= 8."""
+    n, order = draw(st.integers(1, 3)), draw(st.integers(0, 8))
+    exps = st.tuples(*[st.integers(0, order)] * n).filter(
+        lambda e: 0 < sum(e) <= order)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+    terms[(0,) * n] = Fraction(1)
+    return TruncatedSeries(RATIONAL, n, order, terms)
+
+
+@settings(deadline=None)
+@given(unit_constant_series())
+def test_log_matches_power_series_oracle(f):
+    got, want = f.log(), log_oracle(f)
+    assert got.order == want.order
+    assert got.terms == want.terms
+
+
+def test_group_ring_log_and_inverse_commute_with_rotation():
+    # rotation is a ring homomorphism, so it carries log and inverse along
+    p = make_profile(3, [2, 1])
+    y = principal_series(p, 6)
+    for idx in [(1, 0), (2, 1)]:
+        rot = rotate(y, idx, 3)
+        assert rot.log().terms == rotate(y.log(), idx, 3).terms
+        assert rot.inverse().terms == rotate(y.inverse(), idx, 3).terms
+    branch = scaled_root_series(p, 2, 6)  # constant term e^2
+    one = TruncatedSeries.constant(branch.ring, 2, 6, branch.ring.one)
+    assert (branch * branch.inverse()).terms == one.terms
+    with pytest.raises(ValueError):
+        branch.log()
 
 
 def test_diff():
