@@ -52,8 +52,17 @@ def var_names(n: int, letter: str = "x") -> list[str]:
     return [f"{letter}{j + 1}" for j in range(n)]
 
 
+# Largest box m^n a profile may have: the index sets, the basis and the
+# ranks all enumerate the box.  The largest box of any test, golden case or
+# benchmark workload is 7^3 = 343.
+MAX_BOX = 4096
+
+
 def make_profile(m: int, m_list) -> ExponentProfile:
-    """Validate (m; m_1 > ... > m_n > 0), m_1 < m, and fill in d and m'."""
+    """Validate (m; m_1 > ... > m_n > 0), m_1 < m, and fill in d and m'.
+
+    Profiles whose box m^n exceeds MAX_BOX are rejected before any work.
+    """
     if not isinstance(m, int) or any(not isinstance(v, int) for v in m_list):
         raise ProfileError("exponents must be integers")
     ms = tuple(m_list)
@@ -65,6 +74,9 @@ def make_profile(m: int, m_list) -> ExponentProfile:
         raise ProfileError(f"inner exponents must be strictly decreasing: {ms}")
     if m <= ms[0]:
         raise ProfileError(f"leading exponent m={m} must exceed m_1={ms[0]}")
+    if m ** len(ms) > MAX_BOX:
+        raise ProfileError(f"box m^n = {m}^{len(ms)} = {m ** len(ms)} exceeds "
+                           f"the size cap MAX_BOX = {MAX_BOX}")
     d = math.gcd(m, *ms)
     return ExponentProfile(m=m, m_list=ms, n=len(ms), d=d,
                            mprime_list=tuple(m - mj for mj in ms))

@@ -252,15 +252,27 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
     sums = _root_sums(profile, order)
     if len(c) != len(sums):
         raise ValueError(f"relation vector length {len(c)} != {len(sums)}")
-    terms = [s.scale_rational(Fraction(ck)) for ck, s in zip(c, sums)]
-    return sum(terms[1:], terms[0]).max_abs()
+    terms = [s.scale_rational(Fraction(ck)) for ck, s in zip(c, sums) if ck]
+    return sum(terms[1:], terms[0]).max_abs() if terms else 0.0
 
 
 @lru_cache(maxsize=32)
-def _y_log_y(profile: ExponentProfile, order: int) -> TruncatedSeries:
-    """y_pr * log y_pr, exact over Q, shared by every relation vector."""
+def _log_sums(profile: ExponentProfile, order: int) -> tuple:
+    """Per coset equation, sum_b e^b R_b(y_pr log y_pr) and sum_b b y_b.
+
+    Both are exact group-ring series shared by every relation vector.
+    """
     ypr = principal_series(profile, order)
-    return ypr * ypr.log()
+    ylog = ypr * ypr.log()
+    out = []
+    for rep in coset_representatives(profile):
+        rotated = [scaled_root_series(profile, b, order, rep, ylog)
+                   for b in range(profile.m)]
+        weighted = [yb.scale_rational(b)
+                    for b, yb in enumerate(_branches(profile, rep, ypr)) if b]
+        out.append((sum(rotated[1:], rotated[0]),
+                    sum(weighted[1:], weighted[0])))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -295,22 +307,16 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
             f"relation residual {residual:.3e} is not zero: the logarithmic "
             "combination would break the homogeneity of the system")
     m = profile.m
-    ypr = principal_series(profile, order)
-    ylog = _y_log_y(profile, order)
-    a_terms, b_terms, offsets = [], [], []
-    for k, (ck, rep) in enumerate(zip(c, coset_representatives(profile))):
+    zero = TruncatedSeries.zero(get_cyclotomic_ring(m), profile.n, order)
+    part_a, part_b, offsets = zero, zero, []
+    for k, (ck, (sum_a, sum_b)) in enumerate(
+            zip(c, _log_sums(profile, order))):
         ckq = Fraction(ck)
         if ckq == 0:
             continue
-        for b, yb in enumerate(_branches(profile, rep, ypr)):
-            a_terms.append(scaled_root_series(profile, b, order, rep, ylog)
-                           .scale_rational(ckq))
-            if b:
-                b_terms.append(yb.scale_rational(ckq * b))
-                offsets.append((k, b, ckq * Fraction(b, m)))
-    zero = TruncatedSeries.zero(get_cyclotomic_ring(m), profile.n, order)
-    part_a = sum(a_terms, zero)
-    part_b = sum(b_terms, zero)
+        part_a = part_a + sum_a.scale_rational(ckq)
+        part_b = part_b + sum_b.scale_rational(ckq)
+        offsets += [(k, b, ckq * Fraction(b, m)) for b in range(1, m)]
     chi = part_a.to_complex() + part_b.to_complex().scale(2j * cmath.pi / m)
     return LogSolution(c=tuple(Fraction(v) for v in c), chi=chi,
                        constant_offsets=tuple(offsets),

@@ -80,10 +80,16 @@ class TruncatedSeries:
 
         A group-ring coefficient whose embedding vanishes exactly in
         Q(zeta_m) counts as 0, so an exact identity measures exactly 0.0.
+        The exact test runs only for a magnitude that would raise the
+        maximum.
         """
         ring = self.ring
-        return max((abs(ring.to_complex(c)) for c in self.terms.values()
-                    if not ring.is_zero_complex(c)), default=0.0)
+        worst = 0.0
+        for c in self.terms.values():
+            v = abs(ring.to_complex(c))
+            if v > worst and not ring.is_zero_complex(c):
+                worst = v
+        return worst
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))

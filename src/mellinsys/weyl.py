@@ -9,6 +9,15 @@ Composition uses the per-variable expansion
 
 which reduces to the defining relation D x = x D + 1.
 
+Polynomials in the Euler operators theta_j = x_j D_j are expanded in
+closed form, not by composition: theta^e = sum_i S(e, i) x^i D^i with S
+the Stirling numbers of the second kind, and the theta_j commute, so every
+monomial theta^k lands directly in canonical form.  Composition remains
+the independent witness where a check compares against that expansion:
+the Euler product identity x^m D^m = prod_k (theta - k), the x_j^m
+clearing that the Horn/Mellin identity is checked against, and both
+univariate factorizations.
+
 Built on top of the arithmetic:
 
 * the Mellin system of y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0 and
@@ -26,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from itertools import product
+from math import comb, perm, prod
 
 from .profiles import ExponentProfile, make_profile, var_names
 from .rings import _poly_sub
@@ -61,11 +71,6 @@ class DiffOperator:
     def identity(cls, n_vars):
         z = _zeros(n_vars)
         return cls(n_vars, {(z, z): Fraction(1)})
-
-    @classmethod
-    def constant(cls, n_vars, c):
-        z = _zeros(n_vars)
-        return cls(n_vars, {(z, z): Fraction(c)})
 
     @classmethod
     def x_power(cls, n_vars, j, k=1, coeff=1):
@@ -158,17 +163,6 @@ class DiffOperator:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, k: int):
-        result = DiffOperator.identity(self.n_vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
 
     # -- action on series ----------------------------------------------------
 
@@ -305,6 +299,24 @@ def _poly_str(poly, letter):
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+_STIRLING_ROWS = [(1,)]
+
+
+def _stirling_row(e: int) -> tuple[int, ...]:
+    """S(e, 0), ..., S(e, e), Stirling numbers of the second kind.
+
+    Rows come from S(e, i) = i S(e-1, i) + S(e-1, i-1), built on first
+    use and kept for every later call.
+    """
+    while len(_STIRLING_ROWS) <= e:
+        prev = _STIRLING_ROWS[-1]
+        top = len(prev)
+        _STIRLING_ROWS.append(tuple(
+            (i * prev[i] if i < top else 0) + (prev[i - 1] if i else 0)
+            for i in range(top + 1)))
+    return _STIRLING_ROWS[e]
+
+
 def _pass_through(b, a):
     """Expansion of D^b o x^a as sum_k f_k x^{a-k} D^{b-k}, per variable."""
     options = []
@@ -361,15 +373,19 @@ class ThetaPoly:
         return ThetaPoly(self.n_vars, out)
 
     def to_operator(self) -> DiffOperator:
-        """Expand into canonical x^a D^b form by composing Euler operators."""
-        total = DiffOperator.zero(self.n_vars)
-        for k, c in sorted(self.coeffs.items()):
-            term = DiffOperator.constant(self.n_vars, c)
-            for j, e in enumerate(k):
-                if e:
-                    term = term * DiffOperator.theta(self.n_vars, j) ** e
-            total = total + term
-        return total
+        """Expand into canonical x^a D^b form in closed form.
+
+        theta_j^e = sum_i S(e, i) x_j^i D_j^i with S the Stirling numbers of
+        the second kind, and the theta_j commute, so the monomial theta^k is
+        sum_i prod_j S(k_j, i_j) x^i D^i: already canonical, no composition.
+        """
+        terms: dict = {}
+        for k, c in self.coeffs.items():
+            rows = [_stirling_row(e) for e in k]
+            for i in product(*(range(1 if e else 0, e + 1) for e in k)):
+                f = c * prod(row[ij] for row, ij in zip(rows, i))
+                terms[(i, i)] = terms.get((i, i), 0) + f
+        return DiffOperator(self.n_vars, terms)
 
     def evaluate(self, point) -> Fraction:
         out = Fraction(0)

@@ -46,6 +46,17 @@ def test_invalid_profile_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("cmd", [["dims"], ["operators", "--check-horn"],
+                                 ["series", "--principal"], ["verify"]])
+def test_box_over_size_cap_exits_one(capsys, cmd):
+    # rejected values only: a box this large is never enumerated
+    code, out, err = run_cli(capsys, *cmd, "20", "19", "18", "17", "16")
+    assert code == 1
+    assert out == ""
+    assert "size cap MAX_BOX = 4096" in err
+    assert "20^4 = 160000" in err
+
+
 def test_usage_error_exits_one(capsys):
     code, _, _ = run_cli(capsys, "dims")
     assert code == 1

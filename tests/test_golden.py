@@ -27,6 +27,9 @@ CASES = [
      ["operators", "3", "2", "1", "--check-horn", "--json"], 0),
     ("operators-4-2", ["operators", "4", "2"], 0),
     ("operators-4-3-2-1", ["operators", "4", "3", "2", "1"], 0),
+    ("operators-7-5-3-1-horn-json",
+     ["operators", "7", "5", "3", "1", "--check-horn", "--json"], 0),
+    ("operators-7-6", ["operators", "7", "6"], 0),
     ("series-3-2-1-principal-json",
      ["series", "3", "2", "1", "--principal", "--order", "6", "--json"], 0),
     ("series-6-4-2-principal-generating",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mellinsys.profiles import (ProfileError, algebraic_index_set,
+from mellinsys.profiles import (MAX_BOX, ProfileError, algebraic_index_set,
                                 beukers_heckman_reducible,
                                 coset_representatives, dims, index_box,
                                 make_profile, missing_index_set,
@@ -34,6 +34,18 @@ def test_make_profile_gcd():
 ])
 def test_make_profile_rejects(m, ms):
     with pytest.raises(ProfileError):
+        make_profile(m, ms)
+
+
+@pytest.mark.parametrize("m,ms", [
+    (20, [19, 18, 17, 16]),   # 160000
+    (65, [64, 1]),            # 4225, the first square past the cap
+    (17, [16, 15, 14]),       # 4913
+    (4097, [1]),
+])
+def test_make_profile_rejects_boxes_over_the_cap(m, ms):
+    assert m ** len(ms) > MAX_BOX
+    with pytest.raises(ProfileError, match="size cap MAX_BOX"):
         make_profile(m, ms)
 
 

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from field_oracle import cyclotomic_field
+from mellinsys import rings
 from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
                              cyclotomic_polynomial, get_cyclotomic_ring)
+from mellinsys.series import TruncatedSeries
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mellinsys"
 
@@ -90,11 +92,12 @@ def test_field_embedding_consistent():
 
 
 @st.composite
-def group_ring_elements(draw):
-    """Q[Z/m] elements, m = 1..12, many of them vanishing in Q(zeta_m):
-    rational combinations of coset sums sum_{j<d} e^(k + j m/d), d | m,
-    d > 1, sometimes perturbed by one more term and scaled by 10^30."""
-    m = draw(st.integers(1, 12))
+def group_ring_elements(draw, m=None):
+    """Q[Z/m] elements, m = 1..12 unless given, many of them vanishing in
+    Q(zeta_m): rational combinations of coset sums sum_{j<d} e^(k + j m/d),
+    d | m, d > 1, sometimes perturbed by one more term and scaled by 10^30."""
+    if m is None:
+        m = draw(st.integers(1, 12))
     ring = get_cyclotomic_ring(m)
     rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     divisors = [d for d in range(2, m + 1) if m % d == 0]
@@ -123,6 +126,44 @@ def test_exact_vanishing_matches_field_oracle(case):
     fld = cyclotomic_field(m)
     assert (get_cyclotomic_ring(m).is_zero_complex(a)
             == fld.is_zero(fld.from_group_ring(a)))
+
+
+def test_remainder_only_within_rounding_bound(monkeypatch):
+    calls = []
+    divmod_ = rings._poly_divmod
+    monkeypatch.setattr(rings, "_poly_divmod",
+                        lambda a, b: calls.append(a) or divmod_(a, b))
+    ring = get_cyclotomic_ring(12)
+    big = Fraction(10**30)
+    # far above 1e-9 * sum |a_k|: decided by the embedding alone
+    assert not ring.is_zero_complex(ring.root(5))
+    assert not ring.is_zero_complex(tuple([big] * 11 + [Fraction(0)]))
+    assert calls == []
+    # 10^30 (1 + e + ... + e^11) embeds to rounding noise: exact remainder
+    assert ring.is_zero_complex(tuple([big] * 12))
+    assert len(calls) == 1
+    # beyond double range: straight to the remainder
+    huge = Fraction(10**400)
+    assert get_cyclotomic_ring(2).is_zero_complex((huge, huge))
+    assert not get_cyclotomic_ring(2).is_zero_complex((huge, -huge))
+    assert len(calls) == 3
+
+
+@st.composite
+def group_ring_series(draw):
+    m = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(group_ring_elements(m), max_size=6))
+    return TruncatedSeries(get_cyclotomic_ring(m), 1, len(coeffs),
+                           {(k,): a for k, (_, a) in enumerate(coeffs)})
+
+
+@settings(deadline=None)
+@given(group_ring_series())
+def test_max_abs_matches_exact_test_on_every_coefficient(series):
+    ring, fld = series.ring, cyclotomic_field(series.ring.m)
+    want = max((abs(ring.to_complex(c)) for c in series.terms.values()
+                if not fld.is_zero(fld.from_group_ring(c))), default=0.0)
+    assert series.max_abs() == want
 
 
 def test_ring_equality():

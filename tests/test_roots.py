@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinsys.profiles import make_profile, relation_basis
-from mellinsys.rings import COMPLEX
+from mellinsys.profiles import (coset_representatives, make_profile,
+                                relation_basis)
+from mellinsys.rings import COMPLEX, get_cyclotomic_ring
 from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, elementary_symmetric,
@@ -18,7 +19,8 @@ from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              scaled_root_identity_check,
                              scaled_root_max_deviation)
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
-                              independence_rank)
+                              independence_rank, principal_series,
+                              scaled_root_series)
 from mellinsys.profiles import ProfileError
 
 F = Fraction
@@ -187,6 +189,36 @@ def test_log_solution_parts_annihilated_exactly(m, ms):
     for vec in relation_basis(p):
         sol = log_solution(p, vec, 12)
         assert all(mellin_residual(p, part) == 0 for part in sol.parts)
+
+
+def _log_parts_by_branches(p, c, order):
+    """A and B of log_solution summed branch by branch for one vector."""
+    ypr = principal_series(p, order)
+    ylog = ypr * ypr.log()
+    a = b = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
+    for ck, rep in zip(c, coset_representatives(p)):
+        for j in range(p.m):
+            a = a + scaled_root_series(p, j, order, rep, ylog).scale_rational(ck)
+            b = b + scaled_root_series(p, j, order, rep, ypr).scale_rational(
+                ck * j)
+    return a, b
+
+
+@pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 10), (5, [3, 1], 7),
+                                        (4, [1], 10)])
+def test_log_solution_matches_branch_by_branch_assembly(m, ms, order):
+    p = make_profile(m, ms)
+    basis = relation_basis(p)
+    combo = [2 * u - v / 3 for u, v in zip(basis[0], basis[-1])]
+    for c in basis + [combo]:
+        sol = log_solution(p, c, order)
+        a, b = _log_parts_by_branches(p, c, order)
+        assert [s.terms for s in sol.parts] == [a.terms, b.terms]
+        chi = a.to_complex() + b.to_complex().scale(2j * cmath.pi / m)
+        assert sol.chi.terms == chi.terms
+        assert sol.constant_offsets == tuple(
+            (k, j, F(ck) * F(j, m)) for k, ck in enumerate(c) if ck
+            for j in range(1, m))
 
 
 def test_relation_check_depressed_cubic():

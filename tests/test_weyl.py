@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinsys.profiles import make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
@@ -24,6 +26,8 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
                             mellin_system_theta_form, poly_scale_ratio,
                             right_divide_theta_minus_one, theta_factorization,
                             theta_product)
+from mellinsys.weyl import _stirling_row
+from weyl_oracle import theta_poly_by_composition
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)
 D = lambda n=1, j=0, k=1: DiffOperator.partial(n, j, k)
@@ -78,6 +82,38 @@ def test_composition_associative():
         r = _random_operator(rng, 2)
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
+
+
+def test_stirling_rows_match_repeated_theta_composition():
+    power = DiffOperator.identity(1)
+    for e in range(9):
+        want = DiffOperator(1, {((i,), (i,)): s
+                                for i, s in enumerate(_stirling_row(e))})
+        assert power == want
+        power = power * THETA()
+    assert _stirling_row(4) == (0, 1, 7, 6, 1)
+    assert _stirling_row(8)[3] == 966
+
+
+@st.composite
+def theta_polys(draw):
+    """Rational ThetaPoly in n <= 3 Euler operators, total degree <= 7."""
+    n = draw(st.integers(1, 3))
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 6))):
+        left, k = 7, []
+        for _ in range(n):
+            k.append(draw(st.integers(0, left)))
+            left -= k[-1]
+        coeffs[tuple(k)] = Fraction(draw(st.integers(-50, 50)),
+                                    draw(st.integers(1, 12)))
+    return ThetaPoly(n, coeffs)
+
+
+@settings(deadline=None)
+@given(theta_polys())
+def test_theta_expansion_matches_composition_oracle(poly):
+    assert poly.to_operator() == theta_poly_by_composition(poly)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
