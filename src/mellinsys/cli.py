@@ -367,6 +367,20 @@ def run_verification(config: RunConfig) -> list[Check]:
     return checks
 
 
+def check_verify_order(profile: ExponentProfile, order: int) -> None:
+    """Reject an order below max(m + 2, n(m - 1)).
+
+    The Mellin residual needs m + 2, and the basis and the generating test
+    need the whole box B, whose corner has degree n(m - 1).
+    """
+    m, n = profile.m, profile.n
+    floor = max(m + 2, n * (m - 1))
+    if order < floor:
+        prof = f"({m};{','.join(str(v) for v in profile.m_list)})"
+        raise ProfileError(f"verify needs --order at least max(m + 2, n(m - 1))"
+                           f" = {floor} for the profile {prof}, got {order}")
+
+
 def cmd_verify(config: RunConfig) -> int:
     checks = run_verification(config)
     ok_all = all(c.ok for c in checks)
@@ -460,6 +474,7 @@ def main(argv=None) -> int:
                               show_roots=ns.roots,
                               generating_check=ns.generating_check)
         if ns.command == "verify":
+            check_verify_order(profile, ns.order)
             return cmd_verify(config)
         parser.error(f"unknown command {ns.command}")
     except (ProfileError, ValueError) as exc:

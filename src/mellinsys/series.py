@@ -367,14 +367,16 @@ def convenient_basis_series(profile: ExponentProfile, index,
     return TruncatedSeries(RATIONAL, n, order, terms)
 
 
-def rotate(series: TruncatedSeries, index, m: int | None = None) -> TruncatedSeries:
+def rotate(series: TruncatedSeries, index, m: int | None = None,
+           shift: int = 0) -> TruncatedSeries:
     """Substitute x_j -> e^{i_j} x_j over the group ring Q[Z/m].
 
-    The coefficient at exponent s picks up the factor e^{<I, s> mod m}.
+    The coefficient at exponent s picks up the factor e^{<I, s> mod m},
+    times e^shift when a shift is given.
     """
     index = tuple(index)
     ring, embed = series.ring.group_ring(m)
-    terms = {s: ring.mul_root(embed(c), dot(index, s))
+    terms = {s: ring.mul_root(embed(c), shift + dot(index, s))
              for s, c in series.terms.items()}
     return TruncatedSeries(ring, series.n_vars, series.order, terms)
 
@@ -387,6 +389,9 @@ def scaled_root_series(profile: ExponentProfile, j: int, order: int,
     need many branches pass a precomputed y_pr.  With the default twist
     I = 0 the result is the j-th root branch of the untwisted equation,
     the one taking the value e^j at the origin.  Exact over Q[Z/m].
+
+    The coefficient at s is f_s e^{j + <index, s>}, index_k = j m_k + i_k:
+    one cyclic shift of its coordinates, in a single pass over f.
     """
     m = profile.m
     if not 0 <= j < m:
@@ -395,8 +400,7 @@ def scaled_root_series(profile: ExponentProfile, j: int, order: int,
     if series is None:
         series = principal_series(profile, order)
     index = tuple(j * mk + ik for mk, ik in zip(profile.m_list, twist))
-    rot = rotate(series.truncate(order), index, m)
-    return rot.scale(rot.ring.root(j))
+    return rotate(series.truncate(order), index, m, shift=j)
 
 
 def subseries(series: TruncatedSeries, index, m: int) -> TruncatedSeries:

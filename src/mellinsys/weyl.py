@@ -7,7 +7,10 @@ Composition uses the per-variable expansion
 
     D^p x^q = sum_k C(p,k) * q!/(q-k)! * x^{q-k} D^{p-k}
 
-which reduces to the defining relation D x = x D + 1.
+which reduces to the defining relation D x = x D + 1.  Composition and
+the theta-polynomial kernels put each operand over the lcm of its
+denominators, accumulate integer numerators, and build one Fraction per
+output term.
 
 Polynomials in the Euler operators theta_j = x_j D_j are expanded in
 closed form, not by composition: theta^e = sum_i S(e, i) x^i D^i with S
@@ -22,9 +25,10 @@ Built on top of the arithmetic:
 
 * the Mellin system of y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0 and
   its x_j^m-cleared form expressible in Euler operators,
-* the Horn companions in the torus variables w_j = (-1)^{m'_j} x_j^m and
-  their translation back to x, with the exact multiplier that recovers
-  the cleared Mellin operators,
+* the Horn companions in the torus variables w_j = (-1)^{m'_j} x_j^m,
+  multiplied out from Horn's own factors, and their translation back to x
+  by theta -> theta / m, with the exact multiplier that recovers the
+  cleared Mellin operators,
 * the univariate trinomial operator, its discriminant/leading-coefficient
   coincidence, and the two closed-form factorizations (right factor
   theta - 1 for m_1 = m - 1, left factor d/dx for m_1 = 1).
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, perm, prod
+from math import comb, lcm, perm, prod
 
 from .profiles import ExponentProfile, make_profile, var_names
 from .rings import _poly_sub
@@ -45,6 +49,22 @@ from .series import TruncatedSeries
 
 def _zeros(n):
     return (0,) * n
+
+
+def _over_common_denominator(coeffs):
+    """(den, {key: int}) with coeffs[key] == ints[key] / den.
+
+    den is the lcm of the denominators, so products of two operands can be
+    accumulated in integers and divided once per output term.
+    """
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in coeffs.items()}
+
+
+def _fractions(ints, den):
+    """{key: ints[key] / den} over the nonzero numerators."""
+    return {k: Fraction(v, den) for k, v in ints.items() if v}
 
 
 class DiffOperator:
@@ -56,7 +76,8 @@ class DiffOperator:
         self.n_vars = n_vars
         clean = {}
         for (a, b), c in (terms or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[(tuple(a), tuple(b))] = c
         self.terms = clean
@@ -149,15 +170,17 @@ class DiffOperator:
         if not isinstance(other, DiffOperator):
             return NotImplemented
         self._require_same(other)
+        den1, ints1 = _over_common_denominator(self.terms)
+        den2, ints2 = _over_common_denominator(other.terms)
         out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        for (a1, b1), c1 in ints1.items():
+            for (a2, b2), c2 in ints2.items():
                 base = c1 * c2
                 for k, f in _pass_through(b1, a2):
                     key = (tuple(x + y - z for x, y, z in zip(a1, a2, k)),
                            tuple(x + y - z for x, y, z in zip(b1, b2, k)))
-                    out[key] = out.get(key, Fraction(0)) + base * f
-        return DiffOperator(self.n_vars, out)
+                    out[key] = out.get(key, 0) + base * f
+        return DiffOperator(self.n_vars, _fractions(out, den1 * den2))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,7 +366,8 @@ class ThetaPoly:
         self.n_vars = n_vars
         clean = {}
         for k, c in (coeffs or {}).items():
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 clean[tuple(k)] = c
         self.coeffs = clean
@@ -365,12 +389,19 @@ class ThetaPoly:
     def __mul__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
+        den1, ints1 = _over_common_denominator(self.coeffs)
+        den2, ints2 = _over_common_denominator(other.coeffs)
         out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        for k1, c1 in ints1.items():
+            for k2, c2 in ints2.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ThetaPoly(self.n_vars, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        return ThetaPoly(self.n_vars, _fractions(out, den1 * den2))
+
+    def theta_over(self, m: int) -> "ThetaPoly":
+        """The substitution theta -> theta / m: theta^k gains m^-|k|."""
+        return ThetaPoly(self.n_vars,
+                         {k: c / m ** sum(k) for k, c in self.coeffs.items()})
 
     def to_operator(self) -> DiffOperator:
         """Expand into canonical x^a D^b form in closed form.
@@ -379,13 +410,14 @@ class ThetaPoly:
         the second kind, and the theta_j commute, so the monomial theta^k is
         sum_i prod_j S(k_j, i_j) x^i D^i: already canonical, no composition.
         """
+        den, ints = _over_common_denominator(self.coeffs)
         terms: dict = {}
-        for k, c in self.coeffs.items():
+        for k, c in ints.items():
             rows = [_stirling_row(e) for e in k]
             for i in product(*(range(1 if e else 0, e + 1) for e in k)):
                 f = c * prod(row[ij] for row, ij in zip(rows, i))
                 terms[(i, i)] = terms.get((i, i), 0) + f
-        return DiffOperator(self.n_vars, terms)
+        return DiffOperator(self.n_vars, _fractions(terms, den))
 
     def evaluate(self, point) -> Fraction:
         out = Fraction(0)
@@ -459,7 +491,9 @@ def horn_system(profile: ExponentProfile):
            - w_j prod_{k<m_j}(-<M,theta> - 1/m - k)
                  prod_{k<m'_j}(-<M',theta> + 1/m - k)
     and H'_j is the same after w_j = (-1)^{m'_j} x_j^m, under which the
-    Euler operator in w_j becomes theta_j / m.
+    Euler operator in w_j becomes theta_j / m.  Each theta product is built
+    once, from these factors, for the w-form; the x-form follows from it by
+    that substitution theta -> theta / m.
     """
     m, n = profile.m, profile.n
     horn_w, horn_x = [], []
@@ -477,19 +511,10 @@ def horn_system(profile: ExponentProfile):
                for k in range(profile.mprime_list[j])])
         horn_w.append(lead_w.to_operator()
                       - DiffOperator.x_power(n, j, 1) * tail.to_operator())
-
-        lead_x = theta_product(
-            n, [ThetaPoly.linear(theta_j, -k) for k in range(m)])
-        tail_x = theta_product(
-            n,
-            [ThetaPoly.linear([-v / m for v in M], Fraction(-1, m) - k)
-             for k in range(profile.m_list[j])]
-            + [ThetaPoly.linear([-v / m for v in Mp], Fraction(1, m) - k)
-               for k in range(profile.mprime_list[j])])
         sign = (-1) ** profile.mprime_list[j]
-        horn_x.append(lead_x.to_operator()
+        horn_x.append(lead_w.theta_over(m).to_operator()
                       - DiffOperator.x_power(n, j, m, coeff=sign)
-                      * tail_x.to_operator())
+                      * tail.theta_over(m).to_operator())
     return horn_w, horn_x
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from mellinsys import roots
-from mellinsys.cli import main
+from mellinsys.cli import check_verify_order, main
+from mellinsys.profiles import make_profile
 
 
 def run_cli(capsys, *args):
@@ -55,6 +56,28 @@ def test_box_over_size_cap_exits_one(capsys, cmd):
     assert out == ""
     assert "size cap MAX_BOX = 4096" in err
     assert "20^4 = 160000" in err
+
+
+@pytest.mark.parametrize("m,ms,extra,floor", [
+    (3, [1], ["--order", "4"], 5),
+    (2, [1], ["--order", "1"], 4),
+    (6, [5, 4, 3], [], 15),  # default order 12
+])
+def test_verify_order_below_floor_exits_one(capsys, m, ms, extra, floor):
+    code, out, err = run_cli(capsys, "verify", str(m), *map(str, ms), *extra)
+    assert code == 1
+    assert out == ""
+    assert f"max(m + 2, n(m - 1)) = {floor}" in err
+    assert f"profile ({m};{','.join(map(str, ms))})" in err
+    check_verify_order(make_profile(m, ms), floor)  # the floor itself passes
+
+
+def test_verify_order_floor_accepts_every_accepted_call():
+    accepted = [((m, [m1]), 12) for m in range(2, 10) for m1 in range(1, m)]
+    accepted += [((4, [2, 1]), 6), ((6, [4, 2]), 12)]
+    assert len(accepted) == 38
+    for (m, ms), order in accepted:
+        check_verify_order(make_profile(m, ms), order)
 
 
 def test_usage_error_exits_one(capsys):

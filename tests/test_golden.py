@@ -30,6 +30,8 @@ CASES = [
     ("operators-7-5-3-1-horn-json",
      ["operators", "7", "5", "3", "1", "--check-horn", "--json"], 0),
     ("operators-7-6", ["operators", "7", "6"], 0),
+    ("operators-6-5-3-1-horn",
+     ["operators", "6", "5", "3", "1", "--check-horn"], 0),
     ("series-3-2-1-principal-json",
      ["series", "3", "2", "1", "--principal", "--order", "6", "--json"], 0),
     ("series-6-4-2-principal-generating",
@@ -43,6 +45,8 @@ CASES = [
      0),
     ("series-4-2-roots-json",
      ["series", "4", "2", "--roots", "--order", "8", "--json"], 0),
+    ("series-7-5-3-1-roots",
+     ["series", "7", "5", "3", "1", "--roots", "--order", "6"], 0),
     ("series-5-3-principal-roots",
      ["series", "5", "3", "--principal", "--roots", "--order", "7"], 0),
     ("verify-3-2-1", ["verify", "3", "2", "1"], 0),

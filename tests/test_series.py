@@ -288,6 +288,54 @@ def test_scaled_roots_satisfy_equation_exactly(m, ms):
         assert total.is_zero()
 
 
+def scaled_root_by_rotate_then_scale(profile, j, order, twist, series):
+    """Oracle: rotate by index_k = j m_k + i_k, then multiply every
+    coefficient by e^j in the group ring."""
+    index = tuple(j * mk + ik for mk, ik in zip(profile.m_list, twist))
+    rot = rotate(series.truncate(order), index, profile.m)
+    return rot.scale(rot.ring.root(j))
+
+
+@st.composite
+def branch_cases(draw):
+    """A valid profile with m <= 7 and n <= 3, a twist in B, a truncation
+    order and an input series over Q (the principal root, or a random
+    series) or over Q[Z/m]."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, min(3, m - 1)))
+    ms = sorted(draw(st.sets(st.integers(1, m - 1), min_size=n, max_size=n)),
+                reverse=True)
+    profile = make_profile(m, ms)
+    twist = draw(st.tuples(*[st.integers(0, m - 1)] * n))
+    series_order = draw(st.integers(0, 6))
+    order = draw(st.integers(0, series_order))
+    kind = draw(st.sampled_from(["principal", "rational", "group-ring"]))
+    if kind == "principal":
+        return profile, twist, order, principal_series(profile, series_order)
+    exps = st.tuples(*[st.integers(0, series_order)] * n).filter(
+        lambda e: sum(e) <= series_order)
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if kind == "rational":
+        ring, coeff = RATIONAL, value
+    else:
+        ring = get_cyclotomic_ring(m)
+        coeff = st.lists(value, min_size=m, max_size=m).map(tuple)
+    terms = draw(st.dictionaries(exps, coeff, max_size=8))
+    return profile, twist, order, TruncatedSeries(ring, n, series_order, terms)
+
+
+@settings(deadline=None)
+@given(branch_cases())
+def test_scaled_root_series_matches_rotate_then_scale(case):
+    profile, twist, order, series = case
+    for j in range(profile.m):
+        got = scaled_root_series(profile, j, order, twist=twist, series=series)
+        want = scaled_root_by_rotate_then_scale(profile, j, order, twist,
+                                                series)
+        assert (got.ring, got.order) == (want.ring, want.order)
+        assert got.terms == want.terms
+
+
 # ---------------------------------------------------------------------------
 # subseries / generating
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ equality, never numeric.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mellinsys.profiles import make_profile
@@ -27,7 +28,8 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
                             right_divide_theta_minus_one, theta_factorization,
                             theta_product)
 from mellinsys.weyl import _stirling_row
-from weyl_oracle import theta_poly_by_composition
+from weyl_oracle import (compose_by_fractions, horn_x_by_own_factors,
+                         theta_mul_by_fractions, theta_poly_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)
 D = lambda n=1, j=0, k=1: DiffOperator.partial(n, j, k)
@@ -114,6 +116,85 @@ def theta_polys(draw):
 @given(theta_polys())
 def test_theta_expansion_matches_composition_oracle(poly):
     assert poly.to_operator() == theta_poly_by_composition(poly)
+
+
+@st.composite
+def kernel_coeffs(draw, keys):
+    """Coefficient maps for the integer kernels: integers only, or rationals
+    over several distinct denominators; negative and zero values; a small
+    value set, so that products of overlapping terms cancel to 0."""
+    if draw(st.booleans()):
+        values = st.integers(-3, 3).map(Fraction)
+    else:
+        values = st.builds(Fraction, st.integers(-6, 6),
+                           st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10]))
+    return draw(st.dictionaries(keys, values, max_size=5))
+
+
+def _exponents(n, top):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+@st.composite
+def theta_poly_pairs(draw):
+    """Two ThetaPoly in the same n <= 3 Euler operators, degree <= 3 each."""
+    n = draw(st.integers(1, 3))
+    return tuple(ThetaPoly(n, draw(kernel_coeffs(_exponents(n, 3))))
+                 for _ in range(2))
+
+
+@st.composite
+def operator_pairs(draw):
+    """Two operators sum c x^a D^b in the same n <= 3 variables."""
+    n = draw(st.integers(1, 3))
+    keys = st.tuples(_exponents(n, 2), _exponents(n, 2))
+    return tuple(DiffOperator(n, draw(kernel_coeffs(keys))) for _ in range(2))
+
+
+def _normalized_fractions(values):
+    return all(type(c) is Fraction and c for c in values)
+
+
+@settings(deadline=None)
+@given(theta_poly_pairs())
+@example((ThetaPoly.linear([1], 1), ThetaPoly.linear([1], -1)))  # theta^2 - 1
+def test_theta_product_kernel_matches_fraction_oracle(pair):
+    p, q = pair
+    got = p * q
+    assert got.coeffs == theta_mul_by_fractions(p, q).coeffs
+    assert _normalized_fractions(got.coeffs.values())
+
+
+@settings(deadline=None)
+@given(theta_poly_pairs())
+def test_theta_expansion_kernel_matches_composition_oracle(pair):
+    for poly in pair:
+        got = poly.to_operator()
+        assert got == theta_poly_by_composition(poly)
+        assert _normalized_fractions(got.terms.values())
+
+
+@settings(deadline=None)
+@given(operator_pairs())
+@example((D(), X()))  # D o x = x D + 1
+@example((X() + D(), D() - X()))  # the x D terms cancel: D^2 - x^2 - 1
+def test_composition_kernel_matches_fraction_oracle(pair):
+    p, q = pair
+    got = p * q
+    assert got == compose_by_fractions(p, q)
+    assert _normalized_fractions(got.terms.values())
+
+
+def _profiles_up_to(top_m, top_n):
+    return [(m, list(ms)) for m in range(2, top_m + 1)
+            for n in range(1, top_n + 1)
+            for ms in combinations(range(m - 1, 0, -1), n)]
+
+
+@pytest.mark.parametrize("m,ms", _profiles_up_to(6, 3))
+def test_horn_x_form_equals_one_built_from_its_own_factors(m, ms):
+    p = make_profile(m, ms)
+    assert horn_system(p)[1] == horn_x_by_own_factors(p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

@@ -1,11 +1,23 @@
-"""Test oracle: Euler-operator polynomials expanded by Weyl composition.
+"""Test oracles for the Weyl-algebra kernels.
 
 The library expands theta^k in closed form through Stirling numbers of the
-second kind; this is the direct expansion it is checked against, composing
-theta_j = x_j D_j with itself in the canonical-form Weyl algebra.
+second kind; ``theta_poly_by_composition`` is the direct expansion it is
+checked against, composing theta_j = x_j D_j with itself in the
+canonical-form Weyl algebra.
+
+The library multiplies theta polynomials and composes operators over a
+common denominator, in integers; ``theta_mul_by_fractions`` and
+``compose_by_fractions`` accumulate the same sums one Fraction at a time.
+``horn_x_by_own_factors`` builds the x-form Horn companions from their own
+factors, where the library substitutes theta -> theta / m in the w-form.
 """
 
-from mellinsys.weyl import DiffOperator
+from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import comb, perm, prod
+
+from mellinsys.weyl import DiffOperator, ThetaPoly
 
 
 def operator_power(op: DiffOperator, k: int) -> DiffOperator:
@@ -32,3 +44,58 @@ def theta_poly_by_composition(poly) -> DiffOperator:
                 term = term * operator_power(theta, e)
         total = total + term
     return total
+
+
+def theta_mul_by_fractions(p, q) -> ThetaPoly:
+    """p * q, accumulated term by term in Fractions."""
+    out = {}
+    for k1, c1 in p.coeffs.items():
+        for k2, c2 in q.coeffs.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ThetaPoly(p.n_vars, out)
+
+
+def compose_by_fractions(p, q) -> DiffOperator:
+    """p o q, accumulated term by term in Fractions.
+
+    Per variable, D^b x^a = sum_k C(b, k) a!/(a-k)! x^{a-k} D^{b-k}.
+    """
+    out = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            for ks in product(*(range(min(b, a) + 1) for b, a in zip(b1, a2))):
+                f = prod(comb(b, k) * perm(a, k) for b, a, k in zip(b1, a2, ks))
+                key = (tuple(x + y - k for x, y, k in zip(a1, a2, ks)),
+                       tuple(x + y - k for x, y, k in zip(b1, b2, ks)))
+                out[key] = out.get(key, Fraction(0)) + c1 * c2 * f
+    return DiffOperator(p.n_vars, out)
+
+
+def horn_x_by_own_factors(profile) -> list[DiffOperator]:
+    """H'_j = prod_{k<m}(theta_j - k) - (-1)^{m'_j} x_j^m tail_x(theta),
+    tail_x = prod_{k<m_j}(-<M,theta>/m - 1/m - k)
+             prod_{k<m'_j}(-<M',theta>/m + 1/m - k),
+    every product multiplied out from these x-factors."""
+    m, n = profile.m, profile.n
+    one = ThetaPoly.one(n)
+    out = []
+    for j in range(n):
+        theta_j = [1 if i == j else 0 for i in range(n)]
+        lead = reduce(theta_mul_by_fractions,
+                      [ThetaPoly.linear(theta_j, -k) for k in range(m)], one)
+        tail = reduce(
+            theta_mul_by_fractions,
+            [ThetaPoly.linear([Fraction(-v, m) for v in profile.m_list],
+                              Fraction(-1, m) - k)
+             for k in range(profile.m_list[j])]
+            + [ThetaPoly.linear([Fraction(-v, m) for v in profile.mprime_list],
+                                Fraction(1, m) - k)
+               for k in range(profile.mprime_list[j])],
+            one)
+        sign = (-1) ** profile.mprime_list[j]
+        out.append(lead.to_operator()
+                   - compose_by_fractions(
+                       DiffOperator.x_power(n, j, m, coeff=sign),
+                       tail.to_operator()))
+    return out
