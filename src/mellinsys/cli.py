@@ -7,6 +7,8 @@ Subcommands: ``dims`` (box/dimension combinatorics), ``operators``
 
 Exit codes: 0 all checks pass, 1 usage or profile error, 2 verification
 failure.  Output is deterministic for a fixed (arguments, seed) pair.
+``--json`` output is byte-identical to ``json.dumps(obj, indent=2)``; it is
+written by :func:`_dumps`, which builds the same text in one pass.
 """
 
 from __future__ import annotations
@@ -55,6 +57,78 @@ def _fmt_vec(vec) -> str:
     return "(" + ",".join(str(v) for v in vec) + ")"
 
 
+def _profile_label(profile: ExponentProfile) -> str:
+    return f"({profile.m};{','.join(str(v) for v in profile.m_list)})"
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, built in one pass.
+
+    With ``indent`` set, the stdlib runs its pure-Python encoder through a
+    chain of generators.  This recurses once, appends to a single list and
+    joins a flat list of plain str or plain int in one call.  Strings are
+    escaped as with ``ensure_ascii``; every other scalar (float, bool, None)
+    goes through the stdlib's C encoder, so NaN, +-Infinity and float repr
+    match.  Circular containers are not detected (they exhaust recursion).
+    """
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj, out: list, nl: str) -> None:
+    """Append the indent-2 JSON text of ``obj``; ``nl`` is the newline plus
+    the indent of the line that ``obj`` starts on."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    raise TypeError("keys must be str, int, float, bool or "
+                                    f"None, not {key.__class__.__name__}")
+                key = json.dumps(key)
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(_json_str, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _write_json(value, out, inner)
+                sep = "," + inner
+            out.append(nl + "]")
+            return
+        out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    else:
+        out.append(json.dumps(obj))
+
+
 # ---------------------------------------------------------------------------
 # dims
 # ---------------------------------------------------------------------------
@@ -79,7 +153,7 @@ def cmd_dims(config: RunConfig) -> int:
         }
         if p.d == 1:
             payload["modular_counts"] = [modular_count(p, r) for r in range(p.m)]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     print(f"profile   : {p.equation_str()}   (m={p.m}, n={p.n}, d={p.d})")
     print(f"rank      : {report.rank}")
@@ -129,7 +203,7 @@ def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
         if check_horn:
             payload["horn_mellin_multipliers"] = [
                 str(horn_mellin_multiplier(p, j)) for j in range(p.n)]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     print(f"profile: {p.equation_str()}")
     for j, op in enumerate(mellin):
@@ -165,16 +239,31 @@ def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
 # series
 # ---------------------------------------------------------------------------
 
+def parse_basis(profile: ExponentProfile, text: str) -> tuple[int, ...]:
+    """The initial exponent I of ``series --basis``: n comma-separated
+    integers in 0..m-1."""
+    m, n = profile.m, profile.n
+    try:
+        index = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        index = ()
+    if len(index) != n or not all(0 <= v < m for v in index):
+        raise ProfileError(f"--basis needs n = {n} comma-separated integers "
+                           f"in 0..m-1 = 0..{m - 1} for the profile "
+                           f"{_profile_label(profile)}, got {text!r}")
+    return index
+
+
 def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
                generating_check: bool) -> int:
+    """``basis`` is None or an index from :func:`parse_basis`."""
     p = config.profile
     chosen = []
     if principal:
         chosen.append(("principal", principal_series(p, config.order)))
     if basis is not None:
-        idx = tuple(int(v) for v in basis.split(","))
-        chosen.append((f"basis{_fmt_vec(idx)}",
-                       convenient_basis_series(p, idx, config.order)))
+        chosen.append((f"basis{_fmt_vec(basis)}",
+                       convenient_basis_series(p, basis, config.order)))
     if show_roots:
         ypr = principal_series(p, config.order)
         for j in range(p.m):
@@ -195,7 +284,7 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
         }
         if gen_result is not None:
             payload["generating"] = gen_result
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     for name, s in chosen:
         print(f"-- {name} (order {config.order}, ring {s.ring.name})")
@@ -376,9 +465,9 @@ def check_verify_order(profile: ExponentProfile, order: int) -> None:
     m, n = profile.m, profile.n
     floor = max(m + 2, n * (m - 1))
     if order < floor:
-        prof = f"({m};{','.join(str(v) for v in profile.m_list)})"
         raise ProfileError(f"verify needs --order at least max(m + 2, n(m - 1))"
-                           f" = {floor} for the profile {prof}, got {order}")
+                           f" = {floor} for the profile "
+                           f"{_profile_label(profile)}, got {order}")
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -401,7 +490,7 @@ def cmd_verify(config: RunConfig) -> int:
                 for rep in coset_representatives(config.profile)],
             "ok": ok_all,
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         print(f"profile: {config.profile.equation_str()}   "
               f"(order {config.order}, seed {config.seed})")
@@ -470,7 +559,8 @@ def main(argv=None) -> int:
         if ns.command == "operators":
             return cmd_operators(config, check_horn=ns.check_horn)
         if ns.command == "series":
-            return cmd_series(config, principal=ns.principal, basis=ns.basis,
+            basis = None if ns.basis is None else parse_basis(profile, ns.basis)
+            return cmd_series(config, principal=ns.principal, basis=basis,
                               show_roots=ns.roots,
                               generating_check=ns.generating_check)
         if ns.command == "verify":

@@ -11,7 +11,8 @@ Three interchangeable rings:
 Every per-ring decision of the series code is a method here, so that code
 never asks which ring it holds: arithmetic, inverting a unit, the exact
 test for a vanishing complex embedding, pruning, rendering a coefficient
-as text and as JSON, and the map of an exact coefficient into Q[Z/m].
+as text and as JSON, and the map (c, k) -> c e^k of an exact coefficient
+into Q[Z/m].
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
@@ -64,10 +65,6 @@ class RationalRing:
         return a * q
 
     @staticmethod
-    def from_rational(q):
-        return Fraction(q)
-
-    @staticmethod
     def is_zero(a) -> bool:
         return a == 0
 
@@ -92,11 +89,12 @@ class RationalRing:
 
     @staticmethod
     def group_ring(m=None):
-        """The ring Q[Z/m] and the map of coefficients into it."""
+        """The ring Q[Z/m] and the map (c, k) -> c e^k into it: a monomial
+        with the rational c in slot k mod m."""
         if m is None:
             raise ValueError("rational coefficients need the modulus m")
         ring = get_cyclotomic_ring(m)
-        return ring, ring.from_rational
+        return ring, ring.monomial
 
     def __eq__(self, other):
         return type(other) is RationalRing
@@ -134,10 +132,6 @@ class ComplexRing:
     @staticmethod
     def scale_rational(a, q):
         return a * float(q)
-
-    @staticmethod
-    def from_rational(q):
-        return complex(q)
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -209,6 +203,12 @@ class CyclotomicRing:
         v[k % self.m] = Fraction(1)
         return tuple(v)
 
+    def monomial(self, q, k: int):
+        """q e^k for a rational q, which is stored as given."""
+        v = [_ZERO] * self.m
+        v[k % self.m] = q
+        return tuple(v)
+
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
@@ -241,16 +241,11 @@ class CyclotomicRing:
         if len(support) > 1:
             raise ValueError("only monomial units q e^k are inverted")
         k = support[0]
-        return self.mul_root(self.from_rational(Fraction(1) / a[k]), -k)
+        return self.monomial(Fraction(1) / a[k], -k)
 
     def scale_rational(self, a, q):
         q = Fraction(q)
         return tuple(x * q for x in a)
-
-    def from_rational(self, q):
-        v = [_ZERO] * self.m
-        v[0] = Fraction(q)
-        return tuple(v)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
@@ -287,19 +282,22 @@ class CyclotomicRing:
 
     @staticmethod
     def coeff_text(a) -> str:
-        return "[" + ", ".join(str(q) for q in a) + "]"
+        """``[q_0, ..., q_{m-1}]``; a zero coordinate prints as the constant
+        "0", with no str() call."""
+        return "[" + ", ".join([str(q) if q else "0" for q in a]) + "]"
 
     @staticmethod
     def coeff_json(a) -> list:
-        return [str(q) for q in a]
+        return [str(q) if q else "0" for q in a]
 
     def json_fields(self) -> dict:
         return {"ring": self.name, "m": self.m}
 
     def group_ring(self, m=None):
+        """This ring and the map (a, k) -> a e^k, a cyclic shift."""
         if m is not None and m != self.m:
             raise ValueError("ring mismatch")
-        return self, lambda a: a
+        return self, self.mul_root
 
     def __eq__(self, other):
         return type(other) is CyclotomicRing and other.m == self.m

@@ -247,7 +247,7 @@ class TruncatedSeries:
         """The same series over the group ring Q[Z/m]."""
         ring, embed = self.ring.group_ring(m)
         return TruncatedSeries(ring, self.n_vars, self.order,
-                               {s: embed(c) for s, c in self.terms.items()})
+                               {s: embed(c, 0) for s, c in self.terms.items()})
 
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
@@ -372,11 +372,13 @@ def rotate(series: TruncatedSeries, index, m: int | None = None,
     """Substitute x_j -> e^{i_j} x_j over the group ring Q[Z/m].
 
     The coefficient at exponent s picks up the factor e^{<I, s> mod m},
-    times e^shift when a shift is given.
+    times e^shift when a shift is given.  The ring's map (c, k) -> c e^k
+    builds each one in a single tuple: a monomial for a rational c, a
+    cyclic shift for an element of Q[Z/m].
     """
     index = tuple(index)
     ring, embed = series.ring.group_ring(m)
-    terms = {s: ring.mul_root(embed(c), shift + dot(index, s))
+    terms = {s: embed(c, shift + dot(index, s))
              for s, c in series.terms.items()}
     return TruncatedSeries(ring, series.n_vars, series.order, terms)
 

@@ -1,12 +1,17 @@
 """CLI behavior: subcommands, exit codes, determinism, JSON round trips."""
 
 import json
+import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mellinsys import roots
-from mellinsys.cli import check_verify_order, main
+from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run_cli(capsys, *args):
@@ -207,3 +212,92 @@ def test_json_outputs_parse(capsys):
     assert payload["equations"][0]["annihilation_residual"] < 1e-8
     # round trip through the documented schema
     assert json.loads(json.dumps(payload)) == payload
+
+
+# ---------------------------------------------------------------------------
+# --basis validation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["0,a", "0", "0,3", "0,1,2", ""])
+def test_series_basis_rejected_before_any_work(capsys, value):
+    code, out, err = run_cli(capsys, "series", "3", "2", "1", "--basis", value)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "n = 2 comma-separated integers in 0..m-1 = 0..2" in err
+    assert "profile (3;2,1)" in err
+    assert f"got {value!r}" in err
+    assert "invalid literal" not in err and "outside the box" not in err
+
+
+def test_series_basis_accepts_every_golden_and_box_index():
+    accepted = [(argv[1:argv.index("--basis")], argv[argv.index("--basis") + 1])
+                for _, argv, _ in GOLDEN_CASES if "--basis" in argv]
+    assert len(accepted) == 2
+    for profile, value in accepted:
+        m, *ms = map(int, profile)
+        assert parse_basis(make_profile(m, ms), value) == tuple(
+            int(v) for v in value.split(","))
+    p = make_profile(4, [3, 1])
+    for i in range(4):
+        for j in range(4):
+            assert parse_basis(p, f"{i},{j}") == (i, j)
+
+
+# ---------------------------------------------------------------------------
+# the indent-2 JSON writer
+# ---------------------------------------------------------------------------
+
+_SPECIAL_TEXT = st.text(alphabet=st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2028",
+     "\U0001f600", "a", " "]))
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.sampled_from([2**64, -(2**100), 10**300])
+                 | st.floats()
+                 | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+                 | st.text() | _SPECIAL_TEXT)
+_JSON_KEYS = (st.text() | _SPECIAL_TEXT | st.integers() | st.booleans()
+              | st.none() | st.floats())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+                   | st.lists(st.booleans(), min_size=1, max_size=4)
+                   | st.lists(st.integers(), min_size=1, max_size=4)
+                   | st.lists(st.text() | _SPECIAL_TEXT, min_size=1,
+                              max_size=4)),
+    max_leaves=24)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_JSON_VALUES)
+def test_dumps_equals_stdlib_indent_two(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": [object()]}, object(),
+                                 {frozenset(): 1}])
+def test_dumps_rejects_what_stdlib_rejects(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        _dumps(obj)
+    assert str(got.value) == str(want.value)
+
+
+SWEEP_PROFILES = [(m, list(ms)) for m in range(2, 6) for n in (1, 2)
+                  for ms in combinations(range(m - 1, 0, -1), n)] + [
+                      (4, [3, 2, 1])]
+
+
+@pytest.mark.parametrize("m,ms", SWEEP_PROFILES,
+                         ids=[f"{m}-{'-'.join(map(str, ms))}"
+                              for m, ms in SWEEP_PROFILES])
+def test_json_output_is_stdlib_indent_two(capsys, m, ms):
+    args = [str(m), *map(str, ms), "--json"]
+    for cmd in (["dims"], ["operators", "--check-horn"],
+                ["series", "--principal", "--roots"]):
+        code, out, _ = run_cli(capsys, *cmd, *args)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

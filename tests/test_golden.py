@@ -55,6 +55,13 @@ CASES = [
     ("verify-9-3", ["verify", "9", "3"], 0),
     ("verify-5-3-1-json", ["verify", "5", "3", "1", "--json"], 0),
     ("error-dims-3-3-1", ["dims", "3", "3", "1"], 1),
+    ("verify-6-4-2-json", ["verify", "6", "4", "2", "--json"], 0),
+    ("series-4-3-2-1-roots-json",
+     ["series", "4", "3", "2", "1", "--roots", "--order", "4", "--json"], 0),
+    ("series-5-3-1-principal-generating-json",
+     ["series", "5", "3", "1", "--principal", "--generating-check",
+      "--order", "8", "--json"], 0),
+    ("dims-4-3-2-1-json", ["dims", "4", "3", "2", "1", "--json"], 0),
 ]
 
 

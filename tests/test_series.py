@@ -227,7 +227,8 @@ def test_rotate_by_zero_is_identity():
     y = principal_series(p, 6)
     r = rotate(y, (0, 0), 3)
     ring = get_cyclotomic_ring(3)
-    assert r.terms == {s: ring.from_rational(c) for s, c in y.terms.items()}
+    assert r.terms == {s: ring.scale_rational(ring.one, c)
+                       for s, c in y.terms.items()}
 
 
 def test_rotate_sign_flip():
@@ -235,7 +236,7 @@ def test_rotate_sign_flip():
     y = principal_series(make_profile(2, [1]), 1)
     r = rotate(y, (1,), 2)
     ring = get_cyclotomic_ring(2)
-    assert r.coefficient((0,)) == ring.from_rational(1)
+    assert r.coefficient((0,)) == ring.one
     # -1/2 * e^1
     assert r.coefficient((1,)) == ring.scale_rational(ring.root(1), Fraction(-1, 2))
 
@@ -258,7 +259,8 @@ def test_scaled_root_series_branch_zero_is_principal():
     y = scaled_root_series(p, 0, 6)
     ring = y.ring
     want = principal_series(p, 6)
-    assert y.terms == {s: ring.from_rational(c) for s, c in want.terms.items()}
+    assert y.terms == {s: ring.scale_rational(ring.one, c)
+                       for s, c in want.terms.items()}
 
 
 def test_scaled_root_series_quadratic_second_branch():
@@ -288,12 +290,58 @@ def test_scaled_roots_satisfy_equation_exactly(m, ms):
         assert total.is_zero()
 
 
+def rotate_by_group_ring_product(series, index, m, shift=0):
+    """Oracle for `rotate`: embed each coefficient as a plain m-tuple (a
+    rational q as (q, 0, ..., 0)) and multiply it by e^{shift + <I, s>}
+    through the ring product."""
+    ring = get_cyclotomic_ring(m)
+    terms = {}
+    for s, c in series.terms.items():
+        if not isinstance(c, tuple):
+            c = (c,) + (Fraction(0),) * (m - 1)
+        phase = shift + sum(i * e for i, e in zip(index, s))
+        terms[s] = ring.mul(c, ring.root(phase))
+    return TruncatedSeries(ring, series.n_vars, series.order, terms)
+
+
 def scaled_root_by_rotate_then_scale(profile, j, order, twist, series):
     """Oracle: rotate by index_k = j m_k + i_k, then multiply every
     coefficient by e^j in the group ring."""
     index = tuple(j * mk + ik for mk, ik in zip(profile.m_list, twist))
-    rot = rotate(series.truncate(order), index, profile.m)
+    rot = rotate_by_group_ring_product(series.truncate(order), index,
+                                       profile.m)
     return rot.scale(rot.ring.root(j))
+
+
+@st.composite
+def rotate_cases(draw):
+    """A series over Q or Q[Z/m] with n <= 3, and any index and shift,
+    negative ones included."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 6))
+    exps = st.tuples(*[st.integers(0, order)] * n).filter(
+        lambda e: sum(e) <= order)
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if draw(st.booleans()):
+        ring, coeff = RATIONAL, value
+    else:
+        ring = get_cyclotomic_ring(m)
+        coeff = st.lists(value, min_size=m, max_size=m).map(tuple)
+    terms = draw(st.dictionaries(exps, coeff, max_size=8))
+    index = draw(st.tuples(*[st.integers(-20, 20)] * n))
+    shift = draw(st.integers(-20, 20))
+    return TruncatedSeries(ring, n, order, terms), index, m, shift
+
+
+@settings(deadline=None)
+@given(rotate_cases())
+def test_rotate_matches_group_ring_product(case):
+    series, index, m, shift = case
+    got = rotate(series, index, m, shift=shift)
+    want = rotate_by_group_ring_product(series, index, m, shift)
+    assert (got.ring, got.order) == (want.ring, want.order)
+    assert got.terms == want.terms
 
 
 @st.composite
@@ -526,7 +574,8 @@ def test_rank_survives_a_vanishing_first_prime(m):
     assert series_mod._rank_mod_p(np.array([[1, 1], [1, 1]], dtype=np.int64),
                                   p1) == 1
     ring = get_cyclotomic_ring(m)
-    rows = [[ring.one, ring.one], [ring.one, ring.from_rational(1 + p1)]]
+    rows = [[ring.one, ring.one],
+            [ring.one, ring.scale_rational(ring.one, 1 + p1)]]
     assert rank_cyclotomic_exact(rows, m) == 2
     if m == 1:
         assert rank_rational([[1, 1], [1, 1 + p1]]) == 2
