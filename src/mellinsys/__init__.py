@@ -17,8 +17,7 @@ from .roots import (EquationInstance, LogSolution, RootFindingError,
                     SubspaceWitness, aberth_roots, coset_equation_jets,
                     equation_report, invariant_subspace_witness, lift_jets,
                     log_solution, mellin_residual, origin_instance,
-                    relation_check, roots_at_point,
-                    scaled_root_identity_check)
+                    relation_check, roots_at_point)
 from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
                      principal_series, rotate, scaled_root_series, subseries)
@@ -49,5 +48,5 @@ __all__ = [
     "mellin_system", "mellin_system_theta_form", "missing_index_set",
     "modular_count", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
-    "rotate", "scaled_root_identity_check", "scaled_root_series", "subseries",
+    "rotate", "scaled_root_series", "subseries",
 ]

@@ -17,6 +17,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -46,7 +47,15 @@ class RunConfig:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant exiting with status 1 on usage errors."""
+    """argparse variant exiting with status 1 on usage errors.
+
+    A negative value with commas, such as ``--basis -1,0``, is read as a
+    value rather than an unknown option, so that its own rule rejects it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d[\d,]*$|^-\d*\.\d+$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -10,9 +10,9 @@ Three interchangeable rings:
 
 Every per-ring decision of the series code is a method here, so that code
 never asks which ring it holds: arithmetic, inverting a unit, the exact
-test for a vanishing complex embedding, pruning, rendering a coefficient
-as text and as JSON, and the map (c, k) -> c e^k of an exact coefficient
-into Q[Z/m].
+test for a vanishing complex embedding, rendering a coefficient as text
+and as JSON, and the map (c, k) -> c e^k of an exact coefficient into
+Q[Z/m].
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
@@ -27,10 +27,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-
-# Complex terms below this fraction of the largest magnitude (at least 1)
-# are dropped as double-precision noise.
-COMPLEX_PRUNE = 1e-12
 
 # Relative bound on the rounding error of a group-ring embedding (see
 # CyclotomicRing.is_zero_complex).
@@ -73,10 +69,6 @@ class RationalRing:
     @staticmethod
     def to_complex(a) -> complex:
         return complex(a)
-
-    @staticmethod
-    def prune(terms):
-        return terms
 
     @staticmethod
     def coeff_text(a) -> str:
@@ -142,14 +134,6 @@ class ComplexRing:
     @staticmethod
     def to_complex(a) -> complex:
         return complex(a)
-
-    @staticmethod
-    def prune(terms):
-        """Drop terms below COMPLEX_PRUNE * max(1, largest magnitude)."""
-        if not terms:
-            return terms
-        thr = COMPLEX_PRUNE * max(1.0, max(abs(c) for c in terms.values()))
-        return {s: c for s, c in terms.items() if abs(c) >= thr}
 
     @staticmethod
     def coeff_text(a) -> str:
@@ -275,10 +259,6 @@ class CyclotomicRing:
     def to_complex(self, a) -> complex:
         return sum(float(x) * self._embedding[k]
                    for k, x in enumerate(a) if x)
-
-    @staticmethod
-    def prune(terms):
-        return terms
 
     @staticmethod
     def coeff_text(a) -> str:

@@ -15,9 +15,10 @@ Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
 point, and Newton lifting of all m Taylor branches at the origin, where the
 roots are the distinct m-th roots of unity and the Jacobian never
-degenerates.  Their tolerances (also surfaced by the CLI): substitution
-residual 1e-10, rank pivots 1e-10 relative.  They sit one to two orders
-above double-precision noise at order-12 jets.
+degenerates.  Their tolerances (also surfaced by the CLI) are 1e-10 for
+the substitution residual and 1e-10 relative for rank pivots.  Complex
+series keep every term, so a reported residual is the measured rounding
+error, about 1e-15 on order-12 jets.
 """
 
 from __future__ import annotations
@@ -141,38 +142,32 @@ def roots_at_point(instance: EquationInstance, seed: int = 0) -> list[complex]:
                                         round(abs(y), 9)))
 
 
-def _substitute(instance: EquationInstance, y: TruncatedSeries,
-                xs) -> TruncatedSeries:
-    """p(y) for the defining polynomial of the instance."""
-    m = instance.profile.m
+def _poly_and_derivative(instance: EquationInstance, y: TruncatedSeries,
+                         xs) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """p(y) and p'(y) for the defining polynomial of the instance, from one
+    table of powers y^0..y^m (m - 1 products)."""
+    profile = instance.profile
+    m = profile.m
     eps = cmath.exp(2j * cmath.pi / m)
-    total = y**m - TruncatedSeries.constant(COMPLEX, y.n_vars, y.order, 1.0)
-    for j, (ij, mj) in enumerate(zip(instance.twist, instance.profile.m_list)):
-        total = total + (xs[j] * y**mj).scale(eps**ij)
-    return total
-
-
-def _substitute_derivative(instance: EquationInstance, y: TruncatedSeries,
-                           xs) -> TruncatedSeries:
-    m = instance.profile.m
-    eps = cmath.exp(2j * cmath.pi / m)
-    total = (y ** (m - 1)).scale_rational(m)
-    for j, (ij, mj) in enumerate(zip(instance.twist, instance.profile.m_list)):
-        if mj == 1:
-            term = xs[j].scale(eps**ij * mj)
-        else:
-            term = (xs[j] * y ** (mj - 1)).scale(eps**ij * mj)
-        total = total + term
-    return total
+    powers = [TruncatedSeries.constant(COMPLEX, y.n_vars, y.order, 1.0), y]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * y)
+    p = powers[m] - powers[0]
+    dp = powers[m - 1].scale_rational(m)
+    for x, ij, mj in zip(xs, instance.twist, profile.m_list):
+        p = p + (x * powers[mj]).scale(eps**ij)
+        dp = dp + (x * powers[mj - 1]).scale(eps**ij * mj)
+    return p, dp
 
 
 def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
     """Newton-lift all m branches at the origin; entry b is branch b.
 
     Branch b starts from the exact simple root zeta^b of y^m = 1, where
-    the y-derivative m zeta^{b(m-1)} cannot vanish, and each Newton step
-    doubles the correct order.  The final substitution residual must stay
-    below SUBSTITUTION_TOL.
+    the y-derivative m zeta^{b(m-1)} cannot vanish.  Each Newton update
+    doubles the number of correct degrees, so exactly
+    ceil(log2(order + 1)) updates reach the order.  The final substitution
+    residual must stay below SUBSTITUTION_TOL.
     """
     if any(abs(v) != 0 for v in instance.base_point):
         raise ProfileError("jets are lifted at the origin only")
@@ -182,17 +177,14 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
     m, n = profile.m, profile.n
     zeta = cmath.exp(2j * cmath.pi / m)
     xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
-    steps = max(1, math.ceil(math.log2(order + 1))) + 2
+    steps = math.ceil(math.log2(order + 1))
     jets = []
     for b in range(m):
         y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
         for _ in range(steps):
-            p = _substitute(instance, y, xs)
-            if p.is_zero():
-                break
-            dp = _substitute_derivative(instance, y, xs)
+            p, dp = _poly_and_derivative(instance, y, xs)
             y = y - p * dp.inverse()
-        residual = _substitute(instance, y, xs).max_abs()
+        residual = _poly_and_derivative(instance, y, xs)[0].max_abs()
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
                 f"branch {b} substitution residual {residual:.3e}")
@@ -217,11 +209,6 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     targets = _branches(profile, None, principal_series(profile, order))
     return max((jet - target.to_complex()).max_abs()
                for jet, target in zip(jets, targets))
-
-
-def scaled_root_identity_check(profile: ExponentProfile, order: int,
-                               tol: float = SUBSTITUTION_TOL) -> bool:
-    return scaled_root_max_deviation(profile, order) < tol
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
@@ -397,8 +384,8 @@ def equation_report(profile: ExponentProfile, twist, order: int,
         "twist": list(inst.twist),
         "order": order,
         "seed": seed,
-        "substitution_residual": max(_substitute(inst, y, xs).max_abs()
-                                     for y in jets),
+        "substitution_residual": max(
+            _poly_and_derivative(inst, y, xs)[0].max_abs() for y in jets),
         "annihilation_residual": max(mellin_residual(profile, s)
                                      for s in branches),
         "rank": independence_rank(jets, RANK_TOL),

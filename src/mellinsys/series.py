@@ -45,12 +45,8 @@ class TruncatedSeries:
         self.ring = ring
         self.n_vars = n_vars
         self.order = order
-        self.terms = self._prune(ring, order, terms)
-
-    @staticmethod
-    def _prune(ring, order, terms):
-        return ring.prune({s: c for s, c in terms.items()
-                           if sum(s) <= order and not ring.is_zero(c)})
+        self.terms = {s: c for s, c in terms.items()
+                      if sum(s) <= order and not ring.is_zero(c)}
 
     # -- constructors -------------------------------------------------------
 

@@ -218,7 +218,8 @@ def test_json_outputs_parse(capsys):
 # --basis validation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("value", ["0,a", "0", "0,3", "0,1,2", ""])
+@pytest.mark.parametrize("value", ["0,a", "0", "0,3", "0,1,2", "", "-1,0",
+                                   "-1"])
 def test_series_basis_rejected_before_any_work(capsys, value):
     code, out, err = run_cli(capsys, "series", "3", "2", "1", "--basis", value)
     assert code == 1

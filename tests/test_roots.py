@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mellinsys import roots
 from mellinsys.profiles import (coset_representatives, make_profile,
                                 relation_basis)
 from mellinsys.rings import COMPLEX, get_cyclotomic_ring
@@ -16,7 +17,6 @@ from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              invariant_subspace_witness, lift_jets,
                              log_solution, mellin_residual, origin_instance,
                              relation_check, roots_at_point,
-                             scaled_root_identity_check,
                              scaled_root_max_deviation)
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
                               independence_rank, principal_series,
@@ -160,8 +160,36 @@ def test_general_cubic_root_combinations_match_closed_forms():
                                   (6, [4, 2])])
 def test_scaled_root_identity(m, ms):
     p = make_profile(m, ms)
-    assert scaled_root_max_deviation(p, 8) < 1e-10
-    assert scaled_root_identity_check(p, 8)
+    assert scaled_root_max_deviation(p, 8) < SUBSTITUTION_TOL
+
+
+@pytest.mark.parametrize("m,ms", [(4, [2]), (6, [4]), (3, [2, 1])])
+def test_lift_reaches_the_order_in_ceil_log2_updates(monkeypatch, m, ms):
+    """From the exact root each Newton update doubles the correct degrees:
+    ceil(log2(order + 1)) updates and one final residual per branch reach
+    the closed-form branches at every order."""
+    updates = {1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 12: 4}
+    real = roots._poly_and_derivative
+    calls = []
+    monkeypatch.setattr(roots, "_poly_and_derivative",
+                        lambda *args: calls.append(args) or real(*args))
+    p = make_profile(m, ms)
+    for order, steps in updates.items():
+        calls.clear()
+        assert scaled_root_max_deviation(p, order) < SUBSTITUTION_TOL
+        assert len(calls) == m * (steps + 1)
+
+
+def test_substitution_residual_measures_a_small_perturbation():
+    p = make_profile(3, [2, 1])
+    inst = origin_instance(p)
+    xs = [TruncatedSeries.variable(COMPLEX, 2, 6, j) for j in range(2)]
+    jet = scaled_root_series(p, 1, 6).to_complex()
+    bumped = jet + TruncatedSeries(COMPLEX, 2, 6, {(2, 1): 1e-13})
+    exact = roots._poly_and_derivative(inst, jet, xs)[0].max_abs()
+    residual = roots._poly_and_derivative(inst, bumped, xs)[0].max_abs()
+    assert exact < residual
+    assert residual >= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -693,11 +693,10 @@ def test_evaluate():
     assert abs(s.evaluate((0.5, 2.0)) - (1.0 + 4.0)) < 1e-14
 
 
-def test_complex_prune_relative():
-    s = TruncatedSeries(COMPLEX, 1, 3, {(0,): 1.0, (1,): 1e-14})
-    assert (1,) not in s.terms
-    t = TruncatedSeries(COMPLEX, 1, 3, {(0,): 1e-13, (1,): 1e-14})
-    assert not t.terms  # floor 1 applies when everything is tiny
+def test_complex_series_keeps_small_terms():
+    s = TruncatedSeries(COMPLEX, 1, 3, {(0,): 1.0, (1,): 1e-14, (2,): 0j})
+    assert s.terms == {(0,): 1.0, (1,): 1e-14}
+    assert (s - TruncatedSeries.constant(COMPLEX, 1, 3, 1.0)).max_abs() == 1e-14
 
 
 # ---------------------------------------------------------------------------
