@@ -23,7 +23,6 @@ from .series import (TruncatedSeries, convenient_basis_series,
                      principal_series, rotate, scaled_root_series, subseries)
 from .weyl import (DiffOperator, LatticeData, ThetaFactorization, ThetaPoly,
                    derivative_factorization, discriminant_poly,
-                   equals_up_to_rational_scale, factorization_check,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
                    leading_coefficient, mellin_operator_1d, mellin_system,
                    mellin_system_theta_form, theta_factorization)
@@ -39,9 +38,8 @@ __all__ = [
     "beukers_heckman_reducible", "convenient_basis_series",
     "coset_equation_jets", "coset_representatives",
     "cyclotomic_polynomial", "derivative_factorization", "dims",
-    "discriminant_poly", "equals_up_to_rational_scale", "factorization_check",
-    "equation_report", "get_cyclotomic_ring", "horn_mellin_multiplier",
-    "horn_system", "independence_rank", "index_box",
+    "discriminant_poly", "equation_report", "get_cyclotomic_ring",
+    "horn_mellin_multiplier", "horn_system", "independence_rank", "index_box",
     "invariant_subspace_witness",
     "is_generating", "lattice_matrices", "leading_coefficient", "lift_jets",
     "log_solution", "make_profile", "mellin_operator_1d", "mellin_residual",

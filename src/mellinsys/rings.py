@@ -28,10 +28,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-# Relative bound on the rounding error of a group-ring embedding (see
-# CyclotomicRing.is_zero_complex).
-EMBEDDING_SLACK = 1e-9
-
 
 class RationalRing:
     """Exact rational coefficients (fractions.Fraction)."""
@@ -232,28 +228,11 @@ class CyclotomicRing:
         return tuple(x * q for x in a)
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return not any(a)
 
     def is_zero_complex(self, a) -> bool:
-        """Exact test of whether the complex embedding of ``a`` vanishes.
-
-        The remainder by Phi_m is taken only when |to_complex(a)| is within
-        EMBEDDING_SLACK * S, S = sum_k |float(a_k)|; above that the
-        embedding is provably nonzero.  With u = 2^-53, each float(a_k) and
-        each product with a table entry rounds by u relative, each entry
-        cmath.exp(2*pi*i*k/m) is off by a few tens of u at most (rounding
-        of the angle, up to 2*pi, plus that of exp), and the m-term complex
-        sum adds at most sqrt(2) (m - 1) u S.  To first order to_complex(a)
-        is thus within (2m + 40) u S of the exact embedding, below 1e-9 * S
-        for every m under 10^6 (profiles keep m <= 4096).  Coefficients
-        beyond double range go straight to the remainder.
-        """
-        try:
-            if abs(self.to_complex(a)) > EMBEDDING_SLACK * sum(
-                    abs(float(x)) for x in a):
-                return False
-        except OverflowError:
-            pass
+        """Exact test of whether the complex embedding of ``a`` vanishes:
+        the remainder of sum_k a_k t^k by Phi_m."""
         return not _poly_divmod(a, self._phi)[1]
 
     def to_complex(self, a) -> complex:

@@ -1,15 +1,16 @@
 """Root branches of the twisted equations and what they span.
 
-Every branch of every twisted equation has a closed form over the group
-ring Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), and everything
-here that sums, logs or spans branches is built from it exactly:
-
-* root-sum relation residuals over the coset representatives, decided by
-  an exact zero test in Q(zeta_m),
-* the logarithmic combinations sum_k c_k sum_b y_b log y_b, assembled from
-  two exact group-ring series,
-* annihilation residuals under the Mellin operators, and rank witnesses
-  for the invariant-subspace splitting in the univariate d > 1 case.
+Branch b of the equation twisted by I, e^b y_pr(e^{b m_k + i_k} x_k) over
+Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), is y_pr with its
+coefficient at s times a unit fixed by s mod m.  Every operator term
+x^a D^b has a = b (mod m), so the Mellin operators commute with such
+weightings, and every exact check here comes from the rational y_pr and
+y_pr log y_pr with no branch series built (``_coset_sum``): root sums and
+root-sum relation residuals, decided by an exact zero test in Q(zeta_m);
+the logarithmic combinations sum_k c_k sum_b y_b log y_b as two exact
+group-ring parts; the annihilation residuals of those parts and of every
+branch.  The branches themselves give rank witnesses for the
+invariant-subspace splitting in the univariate d > 1 case.
 
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
-                       make_profile)
+                       dot, make_profile)
 from .rings import COMPLEX, get_cyclotomic_ring
 from .series import (TruncatedSeries, independence_rank, principal_series,
                      scaled_root_series)
@@ -218,15 +219,71 @@ def coset_equation_jets(profile: ExponentProfile, order: int):
             for rep in coset_representatives(profile)]
 
 
-@lru_cache(maxsize=32)
-def _root_sums(profile: ExponentProfile, order: int) -> tuple:
-    """Exact sum over the m branches of each coset-representative equation."""
-    ypr = principal_series(profile, order)
-    sums = []
-    for rep in coset_representatives(profile):
-        branches = _branches(profile, rep, ypr)
-        sums.append(sum(branches[1:], branches[0]))
-    return tuple(sums)
+def _coset_sum(profile: ExponentProfile, f: TruncatedSeries, c,
+               power: int) -> TruncatedSeries:
+    """sum_k c_k sum_b b^power (branch b of coset equation k built on f).
+
+    Branch b of the equation twisted by I_k has coefficient
+    f_s e^{b (1 + <M, s>) + <I_k, s>} at s (``scaled_root_series``), so the
+    sum is f_s times one group-ring weight per class of s mod m; no branch
+    series is built."""
+    m, ring = profile.m, get_cyclotomic_ring(profile.m)
+    reps = coset_representatives(profile)
+    if len(c) != len(reps):
+        raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
+    pairs = [(Fraction(ck), rep) for ck, rep in zip(c, reps) if ck]
+    classes = {s: tuple(v % m for v in s) for s in f.terms}
+    weights = {}
+    for cls in set(classes.values()):
+        w = [Fraction(0)] * m
+        r = 1 + dot(profile.m_list, cls)
+        for ck, rep in pairs:
+            shift = dot(rep, cls)
+            for b in range(m):
+                w[(b * r + shift) % m] += ck * b**power
+        weights[cls] = w
+    return TruncatedSeries(ring, f.n_vars, f.order, {
+        s: tuple(x * fs if x else x for x in weights[classes[s]])
+        for s, fs in f.terms.items()})
+
+
+@lru_cache(maxsize=64)
+def _source(profile: ExponentProfile, order: int, power: int):
+    """y_pr log y_pr (power 0) or y_pr (power 1): the parts A and B of
+    every logarithmic solution are their coset sums with that power."""
+    if power:
+        return principal_series(profile, order)
+    ypr = _source(profile, order, 1)
+    return ypr * ypr.log()
+
+
+@lru_cache(maxsize=64)
+def _images(profile: ExponentProfile, order: int, power: int) -> tuple:
+    """op_j(_source(power)) for every Mellin operator.
+
+    A term x^a D^b with a = b (mod m) keeps each class of s mod m, so the
+    image of a branch or a coset sum is the same weighting of this image.
+    Any other term raises: nothing is decided branch by branch.
+    """
+    m, ops = profile.m, mellin_system(profile)
+    if any((ai - bi) % m for op in ops for a, b in op.terms
+           for ai, bi in zip(a, b)):
+        raise ArithmeticError("a Mellin operator term x^a D^b breaks "
+                              f"a = b (mod {m})")
+    return tuple(op.apply(_source(profile, order, power)) for op in ops)
+
+
+def _branch_residual(profile: ExponentProfile, order: int) -> float:
+    """``mellin_residual`` of every root branch of every twisted equation,
+    which weights y_pr by units e^k with k fixed by s mod m."""
+    worst = max(im.max_abs() for im in _images(profile, order, 1))
+    return worst / _source(profile, order, 1).max_abs()
+
+
+def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
+    """sum_k c_k (sum of the m branches of coset equation k), exact over
+    Q[Z/m]; c = e_0 gives the root sum of the untwisted equation."""
+    return _coset_sum(profile, _source(profile, order, 1), c, 0)
 
 
 def relation_check(profile: ExponentProfile, c, order: int) -> float:
@@ -236,30 +293,7 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
     """
     if profile.d > 1:
         raise ProfileError("root-sum relations are defined only for d = 1")
-    sums = _root_sums(profile, order)
-    if len(c) != len(sums):
-        raise ValueError(f"relation vector length {len(c)} != {len(sums)}")
-    terms = [s.scale_rational(Fraction(ck)) for ck, s in zip(c, sums) if ck]
-    return sum(terms[1:], terms[0]).max_abs() if terms else 0.0
-
-
-@lru_cache(maxsize=32)
-def _log_sums(profile: ExponentProfile, order: int) -> tuple:
-    """Per coset equation, sum_b e^b R_b(y_pr log y_pr) and sum_b b y_b.
-
-    Both are exact group-ring series shared by every relation vector.
-    """
-    ypr = principal_series(profile, order)
-    ylog = ypr * ypr.log()
-    out = []
-    for rep in coset_representatives(profile):
-        rotated = [scaled_root_series(profile, b, order, rep, ylog)
-                   for b in range(profile.m)]
-        weighted = [yb.scale_rational(b)
-                    for b, yb in enumerate(_branches(profile, rep, ypr)) if b]
-        out.append((sum(rotated[1:], rotated[0]),
-                    sum(weighted[1:], weighted[0])))
-    return tuple(out)
+    return root_sum(profile, c, order).max_abs()
 
 
 @dataclass(frozen=True)
@@ -294,20 +328,13 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
             f"relation residual {residual:.3e} is not zero: the logarithmic "
             "combination would break the homogeneity of the system")
     m = profile.m
-    zero = TruncatedSeries.zero(get_cyclotomic_ring(m), profile.n, order)
-    part_a, part_b, offsets = zero, zero, []
-    for k, (ck, (sum_a, sum_b)) in enumerate(
-            zip(c, _log_sums(profile, order))):
-        ckq = Fraction(ck)
-        if ckq == 0:
-            continue
-        part_a = part_a + sum_a.scale_rational(ckq)
-        part_b = part_b + sum_b.scale_rational(ckq)
-        offsets += [(k, b, ckq * Fraction(b, m)) for b in range(1, m)]
+    part_a, part_b = (_coset_sum(profile, _source(profile, order, k), c, k)
+                      for k in (0, 1))
     chi = part_a.to_complex() + part_b.to_complex().scale(2j * cmath.pi / m)
+    offsets = tuple((k, b, Fraction(ck) * Fraction(b, m))
+                    for k, ck in enumerate(c) if ck for b in range(1, m))
     return LogSolution(c=tuple(Fraction(v) for v in c), chi=chi,
-                       constant_offsets=tuple(offsets),
-                       parts=(part_a, part_b))
+                       constant_offsets=offsets, parts=(part_a, part_b))
 
 
 def mellin_residual(profile: ExponentProfile, series: TruncatedSeries) -> float:
@@ -327,6 +354,19 @@ def mellin_residual(profile: ExponentProfile, series: TruncatedSeries) -> float:
         image = op.apply(series)
         worst = max(worst, image.max_abs())
     return worst / scale
+
+
+def log_residual(profile: ExponentProfile, sol: LogSolution) -> float:
+    """The larger ``mellin_residual`` of the two exact parts, from coset
+    sums of op_j(y_pr log y_pr) and op_j(y_pr): no operator runs on a
+    group-ring series."""
+    worst = 0.0
+    for power, part in enumerate(sol.parts):
+        images, scale = _images(profile, sol.chi.order, power), part.max_abs()
+        worst = max([worst] + [
+            _coset_sum(profile, im, sol.c, power).max_abs() / scale
+            for im in images if scale])
+    return worst
 
 
 @dataclass(frozen=True)
@@ -356,7 +396,7 @@ def invariant_subspace_witness(m: int, m1: int, order: int) -> SubspaceWitness:
     d = profile.d
     ypr = principal_series(profile, order)
     blocks = [_branches(profile, (k,), ypr)[: m // d] for k in range(d)]
-    worst = max(mellin_residual(profile, s) for block in blocks for s in block)
+    worst = _branch_residual(profile, order)
     block_ranks = tuple(independence_rank(block, RANK_TOL) for block in blocks)
     joint = independence_rank([s for block in blocks for s in block], RANK_TOL)
     original_rank = independence_rank(_branches(profile, (0,), ypr), RANK_TOL)
@@ -370,10 +410,14 @@ def equation_report(profile: ExponentProfile, twist, order: int,
     """JSON-able verification record for one twisted equation.
 
     Takes the m closed-form branches and reports the substitution residual
-    of their complex embeddings, their exact annihilation residual and the
-    rank they span.  The seed is recorded so reports stay self-describing
+    of their complex embeddings, their exact annihilation residual (inf if
+    an operator breaks a = b mod m) and the rank they span.  The seed is recorded so reports stay self-describing
     next to seeded scalar root computations.
     """
+    try:
+        annihilation = _branch_residual(profile, order)
+    except ArithmeticError:  # an operator breaks the congruence
+        annihilation = math.inf
     inst = origin_instance(profile, twist)
     branches = _branches(profile, inst.twist, principal_series(profile, order))
     jets = [s.to_complex() for s in branches]
@@ -386,29 +430,6 @@ def equation_report(profile: ExponentProfile, twist, order: int,
         "seed": seed,
         "substitution_residual": max(
             _poly_and_derivative(inst, y, xs)[0].max_abs() for y in jets),
-        "annihilation_residual": max(mellin_residual(profile, s)
-                                     for s in branches),
+        "annihilation_residual": annihilation,
         "rank": independence_rank(jets, RANK_TOL),
     }
-
-
-def elementary_symmetric(series_list, order: int):
-    """e_1, ..., e_k of the given series, via the product expansion."""
-    n = series_list[0].n_vars
-    ring = series_list[0].ring
-    elems = [TruncatedSeries.constant(ring, n, order, ring.one)]
-    for s in series_list:
-        new = []
-        for deg in range(len(elems) + 1):
-            term = None
-            if deg < len(elems):
-                term = elems[deg]
-            prev = elems[deg - 1] * s if deg >= 1 else None
-            if term is None:
-                new.append(prev)
-            elif prev is None:
-                new.append(term)
-            else:
-                new.append(term + prev)
-        elems = new
-    return elems[1:]

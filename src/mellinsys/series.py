@@ -120,10 +120,11 @@ class TruncatedSeries:
             self._check_compatible(other)
             order = min(self.order, other.order)
             out: dict = {}
+            right = [(t, e, sum(t)) for t, e in other.terms.items()]
             for s, c in self.terms.items():
                 ds = sum(s)
-                for t, e in other.terms.items():
-                    if ds + sum(t) > order:
+                for t, e, dt in right:
+                    if ds + dt > order:
                         continue
                     key = tuple(a + b for a, b in zip(s, t))
                     prod = self.ring.mul(c, e)
@@ -168,7 +169,7 @@ class TruncatedSeries:
         if ring.is_zero(c0):
             raise ZeroDivisionError("series has zero constant term")
         inv0 = ring.inv(c0)
-        rest = {s: c for s, c in self.terms.items() if sum(s) > 0}
+        rest = [(s, c, sum(s)) for s, c in self.terms.items() if sum(s) > 0]
         out = {_zero_exp(self.n_vars): inv0}
         # fill by increasing total degree: c0*g_e = -sum f_u g_{e-u}
         by_degree: dict[int, list] = {}
@@ -177,8 +178,8 @@ class TruncatedSeries:
         for deg in range(1, self.order + 1):
             for e in by_degree.get(deg, []):
                 acc = ring.zero
-                for u, fu in rest.items():
-                    if all(ui <= ei for ui, ei in zip(u, e)) and sum(u) <= deg:
+                for u, fu, du in rest:
+                    if du <= deg and all(ui <= ei for ui, ei in zip(u, e)):
                         g = out.get(tuple(a - b for a, b in zip(e, u)))
                         if g is not None:
                             acc = ring.add(acc, ring.mul(fu, g))

@@ -627,30 +627,6 @@ def poly_scale_ratio(p, q):
     return ratio
 
 
-def equals_up_to_rational_scale(opa: DiffOperator, opb: DiffOperator):
-    """The constant c with opa = c * opb, or None if not proportional."""
-    if opa.is_zero() or opb.is_zero():
-        return Fraction(0) if opa.is_zero() and opb.is_zero() else None
-    if set(opa.terms) != set(opb.terms):
-        return None
-    ratio = None
-    for key, ca in opa.terms.items():
-        r = ca / opb.terms[key]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
-
-
-def factorization_check(left: DiffOperator, right: DiffOperator,
-                        target: DiffOperator,
-                        multiplier: DiffOperator | None = None) -> bool:
-    """Whether multiplier o target = left o right in canonical form."""
-    lhs = target if multiplier is None else multiplier * target
-    return lhs == left * right
-
-
 def right_divide_theta_minus_one(op: DiffOperator):
     """Exact quotient L with op = L o (theta - 1), or None.
 

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from mellinsys.profiles import (algebraic_index_set, beukers_heckman_reducible,
                                 dims, index_box, make_profile,
-                                missing_index_set, modular_count,
-                                profile_suite)
+                                missing_index_set, modular_count)
 from mellinsys.rings import COMPLEX
 from mellinsys.roots import (coset_equation_jets, invariant_subspace_witness,
                              log_solution, mellin_residual, relation_check,
@@ -21,11 +20,12 @@ from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, independence_rank,
                               principal_series, rotate)
 from mellinsys.weyl import (DiffOperator, derivative_factorization,
-                            discriminant_poly, equals_up_to_rational_scale,
-                            factorization_check, horn_mellin_multiplier,
+                            discriminant_poly, horn_mellin_multiplier,
                             horn_system, mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
                             theta_factorization)
+from profile_oracle import profile_suite
+from weyl_oracle import equals_up_to_rational_scale, factorization_check
 
 F = Fraction
 

@@ -62,6 +62,8 @@ CASES = [
      ["series", "5", "3", "1", "--principal", "--generating-check",
       "--order", "8", "--json"], 0),
     ("dims-4-3-2-1-json", ["dims", "4", "3", "2", "1", "--json"], 0),
+    ("verify-4-3-2-1-order-9",
+     ["verify", "4", "3", "2", "1", "--order", "9"], 0),
 ]
 
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from field_oracle import cyclotomic_field
-from mellinsys import rings
 from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
                              cyclotomic_polynomial, get_cyclotomic_ring)
 from mellinsys.series import TruncatedSeries
@@ -128,25 +127,16 @@ def test_exact_vanishing_matches_field_oracle(case):
             == fld.is_zero(fld.from_group_ring(a)))
 
 
-def test_remainder_only_within_rounding_bound(monkeypatch):
-    calls = []
-    divmod_ = rings._poly_divmod
-    monkeypatch.setattr(rings, "_poly_divmod",
-                        lambda a, b: calls.append(a) or divmod_(a, b))
+def test_exact_vanishing_far_from_zero_and_beyond_double_range():
     ring = get_cyclotomic_ring(12)
     big = Fraction(10**30)
-    # far above 1e-9 * sum |a_k|: decided by the embedding alone
     assert not ring.is_zero_complex(ring.root(5))
     assert not ring.is_zero_complex(tuple([big] * 11 + [Fraction(0)]))
-    assert calls == []
-    # 10^30 (1 + e + ... + e^11) embeds to rounding noise: exact remainder
+    # 10^30 (1 + e + ... + e^11) embeds to rounding noise, and is zero
     assert ring.is_zero_complex(tuple([big] * 12))
-    assert len(calls) == 1
-    # beyond double range: straight to the remainder
     huge = Fraction(10**400)
     assert get_cyclotomic_ring(2).is_zero_complex((huge, huge))
     assert not get_cyclotomic_ring(2).is_zero_complex((huge, -huge))
-    assert len(calls) == 3
 
 
 @st.composite

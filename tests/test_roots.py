@@ -1,6 +1,9 @@
 """Numeric branches, logarithmic solutions, and rank witnesses."""
 
 import cmath
+import dataclasses
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,18 +13,21 @@ import pytest
 from mellinsys import roots
 from mellinsys.profiles import (coset_representatives, make_profile,
                                 relation_basis)
-from mellinsys.rings import COMPLEX, get_cyclotomic_ring
+from mellinsys.cli import main
+from mellinsys.rings import COMPLEX, RATIONAL
 from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
-                             coset_equation_jets, elementary_symmetric,
-                             invariant_subspace_witness, lift_jets,
-                             log_solution, mellin_residual, origin_instance,
-                             relation_check, roots_at_point,
+                             coset_equation_jets, invariant_subspace_witness,
+                             lift_jets, log_residual, log_solution,
+                             mellin_residual, origin_instance, relation_check,
+                             root_sum, roots_at_point,
                              scaled_root_max_deviation)
+from mellinsys.weyl import DiffOperator
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
-                              independence_rank, principal_series,
-                              scaled_root_series)
+                              independence_rank, scaled_root_series)
 from mellinsys.profiles import ProfileError
+from branch_oracle import (elementary_symmetric, log_parts_by_branches,
+                           root_sum_by_branches)
 
 F = Fraction
 
@@ -219,34 +225,140 @@ def test_log_solution_parts_annihilated_exactly(m, ms):
         assert all(mellin_residual(p, part) == 0 for part in sol.parts)
 
 
-def _log_parts_by_branches(p, c, order):
-    """A and B of log_solution summed branch by branch for one vector."""
-    ypr = principal_series(p, order)
-    ylog = ypr * ypr.log()
-    a = b = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
-    for ck, rep in zip(c, coset_representatives(p)):
-        for j in range(p.m):
-            a = a + scaled_root_series(p, j, order, rep, ylog).scale_rational(ck)
-            b = b + scaled_root_series(p, j, order, rep, ypr).scale_rational(
-                ck * j)
-    return a, b
+ORACLE_CASES = [(3, [2, 1], 10), (5, [3, 1], 7), (4, [1], 10), (5, [4, 1], 8),
+                (4, [3, 2, 1], 6)]
 
 
-@pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 10), (5, [3, 1], 7),
-                                        (4, [1], 10)])
+def _relation_vectors(p):
+    """The relation basis and one combination of its first and last vector."""
+    basis = relation_basis(p)
+    return basis + [[2 * u - v / 3 for u, v in zip(basis[0], basis[-1])]]
+
+
+@pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
 def test_log_solution_matches_branch_by_branch_assembly(m, ms, order):
     p = make_profile(m, ms)
-    basis = relation_basis(p)
-    combo = [2 * u - v / 3 for u, v in zip(basis[0], basis[-1])]
-    for c in basis + [combo]:
+    for c in _relation_vectors(p):
         sol = log_solution(p, c, order)
-        a, b = _log_parts_by_branches(p, c, order)
+        a, b = log_parts_by_branches(p, c, order)
         assert [s.terms for s in sol.parts] == [a.terms, b.terms]
         chi = a.to_complex() + b.to_complex().scale(2j * cmath.pi / m)
         assert sol.chi.terms == chi.terms
         assert sol.constant_offsets == tuple(
             (k, j, F(ck) * F(j, m)) for k, ck in enumerate(c) if ck
             for j in range(1, m))
+
+
+@pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
+def test_root_sums_match_branch_by_branch_oracle(m, ms, order):
+    p = make_profile(m, ms)
+    e0 = [1] + [0] * (len(coset_representatives(p)) - 1)
+    for c in _relation_vectors(p) + [e0]:
+        want = root_sum_by_branches(p, c, order)
+        assert root_sum(p, c, order).terms == want.terms
+        assert relation_check(p, c, order) == want.max_abs()
+
+
+@pytest.mark.parametrize("m,ms", [(3, [2, 1]), (5, [4, 1])])
+def test_perturbed_relation_vector_is_caught(m, ms):
+    """With m_1 = m - 1 the root sums do not vanish (they equal -x_1 up to
+    a unit), so one perturbed entry leaves a nonzero residual; with
+    m_1 != m - 1 every root sum is zero and no perturbation could show."""
+    p = make_profile(m, ms)
+    for vec in relation_basis(p):
+        bad = list(vec)
+        bad[-1] += F(1, 7)
+        assert relation_check(p, bad, 8) > 0
+        assert root_sum_by_branches(p, bad, 8).max_abs() > 0
+        with pytest.raises(ValueError, match="not zero"):
+            log_solution(p, bad, 8)
+
+
+@pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (9, [2], 12),
+                                        (4, [3, 2, 1], 6)])
+def test_log_residual_equals_mellin_residual_of_the_parts(m, ms, order):
+    p = make_profile(m, ms)
+    for c in _relation_vectors(p):
+        sol = log_solution(p, c, order)
+        assert log_residual(p, sol) == max(mellin_residual(p, part)
+                                           for part in sol.parts)
+
+
+@pytest.fixture
+def extra_term(monkeypatch):
+    """extra_term(a, b) adds x^a D^b to the first Mellin operator that
+    ``roots`` sees; memoized images are dropped before and after."""
+    roots._images.cache_clear()
+    real = roots.mellin_system
+
+    def add(a, b):
+        def mutated(profile):
+            ops = real(profile)
+            return (ops[0] + DiffOperator(profile.n, {(a, b): F(1)}),) + ops[1:]
+        monkeypatch.setattr(roots, "mellin_system", mutated)
+    yield add
+    roots._images.cache_clear()
+
+
+def test_congruence_guard_raises_on_a_non_congruent_term(extra_term):
+    p = make_profile(3, [2, 1])
+    sol = log_solution(p, relation_basis(p)[0], 8)
+    extra_term((1, 0), (0, 0))
+    for run in (lambda: roots._images(p, 8, 1), lambda: log_residual(p, sol),
+                lambda: invariant_subspace_witness(4, 2, 8)):
+        with pytest.raises(ArithmeticError, match="breaks a = b"):
+            run()
+
+
+def test_congruence_guard_accepts_a_congruent_term(extra_term):
+    """x_1^3 keeps the classes mod 3: the guard passes, and the nonzero
+    residuals still equal those of the operators run on the parts and on
+    every branch."""
+    p = make_profile(3, [2, 1])
+    sol = log_solution(p, relation_basis(p)[0], 8)
+    extra_term((3, 0), (0, 0))
+    assert log_residual(p, sol) == max(mellin_residual(p, part)
+                                       for part in sol.parts) > 0
+    only_b = dataclasses.replace(sol, parts=(sol.parts[0] * 0, sol.parts[1]))
+    assert log_residual(p, only_b) == mellin_residual(p, sol.parts[1]) > 0
+    for rep in coset_representatives(p):
+        report = roots.equation_report(p, rep, 8)
+        assert 0 < report["annihilation_residual"] == pytest.approx(max(
+            mellin_residual(p, scaled_root_series(p, j, 8, rep))
+            for j in range(3)), rel=1e-12)
+
+
+@pytest.mark.parametrize("profile,check", [
+    (["3", "2", "1"], "log-solutions"), (["4", "2"], "invariant-subspaces")])
+def test_verify_fails_when_an_operator_breaks_the_congruence(
+        extra_term, capsys, profile, check):
+    n = len(profile) - 1
+    extra_term((1,) + (0,) * (n - 1), (0,) * n)
+    argv = ["verify", *profile, "--order", "8"]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if check in ln)
+    assert line.startswith("FAIL") and "breaks a = b (mod" in line
+    assert main(argv + ["--json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert not next(c for c in payload["checks"] if c["name"] == check)["ok"]
+    assert all(math.isinf(e["annihilation_residual"])
+               for e in payload["equations"])
+
+
+def test_verify_applies_operators_to_rational_series_only(monkeypatch, capsys):
+    """Root sums, log parts and branch residuals come from y_pr: no Mellin
+    operator runs on a group-ring or complex series."""
+    roots._images.cache_clear()
+    rings = set()
+    real = DiffOperator.apply
+    monkeypatch.setattr(DiffOperator, "apply",
+                        lambda op, f: rings.add(f.ring) or real(op, f))
+    for argv in (["verify", "3", "2", "1", "--json"], ["verify", "4", "2"],
+                 ["verify", "5", "4", "1", "--order", "8"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert rings == {RATIONAL}
 
 
 def test_relation_check_depressed_cubic():

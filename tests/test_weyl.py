@@ -19,8 +19,7 @@ from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               principal_series)
 from mellinsys.rings import RATIONAL
 from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
-                            discriminant_poly, equals_up_to_rational_scale,
-                            euler_product_identity, factorization_check,
+                            discriminant_poly, euler_product_identity,
                             horn_mellin_multiplier, horn_system,
                             lattice_matrices, leading_coefficient,
                             mellin_operator_1d, mellin_system,
@@ -28,7 +27,8 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
                             right_divide_theta_minus_one, theta_factorization,
                             theta_product)
 from mellinsys.weyl import _stirling_row
-from weyl_oracle import (compose_by_fractions, horn_x_by_own_factors,
+from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
+                         factorization_check, horn_x_by_own_factors,
                          theta_mul_by_fractions, theta_poly_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)

@@ -10,6 +10,9 @@ common denominator, in integers; ``theta_mul_by_fractions`` and
 ``compose_by_fractions`` accumulate the same sums one Fraction at a time.
 ``horn_x_by_own_factors`` builds the x-form Horn companions from their own
 factors, where the library substitutes theta -> theta / m in the w-form.
+
+``equals_up_to_rational_scale`` and ``factorization_check`` compare
+operators for the factorization and Horn/Mellin tests.
 """
 
 from fractions import Fraction
@@ -99,3 +102,27 @@ def horn_x_by_own_factors(profile) -> list[DiffOperator]:
                        DiffOperator.x_power(n, j, m, coeff=sign),
                        tail.to_operator()))
     return out
+
+
+def equals_up_to_rational_scale(opa: DiffOperator, opb: DiffOperator):
+    """The constant c with opa = c * opb, or None if not proportional."""
+    if opa.is_zero() or opb.is_zero():
+        return Fraction(0) if opa.is_zero() and opb.is_zero() else None
+    if set(opa.terms) != set(opb.terms):
+        return None
+    ratio = None
+    for key, ca in opa.terms.items():
+        r = ca / opb.terms[key]
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio
+
+
+def factorization_check(left: DiffOperator, right: DiffOperator,
+                        target: DiffOperator,
+                        multiplier: DiffOperator | None = None) -> bool:
+    """Whether multiplier o target = left o right in canonical form."""
+    lhs = target if multiplier is None else multiplier * target
+    return lhs == left * right
