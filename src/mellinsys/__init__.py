@@ -2,15 +2,15 @@
 
 Exact construction of the system of PDEs satisfied by the roots of
 ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``, its full m^n-dimensional
-solution basis by exact recurrence, the algebraic/logarithmic split of the
+solution basis in closed form, the algebraic/logarithmic split of the
 solution space, and Weyl-algebra verification of the univariate operator
 factorizations.
 """
 
 from .profiles import (DimensionReport, ExponentProfile, ProfileError,
-                       algebraic_index_set, beukers_heckman_reducible,
-                       coset_representatives, dims, index_box, make_profile,
-                       missing_index_set, modular_count, relation_basis)
+                       algebraic_index_set, coset_representatives, dims,
+                       index_box, make_profile, missing_index_set,
+                       modular_count, relation_basis)
 from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
                     get_cyclotomic_ring)
 from .roots import (EquationInstance, LogSolution, RootFindingError,
@@ -35,7 +35,7 @@ __all__ = [
     "LatticeData", "LogSolution", "ProfileError",
     "RootFindingError", "SubspaceWitness", "ThetaFactorization", "ThetaPoly",
     "TruncatedSeries", "aberth_roots", "algebraic_index_set",
-    "beukers_heckman_reducible", "convenient_basis_series",
+    "convenient_basis_series",
     "coset_equation_jets", "coset_representatives",
     "cyclotomic_polynomial", "derivative_factorization", "dims",
     "discriminant_poly", "equation_report", "get_cyclotomic_ring",

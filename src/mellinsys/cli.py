@@ -20,6 +20,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import roots as roots_mod
 from .profiles import (ExponentProfile, ProfileError, algebraic_index_set,
@@ -424,14 +425,16 @@ def run_verification(config: RunConfig) -> list[Check]:
             f"rank of the {len(yjets)} coset-equation jets = {yrank} "
             f"(dim Y = {report.dim_Y})")
 
-        sols = [roots_mod.log_solution(p, vec, order) for vec in basis_r]
-        chis = [sol.chi for sol in sols]
+        chis = []
         if basis_r:
-            try:
+            try:  # a nonzero relation residual or a broken congruence
+                sols = [roots_mod.log_solution(p, vec, order)
+                        for vec in basis_r]
+                chis = [sol.chi for sol in sols]
                 worst_chi = max(roots_mod.log_residual(p, sol) for sol in sols)
                 detail = (f"{len(chis)} logarithmic solutions, worst exact "
                           f"residual {worst_chi:.3e}")
-            except ArithmeticError as exc:
+            except (ArithmeticError, ValueError) as exc:
                 worst_chi, detail = math.inf, str(exc)
             add("log-solutions", worst_chi == 0, detail)
         full_rank = independence_rank(yjets + chis, roots_mod.RANK_TOL)
@@ -528,7 +531,9 @@ def _add_common(sub):
                      help="emit JSON (schema in docs/schema.md)")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that."""
     parser = _Parser(prog="mellinsys",
                      description="Mellin systems of sparse algebraic "
                                  "equations: bases, operators, verification")

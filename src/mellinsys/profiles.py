@@ -6,8 +6,7 @@ module owns the exact integer combinatorics attached to such a profile:
 the box ``B = {0..m-1}^n`` of initial exponents, its split into surviving
 and vanishing indices, dimension counts for the solution space of the
 attached Mellin system, coset representatives of the twisted equations,
-residue counting, and the integrality condition certifying that the
-depressed trinomial factor is irreducible.
+and residue counting.
 
 No floating point is used anywhere in this module.
 """
@@ -95,14 +94,10 @@ def principal_coefficient_vanishes(profile: ExponentProfile, nu) -> bool:
     """Whether the principal-solution coefficient at x^nu is zero.
 
     The numerator product runs over mu = 1 .. |nu|-1 and vanishes exactly
-    when <M, nu> = m*mu - 1 for some mu in that range.
+    when <M, nu> + 1 = m*mu for some mu in that range.
     """
-    total = sum(nu)
-    s = dot(profile.m_list, nu)
-    for mu in range(1, total):
-        if s - profile.m * mu + 1 == 0:
-            return True
-    return False
+    mu, rem = divmod(dot(profile.m_list, nu) + 1, profile.m)
+    return rem == 0 and 1 <= mu <= sum(nu) - 1
 
 
 def algebraic_index_set(profile: ExponentProfile) -> list[tuple[int, ...]]:
@@ -206,19 +201,3 @@ def modular_count(profile: ExponentProfile, r: int) -> int:
     return sum(1 for nu in index_box(profile)
                if dot(profile.m_list, nu) % m == r)
 
-
-def beukers_heckman_reducible(m: int) -> bool:
-    """Integrality test for reducibility of the depressed trinomial factor.
-
-    Checks whether (m*i - 1)/(m*(m-1)) + j/m is an integer for some
-    i, j in {0, ..., m-2}.  Exact rational arithmetic; provably always
-    False, which the test suite asserts exhaustively.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    for i in range(m - 1):
-        for j in range(m - 1):
-            val = Fraction(m * i - 1, m * (m - 1)) + Fraction(j, m)
-            if val.denominator == 1:
-                return True
-    return False

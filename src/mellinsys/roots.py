@@ -283,6 +283,11 @@ def _branch_residual(profile: ExponentProfile, order: int) -> float:
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
     """sum_k c_k (sum of the m branches of coset equation k), exact over
     Q[Z/m]; c = e_0 gives the root sum of the untwisted equation."""
+    return _root_sum(profile, tuple(c), order)
+
+
+@lru_cache(maxsize=64)
+def _root_sum(profile: ExponentProfile, c: tuple, order: int):
     return _coset_sum(profile, _source(profile, order, 1), c, 0)
 
 
@@ -290,10 +295,17 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
     """Max coefficient magnitude of sum_k c_k (root sum of equation k).
 
     The sum is exact over Q[Z/m], so a true relation gives exactly 0.0.
+    Each vector is measured once per profile and order: the check and the
+    guard of ``log_solution`` share the value.
     """
     if profile.d > 1:
         raise ProfileError("root-sum relations are defined only for d = 1")
-    return root_sum(profile, c, order).max_abs()
+    return _relation_residual(profile, tuple(c), order)
+
+
+@lru_cache(maxsize=64)
+def _relation_residual(profile: ExponentProfile, c: tuple, order: int):
+    return _root_sum(profile, c, order).max_abs()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 
 * the principal root's expansion (explicit coefficient formula),
 * one series per initial exponent I in B = {0..m-1}^n, supported on
-  I + m*N^n, built by solving the coefficient recurrence exactly,
+  I + m*N^n, each coefficient a closed-form Pochhammer (Gamma) ratio,
 * rotations x_j -> e^{i_j} x_j over the group ring Q[Z/m],
 * congruence subseries, the generating test, and exact/numeric
   linear-independence ranks.
@@ -275,20 +275,20 @@ def exponents_up_to(n_vars: int, order: int):
 # Solution-space constructions
 # ---------------------------------------------------------------------------
 
+def _step_product(x: int, step: int, k: int) -> int:
+    """prod_{i<k} (x + i*step), a Pochhammer product; 1 for k <= 0."""
+    return prod(range(x, x + k * step, step))
+
+
 def principal_coefficient(profile: ExponentProfile, nu) -> Fraction:
     """Coefficient of x^nu in the principal root's expansion.
 
     ((-1)^|nu| / m^|nu|) * prod_{mu=1}^{|nu|-1} (<M,nu> - m*mu + 1) / nu!
     with the empty product equal to 1.
     """
-    total = sum(nu)
-    s = dot(profile.m_list, nu)
-    num = 1
-    for mu in range(1, total):
-        num *= s - profile.m * mu + 1
-    denom = profile.m**total
-    for v in nu:
-        denom *= factorial(v)
+    total, m = sum(nu), profile.m
+    num = _step_product(dot(profile.m_list, nu) + 1 - m, -m, total - 1)
+    denom = m**total * prod(map(factorial, nu))
     return Fraction((-1) ** total * num, denom)
 
 
@@ -304,33 +304,20 @@ def principal_series(profile: ExponentProfile, order: int) -> TruncatedSeries:
     return TruncatedSeries(RATIONAL, profile.n, order, terms)
 
 
-def _pj_value(profile: ExponentProfile, j: int, v) -> int:
-    """The j-th indicial polynomial evaluated at an integer vector."""
-    m = profile.m
-    a = dot(profile.m_list, v)
-    b = dot(profile.mprime_list, v)
-    out = 1
-    for k in range(profile.m_list[j]):
-        out *= a + m * k + 1
-    for k in range(profile.mprime_list[j]):
-        out *= b + m * k - 1
-    return out
-
-
 def convenient_basis_series(profile: ExponentProfile, index,
                             order: int) -> TruncatedSeries:
     """The basis solution with initial monomial x^I, I in B.
 
-    Support lies in I + m*N^n and the coefficient at I is normalized to 1.
-    Writing the coefficient at I + m*p as psi(p), the annihilation of the
-    series by the x^m-cleared operators forces, for s = m*p,
+    Support lies in I + m*N^n and the coefficient at I is 1.  With
+    R(x, step, k) = prod_{i<k} (x + i*step), M' = m - M and k = <M,p>,
+    the coefficient at v = I + m*p is the Gamma-ratio
 
-        psi(p + e_j) = psi(p) * P_j(s + I)
-                       / ((-1)^{m_j} m^m * prod_{k=0}^{m-1}(s_j + m + i_j - k))
+        (-1)^k R(<M,I> + 1, m, k) R(<M',I> - 1, m, m|p| - k) * I!
+        / (m^{m|p|} * v!)
 
-    and the divisor is a product of positive integers, so the recurrence is
-    always solvable.  Values are filled along first-nonzero-coordinate
-    predecessors; path independence is certified by the annihilation tests.
+    into which the coefficient recurrence of the x^m-cleared operators
+    telescopes along any path from I to v, since <M,p> + <M',p> = m|p|.
+    Path independence therefore holds by construction.
     """
     index = tuple(index)
     m, n = profile.m, profile.n
@@ -338,29 +325,17 @@ def convenient_basis_series(profile: ExponentProfile, index,
         raise ProfileError(f"index {index} lies outside the box B")
     if order < sum(index):
         raise ValueError("order must be at least |I|")
-    budget = (order - sum(index)) // m
-    psi = {_zero_exp(n): Fraction(1)}
-    terms = {index: Fraction(1)}
-    for p in exponents_up_to(n, budget):
-        if p == _zero_exp(n):
-            continue
-        exp = tuple(i + m * pi for i, pi in zip(index, p))
-        if sum(exp) > order:
-            continue
-        j = next(i for i, v in enumerate(p) if v > 0)
-        q = tuple(v - 1 if i == j else v for i, v in enumerate(p))
-        prev = psi.get(q)
-        if prev is None:
-            continue
-        s = tuple(m * v for v in q)
-        num = _pj_value(profile, j, tuple(a + b for a, b in zip(s, index)))
-        den = (-1) ** profile.m_list[j] * m**m
-        for k in range(m):
-            den *= s[j] + m + index[j] - k
-        val = prev * Fraction(num, den)
-        psi[p] = val
-        if val:
-            terms[exp] = val
+    a = dot(profile.m_list, index) + 1
+    b = dot(profile.mprime_list, index) - 1
+    scale = prod(map(factorial, index))
+    terms = {}
+    for p in exponents_up_to(n, (order - sum(index)) // m):
+        k, steps = dot(profile.m_list, p), m * sum(p)
+        num = _step_product(a, m, k) * _step_product(b, m, steps - k)
+        if num:
+            v = tuple(i + m * pi for i, pi in zip(index, p))
+            terms[v] = Fraction((-1) ** k * num * scale,
+                                m**steps * prod(map(factorial, v)))
     return TruncatedSeries(RATIONAL, n, order, terms)
 
 

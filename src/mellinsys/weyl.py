@@ -475,15 +475,6 @@ def mellin_system_theta_form(profile: ExponentProfile) -> list[DiffOperator]:
             for j, op in enumerate(mellin_system(profile))]
 
 
-def euler_product_identity(n_vars: int, j: int, m: int) -> tuple[DiffOperator, DiffOperator]:
-    """Both sides of x_j^m D_j^m = prod_{k=0}^{m-1} (theta_j - k)."""
-    lhs = DiffOperator.x_power(n_vars, j, m) * DiffOperator.partial(n_vars, j, m)
-    theta_j = [Fraction(1) if i == j else Fraction(0) for i in range(n_vars)]
-    rhs = theta_product(n_vars, [ThetaPoly.linear(theta_j, -k)
-                                 for k in range(m)]).to_operator()
-    return lhs, rhs
-
-
 def horn_system(profile: ExponentProfile):
     """The Horn companions (H_j in the w variables, H'_j in the x variables).
 

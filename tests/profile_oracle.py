@@ -3,8 +3,11 @@
 ``missing_indices_by_congruence`` computes the vanishing initial exponents
 from a congruence, where the library tests the principal coefficient's
 product range; ``profile_suite`` enumerates the profiles the tests sweep.
+``beukers_heckman_reducible`` is the integrality condition certifying that
+the depressed trinomial factor is irreducible.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from mellinsys.profiles import ExponentProfile, dot, index_box, make_profile
@@ -40,3 +43,20 @@ def profile_suite(max_m: int, max_n: int, d_one_only: bool = True):
                     continue
                 out.append(p)
     return out
+
+
+def beukers_heckman_reducible(m: int) -> bool:
+    """Integrality test for reducibility of the depressed trinomial factor.
+
+    Checks whether (m*i - 1)/(m*(m-1)) + j/m is an integer for some
+    i, j in {0, ..., m-2}.  Exact rational arithmetic; provably always
+    False, which the test suite asserts exhaustively.
+    """
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    for i in range(m - 1):
+        for j in range(m - 1):
+            val = Fraction(m * i - 1, m * (m - 1)) + Fraction(j, m)
+            if val.denominator == 1:
+                return True
+    return False

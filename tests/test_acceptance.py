@@ -2,16 +2,16 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else: exact rational zero
-for annihilation of the recurrence-built bases, 1e-10 for jet coefficient
+for annihilation of the closed-form bases, 1e-10 for jet coefficient
 matches and rank pivots, 1e-8 relative for numeric annihilation residuals.
 """
 
 import random
 from fractions import Fraction
 
-from mellinsys.profiles import (algebraic_index_set, beukers_heckman_reducible,
-                                dims, index_box, make_profile,
-                                missing_index_set, modular_count)
+from mellinsys.profiles import (algebraic_index_set, dims, index_box,
+                                make_profile, missing_index_set,
+                                modular_count)
 from mellinsys.rings import COMPLEX
 from mellinsys.roots import (coset_equation_jets, invariant_subspace_witness,
                              log_solution, mellin_residual, relation_check,
@@ -24,7 +24,7 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             horn_system, mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
                             theta_factorization)
-from profile_oracle import profile_suite
+from profile_oracle import beukers_heckman_reducible, profile_suite
 from weyl_oracle import equals_up_to_rational_scale, factorization_check
 
 F = Fraction

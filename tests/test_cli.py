@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinsys import roots
+from mellinsys import cli, roots
 from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
 from test_golden import CASES as GOLDEN_CASES
@@ -163,6 +163,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (["dims", "3", "2", "1"], ["dims", "4", "2", "--json"],
+                 ["series", "2", "1", "--principal"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("m,m1", [(m, m1) for m in range(2, 10)
                                   for m1 in range(1, m)])
 def test_verify_univariate_sweep(capsys, m, m1):
@@ -234,7 +244,7 @@ def test_series_basis_rejected_before_any_work(capsys, value):
 def test_series_basis_accepts_every_golden_and_box_index():
     accepted = [(argv[1:argv.index("--basis")], argv[argv.index("--basis") + 1])
                 for _, argv, _ in GOLDEN_CASES if "--basis" in argv]
-    assert len(accepted) == 2
+    assert len(accepted) == 4
     for profile, value in accepted:
         m, *ms = map(int, profile)
         assert parse_basis(make_profile(m, ms), value) == tuple(

@@ -64,6 +64,11 @@ CASES = [
     ("dims-4-3-2-1-json", ["dims", "4", "3", "2", "1", "--json"], 0),
     ("verify-4-3-2-1-order-9",
      ["verify", "4", "3", "2", "1", "--order", "9"], 0),
+    ("series-3-2-1-basis-order-15",
+     ["series", "3", "2", "1", "--basis", "1,2", "--order", "15"], 0),
+    ("series-6-4-2-basis-json",
+     ["series", "6", "4", "2", "--basis", "5,3", "--order", "20", "--json"],
+     0),
 ]
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from mellinsys.profiles import (MAX_BOX, ProfileError, algebraic_index_set,
-                                beukers_heckman_reducible,
                                 coset_representatives, dims, index_box,
                                 make_profile, missing_index_set,
                                 modular_count, relation_basis)
-from profile_oracle import missing_indices_by_congruence, profile_suite
+from profile_oracle import (beukers_heckman_reducible,
+                            missing_indices_by_congruence, profile_suite)
 
 
 def test_make_profile_basic():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mellinsys import roots
+from mellinsys import cli, roots
 from mellinsys.profiles import (coset_representatives, make_profile,
                                 relation_basis)
 from mellinsys.cli import main
@@ -272,6 +272,46 @@ def test_perturbed_relation_vector_is_caught(m, ms):
         assert root_sum_by_branches(p, bad, 8).max_abs() > 0
         with pytest.raises(ValueError, match="not zero"):
             log_solution(p, bad, 8)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_fails_on_a_nonzero_relation_residual(monkeypatch, capsys,
+                                                     as_json):
+    """A relation vector with a nonzero root sum is a verification failure
+    (exit 2) that names both checks, not a usage error (exit 1)."""
+    def shifted(profile):
+        basis = [list(vec) for vec in relation_basis(profile)]
+        basis[0][0] += F(1, 7)
+        return basis
+    monkeypatch.setattr(cli, "relation_basis", shifted)
+    argv = ["verify", "3", "2", "1"] + (["--json"] if as_json else [])
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    if as_json:
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["ok"]}
+        assert {"relation-residuals", "log-solutions"} <= failed
+    else:
+        lines = out.splitlines()
+        for check in ("relation-residuals", "log-solutions"):
+            assert any(ln.startswith(f"FAIL {check} ") for ln in lines)
+        assert "not zero" in next(ln for ln in lines if "log-solutions" in ln)
+
+
+@pytest.mark.parametrize("m,ms", [(3, [2, 1]), (5, [3, 1]), (7, [3])])
+def test_verify_takes_each_root_sum_once(m, ms, capsys):
+    """The relation-residuals check, the guard of every log_solution and
+    the jet-root-sum check share one root sum and one residual per vector."""
+    roots._root_sum.cache_clear()
+    roots._relation_residual.cache_clear()
+    p = make_profile(m, ms)
+    assert main(["verify", str(m), *map(str, ms)]) == 0
+    capsys.readouterr()
+    vectors = {tuple(vec) for vec in relation_basis(p)}
+    e0 = (1,) + (0,) * (len(coset_representatives(p)) - 1)
+    assert roots._root_sum.cache_info().misses == len(vectors | {e0})
+    residuals = roots._relation_residual.cache_info()
+    assert residuals.misses == len(vectors)
+    assert residuals.hits == len(vectors)
 
 
 @pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (9, [2], 12),

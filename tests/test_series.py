@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mellinsys import series as series_mod
-from mellinsys.profiles import dims, index_box, make_profile
+from mellinsys.profiles import (dims, index_box, make_profile,
+                                principal_coefficient_vanishes)
+from basis_oracle import basis_by_recurrence
 from field_oracle import cyclotomic_field
 from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
@@ -81,7 +83,7 @@ def test_principal_linear_coefficients_general_cubic():
 
 
 # ---------------------------------------------------------------------------
-# basis by recurrence
+# the convenient basis
 # ---------------------------------------------------------------------------
 
 def test_basis_series_quadratic():
@@ -125,7 +127,7 @@ def _rational_power(series: TruncatedSeries, alpha: Fraction) -> TruncatedSeries
 def test_basis_series_depressed_cubic_against_radical_oracle():
     """For y^3 + x y - 1 = 0 the two algebraic directions have the closed
     forms z1 = (108 + 12*sqrt(12x^3 + 81))^(1/3) and z2 = x / z1; the
-    recurrence-built series must match their exact binomial expansions
+    closed-form series must match their exact binomial expansions
     after normalizing the leading coefficient to 1.
     """
     order = 12
@@ -195,27 +197,56 @@ def test_rotations_annihilated_exactly_in_group_ring():
 
 
 def test_basis_recurrence_path_independent():
-    # fill along the last nonzero coordinate instead and compare
-    p = make_profile(3, [2, 1])
-    from mellinsys.series import _pj_value
-    for idx in [(0, 0), (1, 2)]:
-        f = convenient_basis_series(p, idx, 12)
-        budget = (12 - sum(idx)) // 3
-        psi = {(0, 0): Fraction(1)}
-        for q in exponents_up_to(2, budget):
-            if q == (0, 0):
+    """The recurrence filled along first-nonzero and along last-nonzero
+    predecessors gives the closed form at every coefficient."""
+    for m, ms, order in [(3, [2, 1], 12), (4, [3, 1], 14), (6, [4, 2], 20),
+                         (4, [3, 2, 1], 10)]:
+        p = make_profile(m, ms)
+        for idx in index_box(p):
+            if sum(idx) > order:
                 continue
-            j = max(i for i, v in enumerate(q) if v > 0)
-            prev = tuple(v - 1 if i == j else v for i, v in enumerate(q))
-            s = tuple(3 * v for v in prev)
-            num = _pj_value(p, j, tuple(a + b for a, b in zip(s, idx)))
-            den = (-1) ** p.m_list[j] * 27
-            for k in range(3):
-                den *= s[j] + 3 + idx[j] - k
-            psi[q] = psi[prev] * Fraction(num, den)
-        for q, val in psi.items():
-            exp = tuple(i + 3 * v for i, v in zip(idx, q))
-            assert f.coefficient(exp) == val
+            closed = convenient_basis_series(p, idx, order)
+            for last in (False, True):
+                walk = basis_by_recurrence(p, idx, order, last=last)
+                assert walk.terms == closed.terms
+
+
+@st.composite
+def basis_cases(draw):
+    """A random valid profile with m <= 7, n <= 3, an index I in B and an
+    order from max(|I|, m), which the operators need, up to 12."""
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, min(3, m - 1)))
+    ms = sorted(draw(st.sets(st.integers(1, m - 1), min_size=n, max_size=n)),
+                reverse=True)
+    idx = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n,
+                              max_size=n)))
+    assume(sum(idx) <= 12)
+    return make_profile(m, ms), idx, draw(st.integers(max(sum(idx), m), 12))
+
+
+@settings(deadline=None, max_examples=150)
+@given(basis_cases())
+def test_closed_form_basis_over_the_profile_space(case):
+    p, idx, order = case
+    f = convenient_basis_series(p, idx, order)
+    assert f.coefficient(idx) == 1
+    for last in (False, True):
+        assert basis_by_recurrence(p, idx, order, last=last).terms == f.terms
+    assert all(op.apply(f).is_zero() for op in mellin_system(p))
+    ypr = principal_series(p, order)
+    if ypr.coefficient(idx):
+        part = subseries(ypr, idx, p.m)
+        assert f.terms == part.scale_rational(1 / ypr.coefficient(idx)).terms
+
+
+@settings(deadline=None, max_examples=150)
+@given(basis_cases())
+def test_closed_vanishing_test_matches_the_coefficient(case):
+    p = case[0]
+    for nu in index_box(p):
+        assert (principal_coefficient_vanishes(p, nu)
+                == (principal_coefficient(p, nu) == 0))
 
 
 # ---------------------------------------------------------------------------

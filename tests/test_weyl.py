@@ -19,7 +19,7 @@ from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               principal_series)
 from mellinsys.rings import RATIONAL
 from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
-                            discriminant_poly, euler_product_identity,
+                            discriminant_poly,
                             horn_mellin_multiplier, horn_system,
                             lattice_matrices, leading_coefficient,
                             mellin_operator_1d, mellin_system,
@@ -28,7 +28,8 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
                             theta_product)
 from mellinsys.weyl import _stirling_row
 from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
-                         factorization_check, horn_x_by_own_factors,
+                         euler_product_identity, factorization_check,
+                         horn_x_by_own_factors,
                          theta_mul_by_fractions, theta_poly_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)

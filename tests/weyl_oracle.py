@@ -12,7 +12,9 @@ common denominator, in integers; ``theta_mul_by_fractions`` and
 factors, where the library substitutes theta -> theta / m in the w-form.
 
 ``equals_up_to_rational_scale`` and ``factorization_check`` compare
-operators for the factorization and Horn/Mellin tests.
+operators for the factorization and Horn/Mellin tests;
+``euler_product_identity`` gives both sides of x^m D^m = theta (theta - 1)
+... (theta - m + 1).
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from functools import reduce
 from itertools import product
 from math import comb, perm, prod
 
-from mellinsys.weyl import DiffOperator, ThetaPoly
+from mellinsys.weyl import DiffOperator, ThetaPoly, theta_product
 
 
 def operator_power(op: DiffOperator, k: int) -> DiffOperator:
@@ -126,3 +128,12 @@ def factorization_check(left: DiffOperator, right: DiffOperator,
     """Whether multiplier o target = left o right in canonical form."""
     lhs = target if multiplier is None else multiplier * target
     return lhs == left * right
+
+
+def euler_product_identity(n_vars: int, j: int, m: int) -> tuple[DiffOperator, DiffOperator]:
+    """Both sides of x_j^m D_j^m = prod_{k=0}^{m-1} (theta_j - k)."""
+    lhs = DiffOperator.x_power(n_vars, j, m) * DiffOperator.partial(n_vars, j, m)
+    theta_j = [Fraction(1) if i == j else Fraction(0) for i in range(n_vars)]
+    rhs = theta_product(n_vars, [ThetaPoly.linear(theta_j, -k)
+                                 for k in range(m)]).to_operator()
+    return lhs, rhs
