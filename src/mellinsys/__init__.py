@@ -20,7 +20,8 @@ from .roots import (EquationInstance, LogSolution, RootFindingError,
                     relation_check, roots_at_point)
 from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
-                     principal_series, rotate, scaled_root_series, subseries)
+                     principal_series, rotate, scaled_root_series, subseries,
+                     twist_rank)
 from .weyl import (DiffOperator, LatticeData, ThetaFactorization, ThetaPoly,
                    derivative_factorization, discriminant_poly,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
@@ -46,5 +47,5 @@ __all__ = [
     "mellin_system", "mellin_system_theta_form", "missing_index_set",
     "modular_count", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
-    "rotate", "scaled_root_series", "subseries",
+    "rotate", "scaled_root_series", "subseries", "twist_rank",
 ]

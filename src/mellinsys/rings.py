@@ -18,8 +18,8 @@ The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
 through Q[t]/Phi_m(t) (Phi_m the m-th cyclotomic polynomial), so it
 vanishes exactly when sum_k a_k t^k is divisible by Phi_m.  Exact ranks
-over that field are proved without field arithmetic, from ranks mod
-primes (:func:`mellinsys.series.rank_cyclotomic_exact`).
+over that field need no field arithmetic: they are counted from residue
+classes (:func:`mellinsys.series.twist_rank`).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ y_pr log y_pr with no branch series built (``_coset_sum``): root sums and
 root-sum relation residuals, decided by an exact zero test in Q(zeta_m);
 the logarithmic combinations sum_k c_k sum_b y_b log y_b as two exact
 group-ring parts; the annihilation residuals of those parts and of every
-branch.  The branches themselves give rank witnesses for the
-invariant-subspace splitting in the univariate d > 1 case.
+branch.  The ranks of the invariant-subspace splitting (univariate, d > 1)
+are twist ranks of y_pr, counted from its residue classes.
 
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
@@ -35,7 +35,7 @@ from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, make_profile)
 from .rings import COMPLEX, get_cyclotomic_ring
 from .series import (TruncatedSeries, independence_rank, principal_series,
-                     scaled_root_series)
+                     scaled_root_series, twist_rank)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
@@ -395,7 +395,7 @@ class SubspaceWitness:
 
 
 def invariant_subspace_witness(m: int, m1: int, order: int) -> SubspaceWitness:
-    """Build the d twisted-equation blocks and certify their ranks.
+    """Certify the ranks of the d twisted-equation blocks.
 
     For each k < d the m/d branches j = 0..m/d-1 of
     y^m + e^k x y^{m1} - 1 = 0 are e^j y_pr(e^{j m1 + k} x); they must
@@ -403,15 +403,17 @@ def invariant_subspace_witness(m: int, m1: int, order: int) -> SubspaceWitness:
     blocks must have rank m/d apiece and rank m jointly.  The m branches
     of the untwisted equation alone span only m/d-fold-collapsed
     directions; their rank is reported for the polyquadratic-style checks.
+    As e^j only scales a row, each rank is the ``twist_rank`` of y_pr over
+    the twists j m1 + k: k + dZ/m, Z/m jointly, dZ/m untwisted.
     """
     profile = make_profile(m, [m1])
     d = profile.d
-    ypr = principal_series(profile, order)
-    blocks = [_branches(profile, (k,), ypr)[: m // d] for k in range(d)]
+    ypr = _source(profile, order, 1)
+    blocks = [[(j * m1 + k,) for j in range(m // d)] for k in range(d)]
     worst = _branch_residual(profile, order)
-    block_ranks = tuple(independence_rank(block, RANK_TOL) for block in blocks)
-    joint = independence_rank([s for block in blocks for s in block], RANK_TOL)
-    original_rank = independence_rank(_branches(profile, (0,), ypr), RANK_TOL)
+    block_ranks = tuple(twist_rank(ypr, block, m, RANK_TOL) for block in blocks)
+    joint = twist_rank(ypr, [t for block in blocks for t in block], m, RANK_TOL)
+    original_rank = twist_rank(ypr, [(j * m1,) for j in range(m)], m, RANK_TOL)
     return SubspaceWitness(m=m, m1=m1, d=d, block_ranks=block_ranks,
                            joint_rank=joint, max_residual=worst,
                            original_root_rank=original_rank)
@@ -423,8 +425,8 @@ def equation_report(profile: ExponentProfile, twist, order: int,
 
     Takes the m closed-form branches and reports the substitution residual
     of their complex embeddings, their exact annihilation residual (inf if
-    an operator breaks a = b mod m) and the rank they span.  The seed is recorded so reports stay self-describing
-    next to seeded scalar root computations.
+    an operator breaks a = b mod m) and the rank they span.  The seed is
+    recorded to keep reports self-describing beside seeded root finds.
     """
     try:
         annihilation = _branch_residual(profile, order)

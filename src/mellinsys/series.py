@@ -14,20 +14,22 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 * one series per initial exponent I in B = {0..m-1}^n, supported on
   I + m*N^n, each coefficient a closed-form Pochhammer (Gamma) ratio,
 * rotations x_j -> e^{i_j} x_j over the group ring Q[Z/m],
-* congruence subseries, the generating test, and exact/numeric
-  linear-independence ranks.
+* congruence subseries and the generating test,
+* exact ranks of twists of a rational series over a coset of (Z/m)^n,
+  counted from its residue classes (:func:`twist_rank`), and numeric
+  ranks of complex series.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
-from itertools import count
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 
 import numpy as np
 
 from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
-from .rings import COMPLEX, RATIONAL, cyclotomic_polynomial
+from .rings import COMPLEX, RATIONAL
 
 
 def _zero_exp(n):
@@ -406,141 +408,6 @@ def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
 # Linear independence
 # ---------------------------------------------------------------------------
 
-def _coefficient_matrix(series_list):
-    first = series_list[0]
-    for s in series_list[1:]:
-        first._check_compatible(s)
-        if s.order != first.order:
-            raise ValueError("order mismatch")
-    cols = sorted({e for s in series_list for e in s.terms},
-                  key=lambda e: (sum(e), e))
-    return cols, [[s.terms.get(e, s.ring.zero) for e in cols]
-                  for s in series_list]
-
-
-def rank_rational(rows) -> int:
-    """Exact rank over Q."""
-    return _rank_exact([[(c,) for c in r] for r in rows], 1)
-
-
-def rank_cyclotomic_exact(rows, m: int) -> int:
-    """Exact rank over the field Q[t]/Phi_m(t) of group-ring rows."""
-    return _rank_exact(rows, m)
-
-
-# Primes p = 1 (mod m) below 2^31, so that products of two residues fit in
-# int64, found lazily and in descending order, each with a residue omega of
-# exact order m; e -> omega maps Z[Z/m] onto F_p through Z[zeta_m].
-_PRIME_ROOTS: dict[int, list] = {}
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3,215,031,751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_root(m: int, i: int) -> tuple[int, int]:
-    """The i-th pair (p, omega): p = 1 (mod m) prime, omega of order m."""
-    found = _PRIME_ROOTS.setdefault(m, [])
-    factors = [q for q in range(2, m + 1) if m % q == 0 and _is_prime(q)]
-    while len(found) <= i:
-        p = found[-1][0] - m if found else (2**31 - 2) // m * m + 1
-        while not _is_prime(p):
-            p -= m
-        for g in range(2, p):
-            omega = pow(g, (p - 1) // m, p)
-            if all(pow(omega, m // q, p) != 1 for q in factors):
-                break
-        found.append((p, omega))
-    return found[i]
-
-
-def _rank_mod_p(a, p: int) -> int:
-    """Row-echelon rank of an int64 matrix with entries in [0, p)."""
-    if a.shape[1] > a.shape[0]:
-        a = a.T
-    a = a.copy()
-    rank = 0
-    for col in range(a.shape[1]):
-        nz = np.flatnonzero(a[rank:, col])
-        if nz.size == 0:
-            continue
-        piv = rank + nz[0]
-        a[[rank, piv]] = a[[piv, rank]]
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        below = a[rank + 1:, col:]
-        below -= np.outer(below[:, 0], a[rank, col:]) % p
-        below %= p
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return rank
-
-
-def _rank_exact(rows, m: int) -> int:
-    """Rank over K = Q(zeta_m) of rows of Q[Z/m] elements (length-m tuples).
-
-    Each nonzero column is divided by its positive rational content; this
-    keeps the rank and puts every entry in Z[zeta_m].  Reduction mod p
-    (e -> omega) never raises the rank r over K.  A nonzero r x r minor D
-    has 0 < |N(D)| <= H^phi(m): under every embedding of K, Hadamard's
-    inequality bounds |D| by the product of its row norms, and also of its
-    column norms, each entry bounded by the L1 norm of its coordinates.  H
-    is the smaller of the two products over the cap = min(rows, columns)
-    largest norms, each raised to at least 1.  If D vanished mod a prime
-    above each of several distinct p, their product would divide N(D); so
-    once that product exceeds H^phi(m), the largest rank mod p seen is r.
-    The search stops early when the rank reaches cap.
-    """
-    cols = []
-    for col in zip(*rows):
-        coords = [x for entry in col for x in entry]
-        den = lcm(*(x.denominator for x in coords if x))
-        nums = [x.numerator * (den // x.denominator) if x else 0
-                for x in coords]
-        g = gcd(*nums)
-        if g:
-            cols.append([v // g for v in nums])
-    if not cols:
-        return 0
-    nrows, ncols = len(rows), len(cols)
-    cap = min(nrows, ncols)
-    # ints[i, j] holds the m integer coordinates of entry (i, j)
-    ints = np.array(cols, dtype=object).reshape(ncols, nrows, m)
-    ints = ints.transpose(1, 0, 2)
-    l1sq = np.abs(ints).sum(axis=2) ** 2
-    hadamard2 = min(prod(sorted(max(1, v) for v in l1sq.sum(axis=k))[-cap:])
-                    for k in (0, 1))
-    bound2 = hadamard2 ** (len(cyclotomic_polynomial(m)) - 1)  # phi(m)
-    best, product2 = 0, 1
-    for i in count():
-        p, omega = _prime_root(m, i)
-        powers = np.array([pow(omega, k, p) for k in range(m)], dtype=np.int64)
-        a = ((ints % p).astype(np.int64) * powers % p).sum(axis=2) % p
-        best = max(best, _rank_mod_p(a, p))
-        product2 *= p * p
-        if best == cap or product2 > bound2:
-            return best
-
-
 def rank_complex(rows, rel_tol: float = 1e-10) -> int:
     """Numeric rank via singular values, relative pivot tolerance rel_tol."""
     if not rows or not rows[0]:
@@ -553,29 +420,55 @@ def rank_complex(rows, rel_tol: float = 1e-10) -> int:
 
 
 def independence_rank(series_list, rel_tol: float = 1e-10) -> int:
-    """Rank of the coefficient matrix of the given series.
-
-    Rational and group-ring coefficients: exact rank over Q, resp.
-    Q(zeta_m), proved from ranks mod primes (see ``_rank_exact``); a group-ring rank
-    is cross-checked against the numeric rank of the complex embedding
-    (mismatch is a hard failure).  Complex coefficients: numeric rank at
-    the given relative tolerance.
-    """
+    """Numeric rank of the coefficients of complex series at the relative
+    pivot tolerance; exact series raise ValueError (see ``twist_rank``)."""
     if not series_list:
         return 0
-    _, rows = _coefficient_matrix(series_list)
-    ring = series_list[0].ring
-    if ring == COMPLEX:
-        return rank_complex(rows, rel_tol)
-    if ring == RATIONAL:
-        return rank_rational(rows)
-    exact = rank_cyclotomic_exact(rows, ring.m)
-    numeric = rank_complex([[ring.to_complex(c) for c in r] for r in rows],
-                           rel_tol)
+    first = series_list[0]
+    if first.ring != COMPLEX:
+        raise ValueError(f"independence_rank is numeric: got {first.ring.name}"
+                         " series")
+    for s in series_list[1:]:
+        first._check_compatible(s)
+        if s.order != first.order:
+            raise ValueError("order mismatch")
+    cols = sorted({e for s in series_list for e in s.terms},
+                  key=lambda e: (sum(e), e))
+    return rank_complex([[s.terms.get(e, 0j) for e in cols]
+                         for s in series_list], rel_tol)
+
+
+def twist_rank(f: TruncatedSeries, twists, m: int,
+               rel_tol: float = 1e-10) -> int:
+    """Exact rank over Q(zeta_m) of the twists f(zeta^{t_1} x_1, ...,
+    zeta^{t_n} x_n) of a rational f over a coset t0 + H of (Z/m)^n.
+
+    Dividing column s of the rows f_s zeta^{<t, s>} by f_s zeta^{<t0, s>}
+    leaves the character h -> zeta^{<h, s>} of H, fixed by s mod m.
+    Distinct characters are linearly independent, so the rank is their
+    number on the residue classes of supp f.  Twists that are not a coset
+    raise ValueError.  The SVD rank of the complex twists is an
+    independent witness; a mismatch raises ArithmeticError.
+    """
+    if f.ring != RATIONAL:
+        raise ValueError("twist_rank needs a rational series, got "
+                         f"{f.ring.name}")
+    twists = [tuple(t) for t in twists]
+    group = {tuple((a - b) % m for a, b in zip(t, twists[0])) for t in twists}
+    if not group or any(tuple((a + b) % m for a, b in zip(g, h)) not in group
+                        for g in group for h in group):
+        raise ValueError("the twists are not a coset of a subgroup of "
+                         f"(Z/{m})^{f.n_vars}")
+    classes = {tuple(v % m for v in s) for s in f.terms}
+    exact = len({tuple(dot(h, c) % m for h in group) for c in classes})
+    zeta = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
+    terms = [(s, float(c)) for s, c in f.terms.items()]
+    numeric = rank_complex([[c * zeta[dot(t, s) % m] for s, c in terms]
+                            for t in twists], rel_tol)
     if exact != numeric:
         raise ArithmeticError(
-            f"exact cyclotomic rank {exact} != numeric embedded rank "
-            f"{numeric}; numeric tolerance is unsound here")
+            f"exact twist rank {exact} != numeric embedded rank {numeric}; "
+            "numeric tolerance is unsound here")
     return exact
 
 

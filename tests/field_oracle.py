@@ -1,7 +1,7 @@
 """Test oracle: exact arithmetic in the cyclotomic field Q[t]/Phi_m(t).
 
 The library decides exact vanishing in Q(zeta_m) by one polynomial
-remainder and proves ranks by modular elimination; this is the direct
+remainder and counts exact ranks from residue classes; this is the direct
 field arithmetic that both are checked against.
 """
 

@@ -18,7 +18,7 @@ from mellinsys.roots import (coset_equation_jets, invariant_subspace_witness,
                              scaled_root_max_deviation)
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, independence_rank,
-                              principal_series, rotate)
+                              principal_series, twist_rank)
 from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             discriminant_poly, horn_mellin_multiplier,
                             horn_system, mellin_operator_1d, mellin_system,
@@ -195,13 +195,11 @@ def test_criterion_08_rotation_basis():
     got = {}
     for (m, ms), want in expected.items():
         p = make_profile(m, list(ms))
-        y = principal_series(p, ORDER)
-        rots = [rotate(y, idx, m) for idx in index_box(p)]
-        rank = independence_rank(rots)
+        rank = twist_rank(principal_series(p, ORDER), index_box(p), m)
         assert rank == want
         got[(m, ms)] = rank
     _report(8, "rotation basis",
-            "exact cyclotomic ranks " + ", ".join(
+            "exact twist ranks " + ", ".join(
                 f"({m},{list(ms)})->{r}" for (m, ms), r in got.items()))
 
 

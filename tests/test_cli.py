@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinsys import cli, roots
+from mellinsys import cli, roots, series
 from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
+from mellinsys.series import TruncatedSeries
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -83,6 +84,28 @@ def test_verify_order_floor_accepts_every_accepted_call():
     assert len(accepted) == 38
     for (m, ms), order in accepted:
         check_verify_order(make_profile(m, ms), order)
+
+
+@pytest.mark.parametrize("cmd", [["dims"], ["operators"],
+                                 ["series", "--principal"], ["verify"]])
+def test_order_over_cap_exits_one_before_any_work(capsys, monkeypatch, cmd):
+    # every command is replaced, so a value past the cap never starts work
+    for name in ("cmd_dims", "cmd_operators", "cmd_series", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran"))
+    for order in ("65", "1000000000"):
+        code, out, err = run_cli(capsys, cmd[0], "2", "1", *cmd[1:],
+                                 "--order", order)
+        assert code == 1
+        assert out == ""
+        assert f"--order {order} exceeds the cap MAX_ORDER = 64" in err
+
+
+def test_order_at_cap_is_accepted(capsys):
+    assert cli.MAX_ORDER == 64
+    code, out, _ = run_cli(capsys, "series", "2", "1", "--principal",
+                           "--order", "64")
+    assert code == 0
+    assert out.startswith("-- principal (order 64, ring rational)")
 
 
 def test_usage_error_exits_one(capsys):
@@ -161,6 +184,40 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--order", "10")
     assert code == 2
     assert "FAIL" in out
+
+
+def test_verify_fails_when_a_residue_class_is_dropped(capsys, monkeypatch):
+    """y_pr without the class of 0 has one character fewer: rotation-rank
+    reads |B'| - 1 and fails."""
+    real = cli.principal_series
+
+    def dropped(profile, order):
+        y = real(profile, order)
+        return TruncatedSeries(y.ring, y.n_vars, y.order, {
+            s: c for s, c in y.terms.items() if any(v % profile.m for v in s)})
+    monkeypatch.setattr(cli, "principal_series", dropped)
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1")
+    assert code == 2
+    line = next(ln for ln in out.splitlines() if "rotation-rank" in ln)
+    assert line.startswith("FAIL") and "= 6 (expected |B'| = 7)" in line
+
+
+def test_verify_reports_a_twist_rank_mismatch(capsys, monkeypatch):
+    """A numeric witness that disagrees with the class count prints a FAIL
+    line with the message, in text and --json, and exits 2."""
+    real = series.rank_complex
+    monkeypatch.setattr(series, "rank_complex",
+                        lambda rows, rel_tol=1e-10: real(rows, rel_tol) - 1)
+    message = "exact twist rank 7 != numeric embedded rank 6"
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1")
+    assert code == 2
+    line = next(ln for ln in out.splitlines() if "rotation-rank" in ln)
+    assert line.startswith("FAIL") and message in line
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--json")
+    assert code == 2
+    check = next(c for c in json.loads(out)["checks"]
+                 if c["name"] == "rotation-rank")
+    assert not check["ok"] and message in check["detail"]
 
 
 def test_parser_is_built_once(capsys):

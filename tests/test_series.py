@@ -9,23 +9,22 @@ are frozen from that expansion.
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mellinsys import series as series_mod
-from mellinsys.profiles import (dims, index_box, make_profile,
-                                principal_coefficient_vanishes)
+from mellinsys.profiles import (algebraic_index_set, dims, index_box,
+                                make_profile, principal_coefficient_vanishes)
 from basis_oracle import basis_by_recurrence
 from field_oracle import cyclotomic_field
+from profile_oracle import profile_suite
 from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, format_series,
                               independence_rank, is_generating,
                               principal_coefficient, principal_series,
-                              rank_cyclotomic_exact, rank_rational, rotate,
-                              scaled_root_series, series_to_json, subseries)
+                              rank_complex, rotate, scaled_root_series,
+                              series_to_json, subseries, twist_rank)
 from mellinsys.weyl import mellin_system
 
 
@@ -475,24 +474,34 @@ def test_is_generating_rejects_low_order():
 # independence ranks
 # ---------------------------------------------------------------------------
 
+def _order_floor(p):
+    """The smallest order `verify` accepts: max(m + 2, n(m - 1))."""
+    return max(p.m + 2, p.n * (p.m - 1))
+
+
 def test_rank_of_quadratic_basis():
     p = make_profile(2, [1])
-    f0 = convenient_basis_series(p, (0,), 8)
-    f1 = convenient_basis_series(p, (1,), 8)
+    f0 = convenient_basis_series(p, (0,), 8).to_complex()
+    f1 = convenient_basis_series(p, (1,), 8).to_complex()
     assert independence_rank([f0, f1]) == 2
     assert independence_rank([f0, f0]) == 1
     assert independence_rank([f0, f0.scale_rational(3)]) == 1
 
 
+def test_independence_rank_refuses_exact_series():
+    a = TruncatedSeries(RATIONAL, 1, 4, {(0,): Fraction(1)})
+    for exact in (a, a.to_cyclotomic(3)):
+        with pytest.raises(ValueError, match="numeric"):
+            independence_rank([exact])
+
+
 def test_rank_of_rotations_matches_survivor_count():
     p = make_profile(4, [2])
     y = principal_series(p, 12)
-    rots = [rotate(y, (j,), 4) for j in range(4)]
-    assert independence_rank(rots) == 4
+    assert twist_rank(y, [(j,) for j in range(4)], 4) == 4
     p = make_profile(3, [2, 1])
     y = principal_series(p, 12)
-    rots = [rotate(y, idx, 3) for idx in index_box(p)]
-    assert independence_rank(rots) == 7
+    assert twist_rank(y, index_box(p), 3) == 7
 
 
 def test_vandermonde_rotation_rank():
@@ -504,15 +513,15 @@ def test_vandermonde_rotation_rank():
         order = n * (m - 1)
         g = TruncatedSeries(RATIONAL, n, order,
                             {idx: Fraction(1) for idx in box})
-        rots = [rotate(g, idx, m) for idx in box]
-        assert independence_rank(rots) == m**n
+        assert twist_rank(g, box, m) == m**n
 
 
 def test_rank_ring_mismatch():
     a = TruncatedSeries(RATIONAL, 1, 4, {(0,): Fraction(1)})
-    b = a.to_cyclotomic(3)
-    with pytest.raises(ValueError):
-        independence_rank([a, b])
+    with pytest.raises(ValueError, match="ring mismatch"):
+        independence_rank([a.to_complex(), a.to_cyclotomic(3)])
+    with pytest.raises(ValueError, match="rational"):
+        twist_rank(a.to_cyclotomic(3), [(0,)], 3)
 
 
 def test_rank_cyclotomic_scalar_multiple_collapses():
@@ -522,15 +531,14 @@ def test_rank_cyclotomic_scalar_multiple_collapses():
     s = TruncatedSeries(ring, 1, 3,
                         {(0,): ring.root(0), (1,): ring.root(2)})
     t = s.scale(ring.root(1))
-    assert independence_rank([s, t]) == 1
+    assert independence_rank([s.to_complex(), t.to_complex()]) == 1
 
 
 def test_rank_of_four_variable_rotations():
     p = make_profile(4, [3, 2, 1])
     y = principal_series(p, 12)
-    rots = [rotate(y, idx, 4) for idx in index_box(p)]
-    assert len(rots) == 64
-    assert independence_rank(rots) == dims(p).card_Bprime == 49
+    assert len(index_box(p)) == 64
+    assert twist_rank(y, index_box(p), 4) == dims(p).card_Bprime == 49
 
 
 def field_rank_oracle(rows, m):
@@ -559,66 +567,73 @@ def field_rank_oracle(rows, m):
     return rank
 
 
-@st.composite
-def group_ring_matrices(draw):
-    """Small Q[Z/m] matrices with dependent rows, zero columns and entries
-    that are nonzero in Q[Z/m] but vanish in Q(zeta_m)."""
-    m = draw(st.integers(1, 9))
-    ring = get_cyclotomic_ring(m)
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    element = st.builds(
-        lambda nums, den: tuple(Fraction(v, den) for v in nums),
-        st.lists(st.integers(-3, 3), min_size=m, max_size=m),
-        st.integers(1, 4))
-    norm = tuple([Fraction(1)] * m)  # 1 + e + ... + e^{m-1}
-    entry = st.one_of(element, st.just(ring.zero), st.just(norm))
-    rows = []
-    for _ in range(nrows):
-        if rows and draw(st.booleans()):
-            row = [ring.zero] * ncols
-            for prev in rows:
-                g = draw(element)
-                row = [ring.add(a, ring.mul(g, b)) for a, b in zip(row, prev)]
-        else:
-            row = [draw(entry) for _ in range(ncols)]
-        rows.append(row)
-    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
-        for row in rows:
-            row[j] = ring.zero
-    return m, rows
+def coset_twist_sets(p):
+    """The full box; for n = 1 every coset t0 + dZ/m of every subgroup; for
+    n >= 2 one coset of the cyclic subgroup generated by (1, 2, ..., n)."""
+    m, n = p.m, p.n
+    yield index_box(p)
+    if n == 1:
+        for d in (d for d in range(1, m + 1) if m % d == 0):
+            for t0 in range(d):
+                yield [(t0 + j * d,) for j in range(m // d)]
+        return
+    g = tuple(range(1, n + 1))
+    size = next(k for k in range(1, m + 1)
+                if all(k * v % m == 0 for v in g))
+    yield [tuple(k * v + (1 if i == 0 else 0) for i, v in enumerate(g))
+           for k in range(size)]
 
 
-@settings(deadline=None)
-@given(group_ring_matrices())
-def test_modular_rank_matches_field_elimination(case):
-    m, rows = case
-    want = field_rank_oracle(rows, m)
-    assert rank_cyclotomic_exact(rows, m) == want
-    if m == 1:
-        assert rank_rational([[c[0] for c in r] for r in rows]) == want
+def test_twist_rank_matches_field_elimination():
+    """On every profile with m <= 7, n <= 3 and m^n <= 16 (25 of them), at
+    the order floor, the class count equals Gauss-Jordan elimination in
+    Q(zeta_m) on the rotated principal series."""
+    profiles = [p for p in profile_suite(7, 3, d_one_only=False)
+                if p.m**p.n <= 16]
+    assert len(profiles) == 25
+    for p in profiles:
+        y = principal_series(p, _order_floor(p))
+        cols = sorted(y.terms)
+        for twists in coset_twist_sets(p):
+            rows = [[r.coefficient(s) for s in cols]
+                    for r in (rotate(y, t, p.m) for t in twists)]
+            assert twist_rank(y, twists, p.m) == field_rank_oracle(rows, p.m)
+        if p.m > 2:
+            e1 = (1,) + (0,) * (p.n - 1)
+            with pytest.raises(ValueError, match="not a coset"):
+                twist_rank(y, [(0,) * p.n, e1], p.m)
 
 
-@pytest.mark.parametrize("m", [1, 3])
-def test_rank_survives_a_vanishing_first_prime(m):
-    # the determinant is p1, the first prime tried: rank 1 mod p1, 2 over Q
-    p1, _ = series_mod._prime_root(m, 0)
-    assert series_mod._rank_mod_p(np.array([[1, 1], [1, 1]], dtype=np.int64),
-                                  p1) == 1
-    ring = get_cyclotomic_ring(m)
-    rows = [[ring.one, ring.one],
-            [ring.one, ring.scale_rational(ring.one, 1 + p1)]]
-    assert rank_cyclotomic_exact(rows, m) == 2
-    if m == 1:
-        assert rank_rational([[1, 1], [1, 1 + p1]]) == 2
+def test_principal_support_is_the_algebraic_index_set():
+    """Over all 91 profiles with m <= 7, n <= 3, at the order floor, the
+    nonzero residue classes of y_pr are exactly B'."""
+    profiles = profile_suite(7, 3, d_one_only=False)
+    assert len(profiles) == 91
+    for p in profiles:
+        y = principal_series(p, _order_floor(p))
+        classes = {tuple(v % p.m for v in s) for s in y.terms}
+        assert classes == set(algebraic_index_set(p))
+
+
+def test_dropping_one_class_lowers_the_twist_rank_by_one():
+    p = make_profile(5, [4, 3, 2])
+    y = principal_series(p, 12)
+    box = index_box(p)
+    assert twist_rank(y, box, 5) == dims(p).card_Bprime == 101
+    dropped = TruncatedSeries(RATIONAL, 3, 12, {
+        s: c for s, c in y.terms.items() if any(v % 5 for v in s)})
+    assert twist_rank(dropped, box, 5) == 100
 
 
 def test_rank_of_empty_and_zero_matrices():
-    assert rank_rational([]) == 0
-    assert rank_rational([[]]) == 0
-    assert rank_rational([[0, 0], [0, 0]]) == 0
-    ring = get_cyclotomic_ring(3)
-    norm = ring.add(ring.add(ring.root(0), ring.root(1)), ring.root(2))
-    assert rank_cyclotomic_exact([[norm, ring.zero]], 3) == 0
+    assert rank_complex([]) == 0
+    assert rank_complex([[]]) == 0
+    assert rank_complex([[0, 0], [0, 0]]) == 0
+    assert independence_rank([]) == 0
+    zero = TruncatedSeries.zero(RATIONAL, 2, 4)
+    assert twist_rank(zero, [(0, 0), (1, 1)], 2) == 0
+    with pytest.raises(ValueError, match="not a coset"):
+        twist_rank(zero, [], 2)
 
 
 # ---------------------------------------------------------------------------
