@@ -16,8 +16,8 @@ from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
 from .roots import (EquationInstance, LogSolution, RootFindingError,
                     SubspaceWitness, aberth_roots, coset_equation_jets,
                     equation_report, invariant_subspace_witness, lift_jets,
-                    log_solution, mellin_residual, origin_instance,
-                    relation_check, roots_at_point)
+                    log_solution, origin_instance, relation_check,
+                    roots_at_point)
 from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
                      principal_series, rotate, scaled_root_series, subseries,
@@ -43,8 +43,8 @@ __all__ = [
     "horn_mellin_multiplier", "horn_system", "independence_rank", "index_box",
     "invariant_subspace_witness",
     "is_generating", "lattice_matrices", "leading_coefficient", "lift_jets",
-    "log_solution", "make_profile", "mellin_operator_1d", "mellin_residual",
-    "mellin_system", "mellin_system_theta_form", "missing_index_set",
+    "log_solution", "make_profile", "mellin_operator_1d", "mellin_system",
+    "mellin_system_theta_form", "missing_index_set",
     "modular_count", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
     "rotate", "scaled_root_series", "subseries", "twist_rank",

@@ -477,17 +477,22 @@ def run_verification(config: RunConfig) -> list[Check]:
 
 
 def check_verify_order(profile: ExponentProfile, order: int) -> None:
-    """Reject an order below max(m + 2, n(m - 1)).
+    """Reject an order below max(m + 2, n(m - 1)), or any order when that
+    floor exceeds MAX_ORDER.
 
-    The Mellin residual needs m + 2, and the basis and the generating test
-    need the whole box B, whose corner has degree n(m - 1).
+    m + 2 keeps the images of the order-m Mellin operators reliable past
+    degree 1, and the basis and the generating test need the whole box B,
+    whose corner has degree n(m - 1).
     """
     m, n = profile.m, profile.n
     floor = max(m + 2, n * (m - 1))
+    need = (f"verify needs --order at least max(m + 2, n(m - 1)) = {floor} "
+            f"for the profile {_profile_label(profile)}")
+    if floor > MAX_ORDER:
+        raise ProfileError(f"{need}, above the cap MAX_ORDER = {MAX_ORDER}: "
+                           "this profile cannot be verified")
     if order < floor:
-        raise ProfileError(f"verify needs --order at least max(m + 2, n(m - 1))"
-                           f" = {floor} for the profile "
-                           f"{_profile_label(profile)}, got {order}")
+        raise ProfileError(f"{need}, got {order}")
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -573,10 +578,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        profile = make_profile(ns.m, ns.m_list)
+        if ns.command == "verify":
+            check_verify_order(profile, ns.order)
         if ns.order > MAX_ORDER:
             raise ProfileError(f"--order {ns.order} exceeds the cap "
                                f"MAX_ORDER = {MAX_ORDER}")
-        profile = make_profile(ns.m, ns.m_list)
         config = RunConfig(profile=profile, order=ns.order, seed=ns.seed,
                            as_json=ns.as_json)
         if ns.command == "dims":
@@ -589,7 +596,6 @@ def main(argv=None) -> int:
                               show_roots=ns.roots,
                               generating_check=ns.generating_check)
         if ns.command == "verify":
-            check_verify_order(profile, ns.order)
             return cmd_verify(config)
         parser.error(f"unknown command {ns.command}")
     except (ProfileError, ValueError) as exc:

@@ -314,15 +314,6 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""

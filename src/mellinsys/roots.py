@@ -8,18 +8,20 @@ weightings, and every exact check here comes from the rational y_pr and
 y_pr log y_pr with no branch series built (``_coset_sum``): root sums and
 root-sum relation residuals, decided by an exact zero test in Q(zeta_m);
 the logarithmic combinations sum_k c_k sum_b y_b log y_b as two exact
-group-ring parts; the annihilation residuals of those parts and of every
-branch.  The ranks of the invariant-subspace splitting (univariate, d > 1)
-are twist ranks of y_pr, counted from its residue classes.
+group-ring parts; the annihilation residuals of those parts and the
+annihilation and substitution residuals of every branch.  The ranks of
+the branches of one equation and of the invariant-subspace splitting
+(univariate, d > 1) are twist ranks of y_pr, counted from its classes.
 
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
 point, and Newton lifting of all m Taylor branches at the origin, where the
 roots are the distinct m-th roots of unity and the Jacobian never
 degenerates.  Their tolerances (also surfaced by the CLI) are 1e-10 for
-the substitution residual and 1e-10 relative for rank pivots.  Complex
-series keep every term, so a reported residual is the measured rounding
-error, about 1e-15 on order-12 jets.
+the substitution residual of the lifted jets and 1e-10 relative for rank
+pivots.  Complex series keep every term, so a reported gap is the
+measured rounding error, about 1e-15 on order-12 jets.  Branch series are
+built only for these witnesses and for ``coset_equation_jets``.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from functools import lru_cache
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, make_profile)
-from .rings import COMPLEX, get_cyclotomic_ring
-from .series import (TruncatedSeries, independence_rank, principal_series,
-                     scaled_root_series, twist_rank)
+from .rings import COMPLEX, RATIONAL, get_cyclotomic_ring
+from .series import (TruncatedSeries, principal_series, scaled_root_series,
+                     twist_rank)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
@@ -146,18 +148,20 @@ def roots_at_point(instance: EquationInstance, seed: int = 0) -> list[complex]:
 def _poly_and_derivative(instance: EquationInstance, y: TruncatedSeries,
                          xs) -> tuple[TruncatedSeries, TruncatedSeries]:
     """p(y) and p'(y) for the defining polynomial of the instance, from one
-    table of powers y^0..y^m (m - 1 products)."""
+    table of powers y^0..y^m (m - 1 products), over the ring of y (complex
+    if the twist is nonzero)."""
     profile = instance.profile
-    m = profile.m
+    m, ring = profile.m, y.ring
     eps = cmath.exp(2j * cmath.pi / m)
-    powers = [TruncatedSeries.constant(COMPLEX, y.n_vars, y.order, 1.0), y]
+    powers = [TruncatedSeries.constant(ring, y.n_vars, y.order, ring.one), y]
     for _ in range(m - 1):
         powers.append(powers[-1] * y)
     p = powers[m] - powers[0]
     dp = powers[m - 1].scale_rational(m)
     for x, ij, mj in zip(xs, instance.twist, profile.m_list):
-        p = p + (x * powers[mj]).scale(eps**ij)
-        dp = dp + (x * powers[mj - 1]).scale(eps**ij * mj)
+        unit = eps**ij if ij else 1
+        p = p + (x * powers[mj]).scale(unit)
+        dp = dp + (x * powers[mj - 1]).scale(unit * mj)
     return p, dp
 
 
@@ -274,10 +278,19 @@ def _images(profile: ExponentProfile, order: int, power: int) -> tuple:
 
 
 def _branch_residual(profile: ExponentProfile, order: int) -> float:
-    """``mellin_residual`` of every root branch of every twisted equation,
-    which weights y_pr by units e^k with k fixed by s mod m."""
+    """Relative annihilation residual of every root branch of every twisted
+    equation, which weights y_pr by units e^k with k fixed by s mod m."""
     worst = max(im.max_abs() for im in _images(profile, order, 1))
     return worst / _source(profile, order, 1).max_abs()
+
+
+@lru_cache(maxsize=64)
+def _substitution_residual(profile: ExponentProfile, order: int) -> float:
+    """max_abs of y_pr^m + sum_j x_j y_pr^{m_j} - 1, exact over Q."""
+    xs = [TruncatedSeries.variable(RATIONAL, profile.n, order, j)
+          for j in range(profile.n)]
+    return _poly_and_derivative(origin_instance(profile),
+                                _source(profile, order, 1), xs)[0].max_abs()
 
 
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
@@ -349,29 +362,10 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
                        constant_offsets=offsets, parts=(part_a, part_b))
 
 
-def mellin_residual(profile: ExponentProfile, series: TruncatedSeries) -> float:
-    """Relative annihilation residual under the full Mellin system.
-
-    Applies each operator and returns the largest output coefficient
-    magnitude at reliable order, divided by the largest input magnitude.
-    Over Q and Q[Z/m] the operators act exactly, so a solution gives 0.0.
-    """
-    if series.order < profile.m + 2:
-        raise ValueError("series order must be at least m + 2")
-    scale = series.max_abs()
-    if scale == 0.0:
-        return 0.0
-    worst = 0.0
-    for op in mellin_system(profile):
-        image = op.apply(series)
-        worst = max(worst, image.max_abs())
-    return worst / scale
-
-
 def log_residual(profile: ExponentProfile, sol: LogSolution) -> float:
-    """The larger ``mellin_residual`` of the two exact parts, from coset
-    sums of op_j(y_pr log y_pr) and op_j(y_pr): no operator runs on a
-    group-ring series."""
+    """The larger relative annihilation residual of the two exact parts,
+    from coset sums of op_j(y_pr log y_pr) and op_j(y_pr): no operator runs
+    on a group-ring series."""
     worst = 0.0
     for power, part in enumerate(sol.parts):
         images, scale = _images(profile, sol.chi.order, power), part.max_abs()
@@ -423,27 +417,31 @@ def equation_report(profile: ExponentProfile, twist, order: int,
                     seed: int = 0) -> dict:
     """JSON-able verification record for one twisted equation.
 
-    Takes the m closed-form branches and reports the substitution residual
-    of their complex embeddings, their exact annihilation residual (inf if
-    an operator breaks a = b mod m) and the rank they span.  The seed is
-    recorded to keep reports self-describing beside seeded root finds.
+    Branch b of the equation twisted by I is e^b y_pr(u) with u_j =
+    e^{b m_j + i_j} x_j, and P_I(e^b y_pr(u))(x) = P_0(y_pr)(u), so every
+    branch has the exact substitution residual of y_pr.  The annihilation
+    residual is exact too (inf if an operator breaks a = b mod m), and the
+    rank is the ``twist_rank`` of y_pr over the twists b M + I (None if its
+    SVD witness disagrees).  The seed keeps reports self-describing beside
+    seeded root finds.
     """
     try:
         annihilation = _branch_residual(profile, order)
     except ArithmeticError:  # an operator breaks the congruence
         annihilation = math.inf
-    inst = origin_instance(profile, twist)
-    branches = _branches(profile, inst.twist, principal_series(profile, order))
-    jets = [s.to_complex() for s in branches]
-    xs = [TruncatedSeries.variable(COMPLEX, profile.n, order, j)
-          for j in range(profile.n)]
+    inst, m = origin_instance(profile, twist), profile.m
+    twists = [[(b * mk + ik) % m for mk, ik in zip(profile.m_list, inst.twist)]
+              for b in range(m)]
+    try:
+        rank = twist_rank(_source(profile, order, 1), twists, m, RANK_TOL)
+    except ArithmeticError:  # the SVD witness disagrees with the class count
+        rank = None
     return {
         "profile": profile.to_json(),
         "twist": list(inst.twist),
         "order": order,
         "seed": seed,
-        "substitution_residual": max(
-            _poly_and_derivative(inst, y, xs)[0].max_abs() for y in jets),
+        "substitution_residual": _substitution_residual(profile, order),
         "annihilation_residual": annihilation,
-        "rank": independence_rank(jets, RANK_TOL),
+        "rank": rank,
     }

@@ -43,7 +43,6 @@ from itertools import product
 from math import comb, lcm, perm, prod
 
 from .profiles import ExponentProfile, make_profile, var_names
-from .rings import _poly_sub
 from .series import TruncatedSeries
 
 
@@ -618,45 +617,6 @@ def poly_scale_ratio(p, q):
     return ratio
 
 
-def right_divide_theta_minus_one(op: DiffOperator):
-    """Exact quotient L with op = L o (theta - 1), or None.
-
-    Writing op = sum t_i(x) D^i and L = sum l_i(x) D^i, composing with
-    x D - 1 gives l_{i-1} x = t_i - (i-1) l_i, solved top-down; each step
-    must divide exactly by x and the constant terms must close up.
-    """
-    if op.n_vars != 1:
-        raise ValueError("univariate operators only")
-    if op.is_zero():
-        return DiffOperator.zero(1)
-    t = op.univariate_coeff_polys()
-    r = len(t) - 1
-    l: list = [None] * r
-    carry = [Fraction(0)]
-    for i in range(r, 0, -1):
-        ti = t[i] if i < len(t) else []
-        num = _poly_sub(ti, _poly_scale(carry, i - 1))
-        if num and num[0] != 0:
-            return None
-        quotient = num[1:] if num else []
-        l[i - 1] = quotient
-        carry = quotient
-    check = _poly_sub(t[0], _poly_scale(l[0], -1))
-    if any(check):
-        return None
-    out = {}
-    for i, poly in enumerate(l):
-        for deg, c in enumerate(poly):
-            if c:
-                out[((deg,), (i,))] = c
-    return DiffOperator(1, out)
-
-
-def _poly_scale(p, c):
-    c = Fraction(c)
-    return [v * c for v in p]
-
-
 @dataclass(frozen=True)
 class ThetaFactorization:
     """x^exponent o M(m, m-1) = left o (theta - 1), with minimal exponent."""
@@ -675,9 +635,11 @@ def theta_factorization(m: int) -> ThetaFactorization:
        x^m M(m, m-1) = ( x^m prod_{k=0}^{m-2}((m-1) theta + mk + 1)
                          + (-m)^m theta prod_{k=2}^{m-1}(theta - k) ) (theta-1)
 
-    is verified exactly; the minimal multiplier exponent is then resolved
-    by brute-force right division over e in {0..m} and is expected to be
-    m - 1 (the displayed left factor is itself left-divisible by x).
+    is verified exactly.  The Weyl algebra has no zero divisors, so
+    x^e M(m, m-1) = L (theta - 1) forces x^{m-e} L = displayed: the least
+    exponent is m - v, v the least power of x in a term of the displayed
+    factor, and its left factor is the displayed one divided by x^v.  That
+    split is checked by composition too; v is expected to be 1.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -693,17 +655,13 @@ def theta_factorization(m: int) -> ThetaFactorization:
     if displayed * right != DiffOperator.x_power(1, 0, m) * mel:
         raise ArithmeticError(
             f"closed-form split of M({m},{m - 1}) fails at the x^{m} level")
-    for e in range(m + 1):
-        quotient = right_divide_theta_minus_one(
-            DiffOperator.x_power(1, 0, e) * mel)
-        if quotient is not None:
-            if DiffOperator.x_power(1, 0, m - e) * quotient != displayed:
-                raise ArithmeticError("minimal and displayed factors disagree")
-            return ThetaFactorization(left=quotient, right=right, exponent=e,
-                                      displayed_left=displayed)
-    raise ArithmeticError(
-        f"no multiplier exponent in 0..{m} makes M({m},{m - 1}) divisible "
-        "by theta - 1; transcription problem")
+    v = min(a[0] for a, _ in displayed.terms)
+    left = displayed.left_divide_x_power(0, v)
+    if left * right != DiffOperator.x_power(1, 0, m - v) * mel:
+        raise ArithmeticError(
+            f"minimal split of M({m},{m - 1}) fails at the x^{m - v} level")
+    return ThetaFactorization(left=left, right=right, exponent=m - v,
+                              displayed_left=displayed)
 
 
 def derivative_factorization(m: int) -> tuple[DiffOperator, DiffOperator]:

@@ -4,12 +4,49 @@ The library takes every sum over coset equations and root branches from
 the rational y_pr in one pass, weighting each coefficient by a group-ring
 element fixed by its exponent mod m.  These build each of the m |Gamma|
 branches over Q[Z/m] with ``scaled_root_series`` and add them up.
+
+``mellin_residual`` runs every Mellin operator on the series it is given,
+the reference for the annihilation residuals that the library reads off
+op_j(y_pr) and op_j(y_pr log y_pr).  ``equation_record_by_branches`` is the
+per-equation record measured on the m complex branches, where the library
+takes its residual and rank from y_pr.
 """
 
 from mellinsys.profiles import coset_representatives
-from mellinsys.rings import get_cyclotomic_ring
-from mellinsys.series import (TruncatedSeries, principal_series,
-                              scaled_root_series)
+from mellinsys.rings import COMPLEX, get_cyclotomic_ring
+from mellinsys.roots import _poly_and_derivative, origin_instance
+from mellinsys.series import (TruncatedSeries, independence_rank,
+                              principal_series, scaled_root_series)
+from mellinsys.weyl import mellin_system
+
+
+def mellin_residual(profile, series) -> float:
+    """Relative annihilation residual under the full Mellin system.
+
+    Applies each operator and returns the largest output coefficient
+    magnitude at reliable order, divided by the largest input magnitude.
+    Over Q and Q[Z/m] the operators act exactly, so a solution gives 0.0.
+    """
+    if series.order < profile.m + 2:
+        raise ValueError("series order must be at least m + 2")
+    scale = series.max_abs()
+    if scale == 0.0:
+        return 0.0
+    return max(op.apply(series).max_abs()
+               for op in mellin_system(profile)) / scale
+
+
+def equation_record_by_branches(p, twist, order, rel_tol):
+    """(substitution residual, SVD rank) of the m complex embeddings of the
+    closed-form branches of the equation twisted by ``twist``."""
+    inst = origin_instance(p, twist)
+    ypr = principal_series(p, order)
+    jets = [scaled_root_series(p, j, order, inst.twist, ypr).to_complex()
+            for j in range(p.m)]
+    xs = [TruncatedSeries.variable(COMPLEX, p.n, order, j) for j in range(p.n)]
+    residual = max(_poly_and_derivative(inst, y, xs)[0].max_abs()
+                   for y in jets)
+    return residual, independence_rank(jets, rel_tol)
 
 
 def root_sum_by_branches(p, c, order):

@@ -9,8 +9,18 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-from mellinsys.rings import (_poly_divmod, _poly_mul, _poly_sub, _poly_trim,
+from mellinsys.rings import (_poly_divmod, _poly_mul, _poly_trim,
                              cyclotomic_polynomial)
+
+
+def _poly_sub(a, b):
+    """a - b for ascending rational coefficient lists, trimmed."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return _poly_trim(out)
 
 
 class CyclotomicField:

@@ -14,7 +14,7 @@ from mellinsys.profiles import (algebraic_index_set, dims, index_box,
                                 modular_count)
 from mellinsys.rings import COMPLEX
 from mellinsys.roots import (coset_equation_jets, invariant_subspace_witness,
-                             log_solution, mellin_residual, relation_check,
+                             log_solution, relation_check,
                              scaled_root_max_deviation)
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, independence_rank,
@@ -24,6 +24,7 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             horn_system, mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
                             theta_factorization)
+from branch_oracle import mellin_residual
 from profile_oracle import beukers_heckman_reducible, profile_suite
 from weyl_oracle import equals_up_to_rational_scale, factorization_check
 

@@ -78,6 +78,20 @@ def test_verify_order_below_floor_exits_one(capsys, m, ms, extra, floor):
     check_verify_order(make_profile(m, ms), floor)  # the floor itself passes
 
 
+@pytest.mark.parametrize("m,ms,floor", [(64, [1], 66), (40, [3, 1], 78)])
+def test_verify_floor_above_the_cap_names_both(capsys, monkeypatch, m, ms,
+                                               floor):
+    """No order can pass a floor above MAX_ORDER, so every call says so."""
+    monkeypatch.setattr(cli, "cmd_verify", lambda *a, **k: pytest.fail("ran"))
+    profile = [str(m), *map(str, ms)]
+    for extra in ([], ["--order", str(floor)], ["--order", "64"]):
+        code, out, err = run_cli(capsys, "verify", *profile, *extra)
+        assert code == 1
+        assert out == ""
+        assert f"max(m + 2, n(m - 1)) = {floor}" in err
+        assert "above the cap MAX_ORDER = 64" in err
+
+
 def test_verify_order_floor_accepts_every_accepted_call():
     accepted = [((m, [m1]), 12) for m in range(2, 10) for m1 in range(1, m)]
     accepted += [((4, [2, 1]), 6), ((6, [4, 2]), 12)]
@@ -215,9 +229,10 @@ def test_verify_reports_a_twist_rank_mismatch(capsys, monkeypatch):
     assert line.startswith("FAIL") and message in line
     code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--json")
     assert code == 2
-    check = next(c for c in json.loads(out)["checks"]
-                 if c["name"] == "rotation-rank")
+    payload = json.loads(out)
+    check = next(c for c in payload["checks"] if c["name"] == "rotation-rank")
     assert not check["ok"] and message in check["detail"]
+    assert all(e["rank"] is None for e in payload["equations"])
 
 
 def test_parser_is_built_once(capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +20,15 @@ from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, invariant_subspace_witness,
                              lift_jets, log_residual, log_solution,
-                             mellin_residual, origin_instance, relation_check,
-                             root_sum, roots_at_point,
-                             scaled_root_max_deviation)
+                             origin_instance, relation_check, root_sum,
+                             roots_at_point, scaled_root_max_deviation)
 from mellinsys.weyl import DiffOperator
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
                               independence_rank, scaled_root_series)
 from mellinsys.profiles import ProfileError
-from branch_oracle import (elementary_symmetric, log_parts_by_branches,
+import branch_oracle
+from branch_oracle import (elementary_symmetric, equation_record_by_branches,
+                           log_parts_by_branches, mellin_residual,
                            root_sum_by_branches)
 
 F = Fraction
@@ -327,7 +329,8 @@ def test_log_residual_equals_mellin_residual_of_the_parts(m, ms, order):
 @pytest.fixture
 def extra_term(monkeypatch):
     """extra_term(a, b) adds x^a D^b to the first Mellin operator that
-    ``roots`` sees; memoized images are dropped before and after."""
+    ``roots`` and the ``mellin_residual`` oracle see; memoized images are
+    dropped before and after."""
     roots._images.cache_clear()
     real = roots.mellin_system
 
@@ -335,7 +338,8 @@ def extra_term(monkeypatch):
         def mutated(profile):
             ops = real(profile)
             return (ops[0] + DiffOperator(profile.n, {(a, b): F(1)}),) + ops[1:]
-        monkeypatch.setattr(roots, "mellin_system", mutated)
+        for module in (roots, branch_oracle):
+            monkeypatch.setattr(module, "mellin_system", mutated)
     yield add
     roots._images.cache_clear()
 
@@ -539,6 +543,59 @@ def test_equation_report_shape_and_values():
     assert rep["annihilation_residual"] < ANNIHILATION_TOL
     import json
     assert json.loads(json.dumps(rep)) == rep
+
+
+@pytest.mark.parametrize("m,ms,order", ORACLE_CASES + [(6, [4, 2], 12)])
+def test_equation_records_match_the_branch_embeddings(m, ms, order):
+    """Each record's rank is the SVD rank of its m closed-form branches;
+    their embedded substitution residual is rounding noise where the
+    record's, taken from y_pr over Q, is exactly 0.0."""
+    p = make_profile(m, ms)
+    for rep in coset_representatives(p):
+        record = roots.equation_report(p, rep, order)
+        residual, rank = equation_record_by_branches(p, rep, order, RANK_TOL)
+        assert record["rank"] == rank
+        assert record["substitution_residual"] == 0.0
+        assert residual < SUBSTITUTION_TOL
+
+
+@pytest.mark.parametrize("m,ms", [(3, [2, 1]), (4, [2])])
+def test_equation_records_see_a_changed_principal_coefficient(monkeypatch,
+                                                               m, ms):
+    p = make_profile(m, ms)
+    real = roots.principal_series
+
+    def bumped(profile, order):
+        y = real(profile, order)
+        nu = max(y.terms, key=lambda s: (sum(s), s))
+        return y + TruncatedSeries(RATIONAL, y.n_vars, y.order,
+                                   {nu: F(1, 7)})
+    caches = (roots._source, roots._images, roots._substitution_residual)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(roots, "principal_series", bumped)
+    try:
+        for rep in coset_representatives(p):
+            assert roots.equation_report(p, rep, 8)["substitution_residual"] > 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
+        monkeypatch, capsys):
+    callers = set()
+    real = roots._branches
+
+    def spy(*args):
+        callers.add(sys._getframe(1).f_code.co_qualname.split(".")[0])
+        return real(*args)
+    monkeypatch.setattr(roots, "_branches", spy)
+    for argv in (["verify", "3", "2", "1", "--json"],
+                 ["verify", "6", "4", "2", "--json"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert callers == {"scaled_root_max_deviation", "coset_equation_jets"}
 
 
 def test_aberth_rejects_degenerate_polynomial():

@@ -24,12 +24,12 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
                             lattice_matrices, leading_coefficient,
                             mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
-                            right_divide_theta_minus_one, theta_factorization,
-                            theta_product)
+                            theta_factorization, theta_product)
 from mellinsys.weyl import _stirling_row
 from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
                          euler_product_identity, factorization_check,
-                         horn_x_by_own_factors,
+                         horn_x_by_own_factors, least_theta_multiplier,
+                         right_divide_theta_minus_one,
                          theta_mul_by_fractions, theta_poly_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)
@@ -410,6 +410,15 @@ def test_theta_factorization_resolves_minimal_exponent(m):
             == fac.left * fac.right)
     # the closed form carries multiplier x^m and one extra x on the left
     assert fac.displayed_left == X(1, 0, 1) * fac.left
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_theta_factorization_matches_the_right_division_search(m):
+    """The exponent read off the x-valuation of the displayed factor is the
+    least one that exact right division by theta - 1 finds."""
+    fac = theta_factorization(m)
+    assert least_theta_multiplier(m) == (fac.exponent, fac.left)
+    assert fac.exponent == m - 1
 
 
 def test_theta_factorization_cubic_left_factor_is_displayed_one():

@@ -15,6 +15,11 @@ factors, where the library substitutes theta -> theta / m in the w-form.
 operators for the factorization and Horn/Mellin tests;
 ``euler_product_identity`` gives both sides of x^m D^m = theta (theta - 1)
 ... (theta - m + 1).
+
+The library reads the least multiplier x^e with x^e M(m, m-1) = L o
+(theta - 1) off the x-valuation of the displayed left factor;
+``least_theta_multiplier`` finds it by exact right division by theta - 1
+(``right_divide_theta_minus_one``) for e = 0, 1, ..., m.
 """
 
 from fractions import Fraction
@@ -22,7 +27,9 @@ from functools import reduce
 from itertools import product
 from math import comb, perm, prod
 
-from mellinsys.weyl import DiffOperator, ThetaPoly, theta_product
+from field_oracle import _poly_sub
+from mellinsys.weyl import (DiffOperator, ThetaPoly, mellin_operator_1d,
+                            theta_product)
 
 
 def operator_power(op: DiffOperator, k: int) -> DiffOperator:
@@ -137,3 +144,49 @@ def euler_product_identity(n_vars: int, j: int, m: int) -> tuple[DiffOperator, D
     rhs = theta_product(n_vars, [ThetaPoly.linear(theta_j, -k)
                                  for k in range(m)]).to_operator()
     return lhs, rhs
+
+
+def right_divide_theta_minus_one(op: DiffOperator):
+    """Exact quotient L with op = L o (theta - 1), or None.
+
+    Writing op = sum t_i(x) D^i and L = sum l_i(x) D^i, composing with
+    x D - 1 gives l_{i-1} x = t_i - (i-1) l_i, solved top-down; each step
+    must divide exactly by x and the constant terms must close up.
+    """
+    if op.n_vars != 1:
+        raise ValueError("univariate operators only")
+    if op.is_zero():
+        return DiffOperator.zero(1)
+    t = op.univariate_coeff_polys()
+    r = len(t) - 1
+    l: list = [None] * r
+    carry = [Fraction(0)]
+    for i in range(r, 0, -1):
+        ti = t[i] if i < len(t) else []
+        num = _poly_sub(ti, [c * (i - 1) for c in carry])
+        if num and num[0] != 0:
+            return None
+        quotient = num[1:] if num else []
+        l[i - 1] = quotient
+        carry = quotient
+    check = _poly_sub(t[0], [-c for c in l[0]])
+    if any(check):
+        return None
+    out = {}
+    for i, poly in enumerate(l):
+        for deg, c in enumerate(poly):
+            if c:
+                out[((deg,), (i,))] = c
+    return DiffOperator(1, out)
+
+
+def least_theta_multiplier(m: int):
+    """(e, L) with x^e M(m, m-1) = L o (theta - 1) for the least e in 0..m,
+    or None."""
+    mel = mellin_operator_1d(m, m - 1)
+    for e in range(m + 1):
+        quotient = right_divide_theta_minus_one(
+            DiffOperator.x_power(1, 0, e) * mel)
+        if quotient is not None:
+            return e, quotient
+    return None
