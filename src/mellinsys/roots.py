@@ -17,11 +17,13 @@ Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
 point, and Newton lifting of all m Taylor branches at the origin, where the
 roots are the distinct m-th roots of unity and the Jacobian never
-degenerates.  Their tolerances (also surfaced by the CLI) are 1e-10 for
-the substitution residual of the lifted jets and 1e-10 relative for rank
-pivots.  Complex series keep every term, so a reported gap is the
-measured rounding error, about 1e-15 on order-12 jets.  Branch series are
-built only for these witnesses and for ``coset_equation_jets``.
+degenerates; Newton update k runs at order min(2^{k+1} - 1, order), the
+degree through which it is correct.  Their tolerances (also surfaced by
+the CLI) are 1e-10 for the substitution residual of the lifted jets and
+1e-10 relative for rank pivots.  Complex series keep every term, so a
+reported gap is the measured rounding error, about 1e-15 on order-12
+jets.  Branch series are built only for these witnesses and for
+``coset_equation_jets``.
 """
 
 from __future__ import annotations
@@ -170,9 +172,12 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
 
     Branch b starts from the exact simple root zeta^b of y^m = 1, where
     the y-derivative m zeta^{b(m-1)} cannot vanish.  Each Newton update
-    doubles the number of correct degrees, so exactly
-    ceil(log2(order + 1)) updates reach the order.  The final substitution
-    residual must stay below SUBSTITUTION_TOL.
+    doubles the number of correct degrees (Brent-Kung, J. ACM 25, 1978),
+    so exactly ceil(log2(order + 1)) updates reach the order, and update
+    k = 0, 1, ... runs at order min(2^{k+1} - 1, order): y is correct
+    through degree 2^k - 1 and its terms above are zero.  The final
+    substitution residual, taken at the full order, must stay below
+    SUBSTITUTION_TOL.
     """
     if any(abs(v) != 0 for v in instance.base_point):
         raise ProfileError("jets are lifted at the origin only")
@@ -185,8 +190,10 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
     steps = math.ceil(math.log2(order + 1))
     jets = []
     for b in range(m):
-        y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
-        for _ in range(steps):
+        y = TruncatedSeries.constant(COMPLEX, n, 0, zeta**b)
+        for k in range(steps):
+            y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
+                                y.terms)
             p, dp = _poly_and_derivative(instance, y, xs)
             y = y - p * dp.inverse()
         residual = _poly_and_derivative(instance, y, xs)[0].max_abs()

@@ -23,6 +23,7 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from math import factorial, prod
 
@@ -121,16 +122,19 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
             order = min(self.order, other.order)
+            mul, add, zero = self.ring.mul, self.ring.add, self.ring.zero
             out: dict = {}
-            right = [(t, e, sum(t)) for t, e in other.terms.items()]
+            # by degree, so each row stops at its first term past the budget;
+            # a key takes its terms in the order of the outer loop either way
+            right = sorted(((sum(t), t, e) for t, e in other.terms.items()),
+                           key=operator.itemgetter(0))
             for s, c in self.terms.items():
-                ds = sum(s)
-                for t, e, dt in right:
-                    if ds + dt > order:
-                        continue
-                    key = tuple(a + b for a, b in zip(s, t))
-                    prod = self.ring.mul(c, e)
-                    out[key] = self.ring.add(out.get(key, self.ring.zero), prod)
+                budget = order - sum(s)
+                for dt, t, e in right:
+                    if dt > budget:
+                        break
+                    key = tuple(map(operator.add, s, t))
+                    out[key] = add(out.get(key, zero), mul(c, e))
             return TruncatedSeries(self.ring, self.n_vars, order, out)
         if isinstance(other, (int, Fraction)):
             return self.scale_rational(other)
@@ -459,12 +463,17 @@ def twist_rank(f: TruncatedSeries, twists, m: int,
                         for g in group for h in group):
         raise ValueError("the twists are not a coset of a subgroup of "
                          f"(Z/{m})^{f.n_vars}")
-    classes = {tuple(v % m for v in s) for s in f.terms}
-    exact = len({tuple(dot(h, c) % m for h in group) for c in classes})
+    classes = {s: tuple(v % m for v in s) for s in f.terms}
+    # <t, s> = <t, s mod m> (mod m): one phase per twist and class, and the
+    # character of H on a class is its phases relative to twists[0]
+    phases = {cls: [dot(t, cls) % m for t in twists]
+              for cls in set(classes.values())}
+    exact = len({tuple((k - ks[0]) % m for k in ks)
+                 for ks in phases.values()})
     zeta = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
-    terms = [(s, float(c)) for s, c in f.terms.items()]
-    numeric = rank_complex([[c * zeta[dot(t, s) % m] for s, c in terms]
-                            for t in twists], rel_tol)
+    terms = [(phases[classes[s]], float(c)) for s, c in f.terms.items()]
+    numeric = rank_complex([[c * zeta[ks[i]] for ks, c in terms]
+                            for i in range(len(twists))], rel_tol)
     if exact != numeric:
         raise ArithmeticError(
             f"exact twist rank {exact} != numeric embedded rank {numeric}; "

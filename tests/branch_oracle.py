@@ -9,8 +9,13 @@ branches over Q[Z/m] with ``scaled_root_series`` and add them up.
 the reference for the annihilation residuals that the library reads off
 op_j(y_pr) and op_j(y_pr log y_pr).  ``equation_record_by_branches`` is the
 per-equation record measured on the m complex branches, where the library
-takes its residual and rank from y_pr.
+takes its residual and rank from y_pr.  ``lift_jets_full_order`` is the
+Newton lift with every update at the full jet order, the reference for
+the precision-doubling lift of ``roots.lift_jets``.
 """
+
+import cmath
+import math
 
 from mellinsys.profiles import coset_representatives
 from mellinsys.rings import COMPLEX, get_cyclotomic_ring
@@ -47,6 +52,22 @@ def equation_record_by_branches(p, twist, order, rel_tol):
     residual = max(_poly_and_derivative(inst, y, xs)[0].max_abs()
                    for y in jets)
     return residual, independence_rank(jets, rel_tol)
+
+
+def lift_jets_full_order(instance, order):
+    """The m branches at the origin, ceil(log2(order + 1)) Newton updates
+    from zeta^b, each at the full order."""
+    n, m = instance.profile.n, instance.profile.m
+    zeta = cmath.exp(2j * cmath.pi / m)
+    xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
+    jets = []
+    for b in range(m):
+        y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
+        for _ in range(math.ceil(math.log2(order + 1))):
+            p, dp = _poly_and_derivative(instance, y, xs)
+            y = y - p * dp.inverse()
+        jets.append(y)
+    return jets
 
 
 def root_sum_by_branches(p, c, order):

@@ -10,10 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mellinsys import cli, roots
-from mellinsys.profiles import (coset_representatives, make_profile,
-                                relation_basis)
+from mellinsys import cli, roots, series
+from mellinsys.profiles import (coset_representatives, index_box,
+                                make_profile, relation_basis)
 from mellinsys.cli import main
 from mellinsys.rings import COMPLEX, RATIONAL
 from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
@@ -24,12 +26,14 @@ from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
                              roots_at_point, scaled_root_max_deviation)
 from mellinsys.weyl import DiffOperator
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
-                              independence_rank, scaled_root_series)
+                              independence_rank, principal_series,
+                              scaled_root_series, twist_rank)
 from mellinsys.profiles import ProfileError
 import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
-                           log_parts_by_branches, mellin_residual,
-                           root_sum_by_branches)
+                           lift_jets_full_order, log_parts_by_branches,
+                           mellin_residual, root_sum_by_branches)
+from profile_oracle import profile_suite
 
 F = Fraction
 
@@ -174,18 +178,36 @@ def test_scaled_root_identity(m, ms):
 @pytest.mark.parametrize("m,ms", [(4, [2]), (6, [4]), (3, [2, 1])])
 def test_lift_reaches_the_order_in_ceil_log2_updates(monkeypatch, m, ms):
     """From the exact root each Newton update doubles the correct degrees:
-    ceil(log2(order + 1)) updates and one final residual per branch reach
-    the closed-form branches at every order."""
-    updates = {1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 12: 4}
+    ceil(log2(order + 1)) updates, update k at order min(2^{k+1} - 1,
+    order), and one final residual at the full order per branch reach the
+    closed-form branches at every order."""
+    orders = {1: [1, 1], 2: [1, 2, 2], 3: [1, 3, 3], 4: [1, 3, 4, 4],
+              7: [1, 3, 7, 7], 8: [1, 3, 7, 8, 8], 12: [1, 3, 7, 12, 12]}
     real = roots._poly_and_derivative
-    calls = []
+    seen = []
     monkeypatch.setattr(roots, "_poly_and_derivative",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: seen.append(args[1].order) or real(*args))
     p = make_profile(m, ms)
-    for order, steps in updates.items():
-        calls.clear()
+    for order, per_branch in orders.items():
+        seen.clear()
         assert scaled_root_max_deviation(p, order) < SUBSTITUTION_TOL
-        assert len(calls) == m * (steps + 1)
+        assert seen == per_branch * m
+
+
+LIFT_PROFILES = profile_suite(7, 2, d_one_only=False)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(st.sampled_from(LIFT_PROFILES), st.integers(1, 12), st.integers(0, 99))
+def test_precision_doubling_lift_matches_the_full_order_lift(p, order, pick):
+    """Every jet of the doubling lift is within 1e-13 of the lift that runs
+    each update at the full order, untwisted or on a coset equation."""
+    reps = coset_representatives(p)
+    inst = origin_instance(p, reps[pick % len(reps)])
+    for jet, want in zip(lift_jets(inst, order),
+                         lift_jets_full_order(inst, order), strict=True):
+        assert jet.order == want.order == order
+        assert (jet - want).max_abs() < 1e-13
 
 
 def test_substitution_residual_measures_a_small_perturbation():
@@ -557,6 +579,34 @@ def test_equation_records_match_the_branch_embeddings(m, ms, order):
         assert record["rank"] == rank
         assert record["substitution_residual"] == 0.0
         assert residual < SUBSTITUTION_TOL
+
+
+@pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
+def test_twist_rank_witness_matrix_is_the_per_term_matrix(monkeypatch,
+                                                          m, ms, order):
+    """The SVD witness of ``twist_rank`` takes one phase per (twist, class)
+    and equals, bit for bit, the matrix of entries f_s zeta^{<t, s>}."""
+    p = make_profile(m, ms)
+    y = principal_series(p, order)
+    real, dots = series.rank_complex, series.dot
+    seen, counted = [], []
+    monkeypatch.setattr(series, "rank_complex",
+                        lambda rows, rel_tol: seen.append(rows)
+                        or real(rows, rel_tol))
+    monkeypatch.setattr(series, "dot",
+                        lambda a, b: counted.append(1) or dots(a, b))
+    classes = {tuple(v % m for v in s) for s in y.terms}
+    zeta = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
+    twist_sets = [index_box(p)] + [
+        [tuple((b * mk + ik) % m for mk, ik in zip(p.m_list, rep))
+         for b in range(m)] for rep in coset_representatives(p)]
+    for twists in twist_sets:
+        seen.clear()
+        counted.clear()
+        twist_rank(y, twists, m, RANK_TOL)
+        assert seen == [[[float(c) * zeta[dots(t, s) % m]
+                          for s, c in y.terms.items()] for t in twists]]
+        assert len(counted) == len(twists) * len(classes)
 
 
 @pytest.mark.parametrize("m,ms", [(3, [2, 1]), (4, [2])])

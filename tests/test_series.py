@@ -18,6 +18,7 @@ from mellinsys.profiles import (algebraic_index_set, dims, index_box,
 from basis_oracle import basis_by_recurrence
 from field_oracle import cyclotomic_field
 from profile_oracle import profile_suite
+from series_oracle import naive_product
 from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, format_series,
@@ -711,6 +712,44 @@ def test_diff():
     d = s.diff(0)
     assert d.terms == {(1,): Fraction(2)}
     assert d.order == 3
+
+
+@st.composite
+def product_cases(draw):
+    """Two random sparse operands over Q, C or Q[Z/m] with n <= 3 and
+    unequal orders; either one may be empty."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["rational", "complex", "group"]))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    if kind == "rational":
+        ring, coeff = RATIONAL, value
+    elif kind == "complex":
+        ring, coeff = COMPLEX, st.complex_numbers(max_magnitude=10,
+                                                  allow_nan=False)
+    else:
+        m = draw(st.integers(2, 6))
+        ring = get_cyclotomic_ring(m)
+        coeff = st.lists(value, min_size=m, max_size=m).map(tuple)
+
+    def operand():
+        order = draw(st.integers(0, 8))
+        exps = st.tuples(*[st.integers(0, order)] * n).filter(
+            lambda e: sum(e) <= order)
+        terms = draw(st.dictionaries(exps, coeff, max_size=12))
+        return TruncatedSeries(ring, n, order, terms)
+    return operand(), operand()
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(product_cases())
+def test_mul_matches_the_all_pairs_product_bit_for_bit(case):
+    a, b = case
+    empty = TruncatedSeries.zero(a.ring, a.n_vars, a.order + 1)
+    for left, right in ((a, b), (b, a), (a, empty), (empty, b)):
+        got, want = left * right, naive_product(left, right)
+        assert got.order == want.order == min(left.order, right.order)
+        assert ({s: repr(c) for s, c in got.terms.items()}
+                == {s: repr(c) for s, c in want.terms.items()})
 
 
 def test_mul_truncates_to_min_order():
