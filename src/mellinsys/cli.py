@@ -426,7 +426,7 @@ def run_verification(config: RunConfig) -> list[Check]:
 
         yjets = [jet for block in roots_mod.coset_equation_jets(p, order)
                  for jet in block]
-        yrank = independence_rank(yjets, roots_mod.RANK_TOL)
+        yrank = independence_rank(yjets)
         add("algebraic-span", yrank == report.dim_Y,
             f"rank of the {len(yjets)} coset-equation jets = {yrank} "
             f"(dim Y = {report.dim_Y})")
@@ -443,7 +443,7 @@ def run_verification(config: RunConfig) -> list[Check]:
             except (ArithmeticError, ValueError) as exc:
                 worst_chi, detail = math.inf, str(exc)
             add("log-solutions", worst_chi == 0, detail)
-        full_rank = independence_rank(yjets + chis, roots_mod.RANK_TOL)
+        full_rank = independence_rank(yjets + chis)
         add("direct-sum", full_rank == report.rank,
             f"rank(Y-jets + logs) = {full_rank} (expected {report.rank})")
     elif p.n == 1:

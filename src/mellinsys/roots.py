@@ -5,13 +5,14 @@ Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), is y_pr with its
 coefficient at s times a unit fixed by s mod m.  Every operator term
 x^a D^b has a = b (mod m), so the Mellin operators commute with such
 weightings, and every exact check here comes from the rational y_pr and
-y_pr log y_pr with no branch series built (``_coset_sum``): root sums and
-root-sum relation residuals, decided by an exact zero test in Q(zeta_m);
-the logarithmic combinations sum_k c_k sum_b y_b log y_b as two exact
-group-ring parts; the annihilation residuals of those parts and the
-annihilation and substitution residuals of every branch.  The ranks of
-the branches of one equation and of the invariant-subspace splitting
-(univariate, d > 1) are twist ranks of y_pr, counted from its classes.
+y_pr log y_pr with no branch series built (``_coset_sum``, exact in
+Q(zeta_m), which decides once per class that a class vanishes there):
+root sums and relation residuals, empty for a true relation; the
+logarithmic combinations sum_k c_k sum_b y_b log y_b as two group-ring
+parts; the annihilation residuals of those parts and the annihilation
+and substitution residuals of every branch.  The ranks of the branches
+of one equation and of the invariant-subspace splitting (univariate,
+d > 1) are twist ranks of y_pr, counted from its classes.
 
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
@@ -22,8 +23,8 @@ degree through which it is correct.  Their tolerances (also surfaced by
 the CLI) are 1e-10 for the substitution residual of the lifted jets and
 1e-10 relative for rank pivots.  Complex series keep every term, so a
 reported gap is the measured rounding error, about 1e-15 on order-12
-jets.  Branch series are built only for these witnesses and for
-``coset_equation_jets``.
+jets.  Branch series, rotations of the complex y_pr, are built only for
+these witnesses and for ``coset_equation_jets``.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from functools import lru_cache
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, make_profile)
 from .rings import COMPLEX, RATIONAL, get_cyclotomic_ring
-from .series import (TruncatedSeries, principal_series, scaled_root_series,
-                     twist_rank)
+from .series import (RANK_TOL, TruncatedSeries, principal_series,
+                     scaled_root_series, twist_rank)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
-RANK_TOL = 1e-10
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_SEPARATION_TOL = 1e-8
 
@@ -206,7 +206,7 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
 
 def _branches(profile: ExponentProfile, twist,
               ypr: TruncatedSeries) -> list[TruncatedSeries]:
-    """The m exact branches of the equation twisted by ``twist``."""
+    """The m branches twisted by ``twist``, as rotations of ypr."""
     return [scaled_root_series(profile, j, ypr.order, twist, ypr)
             for j in range(profile.m)]
 
@@ -218,26 +218,30 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     e^j * y_pr(e^{j m_1} x_1, ..., e^{j m_n} x_n) coefficientwise.
     """
     jets = lift_jets(origin_instance(profile), order)
-    targets = _branches(profile, None, principal_series(profile, order))
-    return max((jet - target.to_complex()).max_abs()
-               for jet, target in zip(jets, targets))
+    targets = _branches(profile, None,
+                        principal_series(profile, order).to_complex())
+    return max((jet - target).max_abs() for jet, target in zip(jets, targets))
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
     """Complex jets of every branch of every coset-representative equation."""
-    ypr = principal_series(profile, order)
-    return [[s.to_complex() for s in _branches(profile, rep, ypr)]
+    ypr = principal_series(profile, order).to_complex()
+    return [_branches(profile, rep, ypr)
             for rep in coset_representatives(profile)]
 
 
 def _coset_sum(profile: ExponentProfile, f: TruncatedSeries, c,
                power: int) -> TruncatedSeries:
-    """sum_k c_k sum_b b^power (branch b of coset equation k built on f).
+    """sum_k c_k sum_b b^power (branch b of coset equation k built on a
+    rational f), exact in Q(zeta_m): no coefficient of it vanishes there.
 
     Branch b of the equation twisted by I_k has coefficient
-    f_s e^{b (1 + <M, s>) + <I_k, s>} at s (``scaled_root_series``), so the
-    sum is f_s times one group-ring weight per class of s mod m; no branch
-    series is built."""
+    f_s e^{b r + <I_k, J>} at s, J = s mod m, r = 1 + <M, J>
+    (``scaled_root_series``), so the sum is f_s times the class weight
+    chi_J(c) S_power(r), chi_J(c) = sum_k c_k e^{<I_k, J>} and
+    S_p(r) = sum_b b^p e^{b r}.  S_0(r) embeds to m if r = 0 (mod m), else
+    to 0; S_1(r) to m(m-1)/2 or m / (zeta^r - 1), never 0.  So a class is
+    kept iff (power = 1 or r = 0) and chi_J(c) is nonzero mod Phi_m."""
     m, ring = profile.m, get_cyclotomic_ring(profile.m)
     reps = coset_representatives(profile)
     if len(c) != len(reps):
@@ -246,16 +250,20 @@ def _coset_sum(profile: ExponentProfile, f: TruncatedSeries, c,
     classes = {s: tuple(v % m for v in s) for s in f.terms}
     weights = {}
     for cls in set(classes.values()):
-        w = [Fraction(0)] * m
-        r = 1 + dot(profile.m_list, cls)
+        r = (1 + dot(profile.m_list, cls)) % m
+        if power == 0 and r:
+            continue
+        chi = list(ring.zero)
         for ck, rep in pairs:
-            shift = dot(rep, cls)
-            for b in range(m):
-                w[(b * r + shift) % m] += ck * b**power
-        weights[cls] = w
+            chi[dot(rep, cls) % m] += ck
+        if ring.is_zero_complex(chi):
+            continue
+        s_power = [sum(b**power for b in range(m) if b * r % m == k)
+                   for k in range(m)]
+        weights[cls] = ring.mul(chi, s_power)
     return TruncatedSeries(ring, f.n_vars, f.order, {
         s: tuple(x * fs if x else x for x in weights[classes[s]])
-        for s, fs in f.terms.items()})
+        for s, fs in f.terms.items() if classes[s] in weights})
 
 
 @lru_cache(maxsize=64)
@@ -301,31 +309,17 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
 
 
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
-    """sum_k c_k (sum of the m branches of coset equation k), exact over
-    Q[Z/m]; c = e_0 gives the root sum of the untwisted equation."""
-    return _root_sum(profile, tuple(c), order)
-
-
-@lru_cache(maxsize=64)
-def _root_sum(profile: ExponentProfile, c: tuple, order: int):
+    """sum_k c_k (root sum of coset equation k), exact in Q(zeta_m): empty
+    for a true relation, the untwisted equation's root sum for c = e_0."""
     return _coset_sum(profile, _source(profile, order, 1), c, 0)
 
 
 def relation_check(profile: ExponentProfile, c, order: int) -> float:
-    """Max coefficient magnitude of sum_k c_k (root sum of equation k).
-
-    The sum is exact over Q[Z/m], so a true relation gives exactly 0.0.
-    Each vector is measured once per profile and order: the check and the
-    guard of ``log_solution`` share the value.
-    """
+    """Max coefficient magnitude of sum_k c_k (root sum of equation k):
+    exactly 0.0 for a true relation, whose root sum is empty."""
     if profile.d > 1:
         raise ProfileError("root-sum relations are defined only for d = 1")
-    return _relation_residual(profile, tuple(c), order)
-
-
-@lru_cache(maxsize=64)
-def _relation_residual(profile: ExponentProfile, c: tuple, order: int):
-    return _root_sum(profile, c, order).max_abs()
+    return root_sum(profile, c, order).max_abs()
 
 
 @dataclass(frozen=True)
@@ -333,12 +327,12 @@ class LogSolution:
     """chi_c = sum_k c_k sum_b y_b^(k) log y_b^(k) as a truncated series.
 
     constant_offsets records exactly which branch constants enter: entries
-    (k, b, q) stand for c_k * q * 2*pi*i * zeta^b with q = b/m, the branch
+    (k, b, q) stand for q * 2*pi*i * zeta^b with q = c_k * b/m, the branch
     logarithm at the origin being fixed as log zeta^b = 2*pi*i*b/m.
 
-    parts = (A, B) are exact group-ring series with chi = A + (2*pi*i/m) B:
-    A = sum_k c_k sum_b e^b R_b(y_pr log y_pr) and B = sum_k c_k sum_b b y_b,
-    R_b being the rotation that carries y_pr to e^{-b} y_b.
+    parts = (A, B) are coset sums, exact in Q(zeta_m), with chi = A +
+    (2*pi*i/m) B: A = sum_k c_k sum_b e^b R_b(y_pr log y_pr) and B =
+    sum_k c_k sum_b b y_b, R_b being the rotation carrying y_pr to e^{-b} y_b.
     """
 
     c: tuple
@@ -371,8 +365,8 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
 
 def log_residual(profile: ExponentProfile, sol: LogSolution) -> float:
     """The larger relative annihilation residual of the two exact parts,
-    from coset sums of op_j(y_pr log y_pr) and op_j(y_pr): no operator runs
-    on a group-ring series."""
+    from coset sums of op_j(y_pr log y_pr) and op_j(y_pr), which are empty
+    for a true relation: no operator runs on a group-ring series."""
     worst = 0.0
     for power, part in enumerate(sol.parts):
         images, scale = _images(profile, sol.chi.order, power), part.max_abs()
@@ -412,9 +406,9 @@ def invariant_subspace_witness(m: int, m1: int, order: int) -> SubspaceWitness:
     ypr = _source(profile, order, 1)
     blocks = [[(j * m1 + k,) for j in range(m // d)] for k in range(d)]
     worst = _branch_residual(profile, order)
-    block_ranks = tuple(twist_rank(ypr, block, m, RANK_TOL) for block in blocks)
-    joint = twist_rank(ypr, [t for block in blocks for t in block], m, RANK_TOL)
-    original_rank = twist_rank(ypr, [(j * m1,) for j in range(m)], m, RANK_TOL)
+    block_ranks = tuple(twist_rank(ypr, block, m) for block in blocks)
+    joint = twist_rank(ypr, [t for block in blocks for t in block], m)
+    original_rank = twist_rank(ypr, [(j * m1,) for j in range(m)], m)
     return SubspaceWitness(m=m, m1=m1, d=d, block_ranks=block_ranks,
                            joint_rank=joint, max_residual=worst,
                            original_root_rank=original_rank)
@@ -440,7 +434,7 @@ def equation_report(profile: ExponentProfile, twist, order: int,
     twists = [[(b * mk + ik) % m for mk, ik in zip(profile.m_list, inst.twist)]
               for b in range(m)]
     try:
-        rank = twist_rank(_source(profile, order, 1), twists, m, RANK_TOL)
+        rank = twist_rank(_source(profile, order, 1), twists, m)
     except ArithmeticError:  # the SVD witness disagrees with the class count
         rank = None
     return {

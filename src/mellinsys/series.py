@@ -32,6 +32,8 @@ import numpy as np
 from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
 from .rings import COMPLEX, RATIONAL
 
+RANK_TOL = 1e-10  # relative pivot tolerance of every numeric rank
+
 
 def _zero_exp(n):
     return (0,) * n
@@ -247,7 +249,7 @@ class TruncatedSeries:
             {s: self.ring.to_complex(c) for s, c in self.terms.items()})
 
     def to_cyclotomic(self, m: int):
-        """The same series over the group ring Q[Z/m]."""
+        """The same series over the ring of its rotations (Q[Z/m] if exact)."""
         ring, embed = self.ring.group_ring(m)
         return TruncatedSeries(ring, self.n_vars, self.order,
                                {s: embed(c, 0) for s, c in self.terms.items()})
@@ -347,12 +349,12 @@ def convenient_basis_series(profile: ExponentProfile, index,
 
 def rotate(series: TruncatedSeries, index, m: int | None = None,
            shift: int = 0) -> TruncatedSeries:
-    """Substitute x_j -> e^{i_j} x_j over the group ring Q[Z/m].
+    """Substitute x_j -> e^{i_j} x_j: over Q[Z/m], or over C if complex.
 
     The coefficient at exponent s picks up the factor e^{<I, s> mod m},
-    times e^shift when a shift is given.  The ring's map (c, k) -> c e^k
-    builds each one in a single tuple: a monomial for a rational c, a
-    cyclic shift for an element of Q[Z/m].
+    times e^shift when a shift is given, from the ring's map (c, k) ->
+    c e^k: a monomial for a rational c, a cyclic shift in Q[Z/m], a
+    product with zeta^k for a complex c.
     """
     index = tuple(index)
     ring, embed = series.ring.group_ring(m)
@@ -368,7 +370,7 @@ def scaled_root_series(profile: ExponentProfile, j: int, order: int,
     f is the principal root y_pr unless ``series`` is given; callers that
     need many branches pass a precomputed y_pr.  With the default twist
     I = 0 the result is the j-th root branch of the untwisted equation,
-    the one taking the value e^j at the origin.  Exact over Q[Z/m].
+    the one taking the value e^j at the origin.  Exact for an exact f.
 
     The coefficient at s is f_s e^{j + <index, s>}, index_k = j m_k + i_k:
     one cyclic shift of its coordinates, in a single pass over f.
@@ -412,20 +414,20 @@ def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
 # Linear independence
 # ---------------------------------------------------------------------------
 
-def rank_complex(rows, rel_tol: float = 1e-10) -> int:
-    """Numeric rank via singular values, relative pivot tolerance rel_tol."""
+def rank_complex(rows) -> int:
+    """Numeric rank via singular values, relative pivot tolerance RANK_TOL."""
     if not rows or not rows[0]:
         return 0
     a = np.array(rows, dtype=complex)
     sv = np.linalg.svd(a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def independence_rank(series_list, rel_tol: float = 1e-10) -> int:
-    """Numeric rank of the coefficients of complex series at the relative
-    pivot tolerance; exact series raise ValueError (see ``twist_rank``)."""
+def independence_rank(series_list) -> int:
+    """Numeric rank of the coefficients of complex series at RANK_TOL;
+    exact series raise ValueError (see ``twist_rank``)."""
     if not series_list:
         return 0
     first = series_list[0]
@@ -439,11 +441,10 @@ def independence_rank(series_list, rel_tol: float = 1e-10) -> int:
     cols = sorted({e for s in series_list for e in s.terms},
                   key=lambda e: (sum(e), e))
     return rank_complex([[s.terms.get(e, 0j) for e in cols]
-                         for s in series_list], rel_tol)
+                         for s in series_list])
 
 
-def twist_rank(f: TruncatedSeries, twists, m: int,
-               rel_tol: float = 1e-10) -> int:
+def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
     """Exact rank over Q(zeta_m) of the twists f(zeta^{t_1} x_1, ...,
     zeta^{t_n} x_n) of a rational f over a coset t0 + H of (Z/m)^n.
 
@@ -473,7 +474,7 @@ def twist_rank(f: TruncatedSeries, twists, m: int,
     zeta = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
     terms = [(phases[classes[s]], float(c)) for s, c in f.terms.items()]
     numeric = rank_complex([[c * zeta[ks[i]] for ks, c in terms]
-                            for i in range(len(twists))], rel_tol)
+                            for i in range(len(twists))])
     if exact != numeric:
         raise ArithmeticError(
             f"exact twist rank {exact} != numeric embedded rank {numeric}; "

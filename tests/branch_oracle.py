@@ -2,8 +2,11 @@
 
 The library takes every sum over coset equations and root branches from
 the rational y_pr in one pass, weighting each coefficient by a group-ring
-element fixed by its exponent mod m.  These build each of the m |Gamma|
-branches over Q[Z/m] with ``scaled_root_series`` and add them up.
+element fixed by its exponent mod m, and keeps only the coefficients
+that do not vanish in Q(zeta_m).  These build each of the m |Gamma|
+branches over Q[Z/m] with ``scaled_root_series`` and add them up;
+``nonvanishing`` drops from such a sum the coefficients whose embedding
+vanishes, each tested on its own.
 
 ``mellin_residual`` runs every Mellin operator on the series it is given,
 the reference for the annihilation residuals that the library reads off
@@ -41,7 +44,7 @@ def mellin_residual(profile, series) -> float:
                for op in mellin_system(profile)) / scale
 
 
-def equation_record_by_branches(p, twist, order, rel_tol):
+def equation_record_by_branches(p, twist, order):
     """(substitution residual, SVD rank) of the m complex embeddings of the
     closed-form branches of the equation twisted by ``twist``."""
     inst = origin_instance(p, twist)
@@ -51,7 +54,7 @@ def equation_record_by_branches(p, twist, order, rel_tol):
     xs = [TruncatedSeries.variable(COMPLEX, p.n, order, j) for j in range(p.n)]
     residual = max(_poly_and_derivative(inst, y, xs)[0].max_abs()
                    for y in jets)
-    return residual, independence_rank(jets, rel_tol)
+    return residual, independence_rank(jets)
 
 
 def lift_jets_full_order(instance, order):
@@ -68,6 +71,13 @@ def lift_jets_full_order(instance, order):
             y = y - p * dp.inverse()
         jets.append(y)
     return jets
+
+
+def nonvanishing(series):
+    """The series without the coefficients whose embedding vanishes."""
+    ring = series.ring
+    return TruncatedSeries(ring, series.n_vars, series.order, {
+        s: c for s, c in series.terms.items() if not ring.is_zero_complex(c)})
 
 
 def root_sum_by_branches(p, c, order):

@@ -17,8 +17,8 @@ from mellinsys import cli, roots, series
 from mellinsys.profiles import (coset_representatives, index_box,
                                 make_profile, relation_basis)
 from mellinsys.cli import main
-from mellinsys.rings import COMPLEX, RATIONAL
-from mellinsys.roots import (RANK_TOL, SUBSTITUTION_TOL,
+from mellinsys.rings import COMPLEX, RATIONAL, CyclotomicRing
+from mellinsys.roots import (SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, invariant_subspace_witness,
                              lift_jets, log_residual, log_solution,
@@ -32,7 +32,7 @@ from mellinsys.profiles import ProfileError
 import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
                            lift_jets_full_order, log_parts_by_branches,
-                           mellin_residual, root_sum_by_branches)
+                           mellin_residual, nonvanishing, root_sum_by_branches)
 from profile_oracle import profile_suite
 
 F = Fraction
@@ -261,11 +261,14 @@ def _relation_vectors(p):
 
 @pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
 def test_log_solution_matches_branch_by_branch_assembly(m, ms, order):
+    """The parts hold exactly the branch sums' coefficients that do not
+    vanish in Q(zeta_m), and chi is theirs bit for bit."""
     p = make_profile(m, ms)
     for c in _relation_vectors(p):
         sol = log_solution(p, c, order)
-        a, b = log_parts_by_branches(p, c, order)
-        assert [s.terms for s in sol.parts] == [a.terms, b.terms]
+        a, b = map(nonvanishing, log_parts_by_branches(p, c, order))
+        assert [(s.order, s.terms) for s in sol.parts] == [
+            (a.order, a.terms), (b.order, b.terms)]
         chi = a.to_complex() + b.to_complex().scale(2j * cmath.pi / m)
         assert sol.chi.terms == chi.terms
         assert sol.constant_offsets == tuple(
@@ -279,7 +282,7 @@ def test_root_sums_match_branch_by_branch_oracle(m, ms, order):
     e0 = [1] + [0] * (len(coset_representatives(p)) - 1)
     for c in _relation_vectors(p) + [e0]:
         want = root_sum_by_branches(p, c, order)
-        assert root_sum(p, c, order).terms == want.terms
+        assert root_sum(p, c, order).terms == nonvanishing(want).terms
         assert relation_check(p, c, order) == want.max_abs()
 
 
@@ -296,6 +299,31 @@ def test_perturbed_relation_vector_is_caught(m, ms):
         assert root_sum_by_branches(p, bad, 8).max_abs() > 0
         with pytest.raises(ValueError, match="not zero"):
             log_solution(p, bad, 8)
+
+
+# d = 1 profiles with m <= 7, n <= 3 and a relation, bounded by m^n <= 64
+# so that the branch oracles stay cheap: every n <= 2 profile and (4;3,2,1)
+SWEEP_PROFILES = [p for p in profile_suite(7, 3)
+                  if p.m**p.n <= 64 and relation_basis(p)]
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(st.sampled_from(SWEEP_PROFILES), st.integers(0, 99))
+def test_coset_sums_equal_the_branch_oracles_at_the_order_floor(p, pick):
+    """At the order floor max(m + 2, n(m - 1)), relation_check and
+    log_residual equal the branch-by-branch values exactly, for a basis
+    vector and, for relation_check, that vector with one entry moved."""
+    order = max(p.m + 2, p.n * (p.m - 1))
+    basis = relation_basis(p)
+    vec = basis[pick % len(basis)]
+    bad = list(vec)
+    bad[-1] += F(1, 7)
+    for c in (vec, bad):
+        assert relation_check(p, c, order) == root_sum_by_branches(
+            p, c, order).max_abs()
+    assert log_residual(p, log_solution(p, vec, order)) == max(
+        mellin_residual(p, part)
+        for part in log_parts_by_branches(p, vec, order))
 
 
 @pytest.mark.parametrize("as_json", [False, True])
@@ -322,20 +350,24 @@ def test_verify_fails_on_a_nonzero_relation_residual(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("m,ms", [(3, [2, 1]), (5, [3, 1]), (7, [3])])
-def test_verify_takes_each_root_sum_once(m, ms, capsys):
-    """The relation-residuals check, the guard of every log_solution and
-    the jet-root-sum check share one root sum and one residual per vector."""
-    roots._root_sum.cache_clear()
-    roots._relation_residual.cache_clear()
+def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
+    """A relation basis vector has an empty root sum, and every image coset
+    sum of its logarithmic parts is empty; each coset sum takes at most one
+    Phi_m test per residue class."""
     p = make_profile(m, ms)
-    assert main(["verify", str(m), *map(str, ms)]) == 0
-    capsys.readouterr()
-    vectors = {tuple(vec) for vec in relation_basis(p)}
-    e0 = (1,) + (0,) * (len(coset_representatives(p)) - 1)
-    assert roots._root_sum.cache_info().misses == len(vectors | {e0})
-    residuals = roots._relation_residual.cache_info()
-    assert residuals.misses == len(vectors)
-    assert residuals.hits == len(vectors)
+    real, tested = CyclotomicRing.is_zero_complex, []
+    monkeypatch.setattr(CyclotomicRing, "is_zero_complex",
+                        lambda ring, a: tested.append(1) or real(ring, a))
+    sums = [(0, roots._source(p, 12, 1))] + [
+        (power, image) for power in (0, 1)
+        for image in roots._images(p, 12, power)]
+    for vec in relation_basis(p):
+        assert root_sum(p, vec, 12).is_zero()
+        for power, f in sums:
+            tested.clear()
+            assert roots._coset_sum(p, f, vec, power).is_zero()
+            assert len(tested) <= len({tuple(v % m for v in s)
+                                       for s in f.terms})
 
 
 @pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (9, [2], 12),
@@ -484,13 +516,30 @@ def test_chi_annihilated_depressed_cubic():
 def test_chi_annihilated_general_cubic_and_direct_sum():
     p = make_profile(3, [2, 1])
     yjets = [j for block in coset_equation_jets(p, 12) for j in block]
-    assert independence_rank(yjets, RANK_TOL) == 7
+    assert independence_rank(yjets) == 7
     chis = []
     for c in ([F(1), F(-1), F(0)], [F(1), F(0), F(-1)]):
         sol = log_solution(p, c, 12)
         assert mellin_residual(p, sol.chi) < ANNIHILATION_TOL
         chis.append(sol.chi)
-    assert independence_rank(yjets + chis, RANK_TOL) == 9
+    assert independence_rank(yjets + chis) == 9
+
+
+@pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
+def test_complex_jets_are_the_embedded_exact_branches(m, ms, order):
+    """Rotating the complex y_pr gives the complex embedding of every exact
+    branch (a signed zero compares equal to its opposite)."""
+    p = make_profile(m, ms)
+    want = [[scaled_root_series(p, j, order, rep).to_complex()
+             for j in range(m)] for rep in coset_representatives(p)]
+    assert [[(s.ring, s.order, s.terms) for s in block]
+            for block in coset_equation_jets(p, order)] == [
+        [(s.ring, s.order, s.terms) for s in block] for block in want]
+
+
+def test_rank_tolerance_is_one_constant():
+    from mellinsys.roots import RANK_TOL
+    assert RANK_TOL is series.RANK_TOL == 1e-10
 
 
 def test_root_jets_are_annihilated():
@@ -575,7 +624,7 @@ def test_equation_records_match_the_branch_embeddings(m, ms, order):
     p = make_profile(m, ms)
     for rep in coset_representatives(p):
         record = roots.equation_report(p, rep, order)
-        residual, rank = equation_record_by_branches(p, rep, order, RANK_TOL)
+        residual, rank = equation_record_by_branches(p, rep, order)
         assert record["rank"] == rank
         assert record["substitution_residual"] == 0.0
         assert residual < SUBSTITUTION_TOL
@@ -591,8 +640,7 @@ def test_twist_rank_witness_matrix_is_the_per_term_matrix(monkeypatch,
     real, dots = series.rank_complex, series.dot
     seen, counted = [], []
     monkeypatch.setattr(series, "rank_complex",
-                        lambda rows, rel_tol: seen.append(rows)
-                        or real(rows, rel_tol))
+                        lambda rows: seen.append(rows) or real(rows))
     monkeypatch.setattr(series, "dot",
                         lambda a, b: counted.append(1) or dots(a, b))
     classes = {tuple(v % m for v in s) for s in y.terms}
@@ -603,7 +651,7 @@ def test_twist_rank_witness_matrix_is_the_per_term_matrix(monkeypatch,
     for twists in twist_sets:
         seen.clear()
         counted.clear()
-        twist_rank(y, twists, m, RANK_TOL)
+        twist_rank(y, twists, m)
         assert seen == [[[float(c) * zeta[dots(t, s) % m]
                           for s, c in y.terms.items()] for t in twists]]
         assert len(counted) == len(twists) * len(classes)
