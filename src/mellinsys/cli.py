@@ -239,10 +239,10 @@ def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
         ok = True
         for j in range(p.n):
             mult = horn_mellin_multiplier(p, j)
-            lhs = horn_x[j].scale(mult)
-            ok = ok and (lhs == cleared[j])
+            same = horn_x[j].scale(mult) == cleared[j]
+            ok = ok and same
             print(f"horn->mellin[{j + 1}]: multiplier {mult} "
-                  f"{'OK' if lhs == cleared[j] else 'MISMATCH'}")
+                  f"{'OK' if same else 'MISMATCH'}")
         if not ok:
             return 2
         print("horn->mellin identity: OK")

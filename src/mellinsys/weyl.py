@@ -15,10 +15,12 @@ output term.
 Polynomials in the Euler operators theta_j = x_j D_j are expanded in
 closed form, not by composition: theta^e = sum_i S(e, i) x^i D^i with S
 the Stirling numbers of the second kind, and the theta_j commute, so every
-monomial theta^k lands directly in canonical form.  Composition remains
-the independent witness where a check compares against that expansion:
-the Euler product identity x^m D^m = prod_k (theta - k), the x_j^m
-clearing that the Horn/Mellin identity is checked against, and both
+monomial theta^k lands directly in canonical form.  Left multiplication by
+x_j^e only raises the x_j exponent of each term, so the Mellin operators
+and both Horn forms are assembled as integer maps by key shifts, over one
+denominator, with no operator composition, sum or negation.  Composition
+remains only where a check compares against that assembly: the x_j^m
+clearing that the Horn/Mellin identity is checked against, and the two
 univariate factorizations.
 
 Built on top of the arithmetic:
@@ -26,8 +28,8 @@ Built on top of the arithmetic:
 * the Mellin system of y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0 and
   its x_j^m-cleared form expressible in Euler operators,
 * the Horn companions in the torus variables w_j = (-1)^{m'_j} x_j^m,
-  multiplied out from Horn's own factors, and their translation back to x
-  by theta -> theta / m, with the exact multiplier that recovers the
+  multiplied out once from Horn's own factors, and their translation back
+  to x by theta -> theta / m, with the exact multiplier that recovers the
   cleared Mellin operators,
 * the univariate trinomial operator, its discriminant/leading-coefficient
   coincidence, and the two closed-form factorizations (right factor
@@ -41,6 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, perm, prod
+from operator import add, getitem
 
 from .profiles import ExponentProfile, make_profile, var_names
 from .series import TruncatedSeries
@@ -339,6 +342,46 @@ def _stirling_row(e: int) -> tuple[int, ...]:
     return _STIRLING_ROWS[e]
 
 
+def _expand_theta(k, targets, j=0):
+    """Add c * x_j^shift theta^k in canonical form to each (out, c, shift).
+
+    theta_j^e = sum_i S(e, i) x_j^i D_j^i with S the Stirling numbers of the
+    second kind, and the theta_j commute, so theta^k is
+    sum_i prod_j S(k_j, i_j) x^i D^i: already canonical, no composition.
+    Left multiplication by x_j^shift only raises the x_j exponent, so every
+    target shares the one expansion; the out maps hold integer numerators.
+    """
+    rows = [_stirling_row(e) for e in k]
+    for i in product(*(range(1 if e else 0, e + 1) for e in k)):
+        f = prod(map(getitem, rows, i))
+        for out, c, shift in targets:
+            key = (i[:j] + (i[j] + shift,) + i[j + 1:] if shift else i, i)
+            out[key] = out.get(key, 0) + c * f
+
+
+def _linear_map(weights, const):
+    """{theta-monomial: coefficient} of the affine form sum w_j theta_j + const."""
+    n = len(weights)
+    terms = [(_zeros(n), const)]
+    terms += [(tuple(1 if i == j else 0 for i in range(n)), w)
+              for j, w in enumerate(weights)]
+    return {k: c for k, c in terms if c}
+
+
+def _int_product(n_vars, factors):
+    """The product of integer theta maps, with its zero coefficients dropped
+    after every factor."""
+    out = {_zeros(n_vars): 1}
+    for f in factors:
+        nxt: dict = {}
+        for k1, c1 in out.items():
+            for k2, c2 in f.items():
+                key = tuple(map(add, k1, k2))
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        out = {k: c for k, c in nxt.items() if c}
+    return out
+
+
 def _pass_through(b, a):
     """Expansion of D^b o x^a as sum_k f_k x^{a-k} D^{b-k}, per variable."""
     options = []
@@ -378,44 +421,19 @@ class ThetaPoly:
     @classmethod
     def linear(cls, weights, const) -> "ThetaPoly":
         """The affine form sum w_j theta_j + const."""
-        n = len(weights)
-        coeffs = {_zeros(n): Fraction(const)}
-        for j, w in enumerate(weights):
-            if w:
-                coeffs[tuple(1 if i == j else 0 for i in range(n))] = Fraction(w)
-        return cls(n, coeffs)
+        return cls(len(weights), _linear_map(weights, const))
 
     def __mul__(self, other):
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        den1, ints1 = _over_common_denominator(self.coeffs)
-        den2, ints2 = _over_common_denominator(other.coeffs)
-        out = {}
-        for k1, c1 in ints1.items():
-            for k2, c2 in ints2.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return ThetaPoly(self.n_vars, _fractions(out, den1 * den2))
-
-    def theta_over(self, m: int) -> "ThetaPoly":
-        """The substitution theta -> theta / m: theta^k gains m^-|k|."""
-        return ThetaPoly(self.n_vars,
-                         {k: c / m ** sum(k) for k, c in self.coeffs.items()})
+        return theta_product(self.n_vars, [self, other])
 
     def to_operator(self) -> DiffOperator:
-        """Expand into canonical x^a D^b form in closed form.
-
-        theta_j^e = sum_i S(e, i) x_j^i D_j^i with S the Stirling numbers of
-        the second kind, and the theta_j commute, so the monomial theta^k is
-        sum_i prod_j S(k_j, i_j) x^i D^i: already canonical, no composition.
-        """
+        """Expand into canonical x^a D^b form in closed form (_expand_theta)."""
         den, ints = _over_common_denominator(self.coeffs)
         terms: dict = {}
         for k, c in ints.items():
-            rows = [_stirling_row(e) for e in k]
-            for i in product(*(range(1 if e else 0, e + 1) for e in k)):
-                f = c * prod(row[ij] for row, ij in zip(rows, i))
-                terms[(i, i)] = terms.get((i, i), 0) + f
+            _expand_theta(k, [(terms, c, 0)])
         return DiffOperator(self.n_vars, _fractions(terms, den))
 
     def evaluate(self, point) -> Fraction:
@@ -429,37 +447,53 @@ class ThetaPoly:
 
 
 def theta_product(n_vars, factors) -> ThetaPoly:
-    out = ThetaPoly.one(n_vars)
+    """The product of the factors, multiplied out in integers: each factor
+    goes over its own denominator and one Fraction is built per output
+    coefficient."""
+    den, ints = 1, []
     for f in factors:
-        out = out * f
-    return out
+        d, f_ints = _over_common_denominator(f.coeffs)
+        den *= d
+        ints.append(f_ints)
+    return ThetaPoly(n_vars, _fractions(_int_product(n_vars, ints), den))
 
 
 # ---------------------------------------------------------------------------
 # The Mellin system and its companions
 # ---------------------------------------------------------------------------
 
+def _indicial_factors(profile: ExponentProfile, j: int) -> list[dict]:
+    m = profile.m
+    return ([_linear_map(profile.m_list, m * k + 1)
+             for k in range(profile.m_list[j])]
+            + [_linear_map(profile.mprime_list, m * k - 1)
+               for k in range(profile.mprime_list[j])])
+
+
 def indicial_theta_poly(profile: ExponentProfile, j: int) -> ThetaPoly:
     """prod_{k<m_j} (<M,theta> + mk + 1) * prod_{k<m'_j} (<M',theta> + mk - 1)."""
-    m = profile.m
-    factors = [ThetaPoly.linear(profile.m_list, m * k + 1)
-               for k in range(profile.m_list[j])]
-    factors += [ThetaPoly.linear(profile.mprime_list, m * k - 1)
-                for k in range(profile.mprime_list[j])]
-    return theta_product(profile.n, factors)
+    return ThetaPoly(profile.n,
+                     _int_product(profile.n, _indicial_factors(profile, j)))
 
 
 @lru_cache(maxsize=32)
 def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
     """The n operators P_j(theta) - (-1)^{m_j} m^m D_j^m in canonical form.
 
+    P_j has integer coefficients; its Stirling expansion has a = b in every
+    term, so the D_j^m term is one more key of the same integer map.
     Built once per recently used profile; callers share the returned tuple.
     """
     m, n = profile.m, profile.n
-    return tuple(indicial_theta_poly(profile, j).to_operator()
-                 - DiffOperator.partial(n, j, m,
-                                        coeff=(-1) ** profile.m_list[j] * m**m)
-                 for j in range(n))
+    ops = []
+    for j in range(n):
+        terms: dict = {}
+        for k, c in _int_product(n, _indicial_factors(profile, j)).items():
+            _expand_theta(k, [(terms, c, 0)])
+        d_j = tuple(m if i == j else 0 for i in range(n))
+        terms[(_zeros(n), d_j)] = -((-1) ** profile.m_list[j]) * m**m
+        ops.append(DiffOperator(n, _fractions(terms, 1)))
+    return tuple(ops)
 
 
 def mellin_system_theta_form(profile: ExponentProfile) -> list[DiffOperator]:
@@ -477,34 +511,42 @@ def mellin_system_theta_form(profile: ExponentProfile) -> list[DiffOperator]:
 def horn_system(profile: ExponentProfile):
     """The Horn companions (H_j in the w variables, H'_j in the x variables).
 
-    H_j  = prod_{k<m}(m theta_j - k)
-           - w_j prod_{k<m_j}(-<M,theta> - 1/m - k)
-                 prod_{k<m'_j}(-<M',theta> + 1/m - k)
+    H_j  = L_j(theta) - w_j T_j(theta),  L_j = prod_{k<m}(m theta_j - k),
+    T_j  = prod_{k<m_j}(-<M,theta> - 1/m - k) prod_{k<m'_j}(-<M',theta> + 1/m - k)
     and H'_j is the same after w_j = (-1)^{m'_j} x_j^m, under which the
-    Euler operator in w_j becomes theta_j / m.  Each theta product is built
-    once, from these factors, for the w-form; the x-form follows from it by
-    that substitution theta -> theta / m.
+    Euler operator in w_j becomes theta_j / m.
+
+    Both forms are assembled by key shifts, with no composition: each tail
+    factor times m is integral, so L_j and m^m T_j are multiplied out once
+    in integers, and each of their theta-monomials is expanded once for
+    both forms.  Left multiplication by x_j^e raises a_j by e, so L-terms
+    keep a = b and tail terms get a = b + e e_j; they never collide.  The
+    w-form lies over m^m (tail weight -1, shift 1), the x-form over m^{2m}
+    (theta^k gains m^{-|k|}; tail weight -(-1)^{m'_j} m^{m-|k|}, shift m).
     """
     m, n = profile.m, profile.n
     horn_w, horn_x = [], []
-    M = [Fraction(v) for v in profile.m_list]
-    Mp = [Fraction(v) for v in profile.mprime_list]
     for j in range(n):
-        theta_j = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        lead_w = theta_product(
-            n, [ThetaPoly.linear([m * t for t in theta_j], -k) for k in range(m)])
-        tail = theta_product(
+        lead = _int_product(n, [
+            _linear_map([m if i == j else 0 for i in range(n)], -k)
+            for k in range(m)])
+        tail = _int_product(
             n,
-            [ThetaPoly.linear([-v for v in M], Fraction(-1, m) - k)
+            [_linear_map([-m * v for v in profile.m_list], -1 - m * k)
              for k in range(profile.m_list[j])]
-            + [ThetaPoly.linear([-v for v in Mp], Fraction(1, m) - k)
+            + [_linear_map([-m * v for v in profile.mprime_list], 1 - m * k)
                for k in range(profile.mprime_list[j])])
-        horn_w.append(lead_w.to_operator()
-                      - DiffOperator.x_power(n, j, 1) * tail.to_operator())
         sign = (-1) ** profile.mprime_list[j]
-        horn_x.append(lead_w.theta_over(m).to_operator()
-                      - DiffOperator.x_power(n, j, m, coeff=sign)
-                      * tail.theta_over(m).to_operator())
+        w_terms: dict = {}
+        x_terms: dict = {}
+        for k, c in lead.items():
+            _expand_theta(k, [(w_terms, m**m * c, 0),
+                              (x_terms, m ** (2 * m - sum(k)) * c, 0)])
+        for k, c in tail.items():
+            _expand_theta(k, [(w_terms, -c, 1),
+                              (x_terms, -sign * m ** (m - sum(k)) * c, m)], j)
+        horn_w.append(DiffOperator(n, _fractions(w_terms, m**m)))
+        horn_x.append(DiffOperator(n, _fractions(x_terms, m ** (2 * m))))
     return horn_w, horn_x
 
 

@@ -28,7 +28,8 @@ from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
 from mellinsys.weyl import _stirling_row
 from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
                          euler_product_identity, factorization_check,
-                         horn_x_by_own_factors, least_theta_multiplier,
+                         horn_w_by_own_factors, horn_x_by_own_factors,
+                         least_theta_multiplier, mellin_by_composition,
                          right_divide_theta_minus_one,
                          theta_mul_by_fractions, theta_poly_by_composition)
 
@@ -194,8 +195,33 @@ def _profiles_up_to(top_m, top_n):
 
 @pytest.mark.parametrize("m,ms", _profiles_up_to(6, 3))
 def test_horn_x_form_equals_one_built_from_its_own_factors(m, ms):
+    """Both Horn forms, the w-form and the x-form, against the ones
+    multiplied out Fraction by Fraction from their own factors."""
     p = make_profile(m, ms)
-    assert horn_system(p)[1] == horn_x_by_own_factors(p)
+    horn_w, horn_x = horn_system(p)
+    assert horn_w == horn_w_by_own_factors(p)
+    assert horn_x == horn_x_by_own_factors(p)
+
+
+@pytest.mark.parametrize("m,ms", _profiles_up_to(6, 3))
+def test_mellin_system_equals_the_composed_indicial_product(m, ms):
+    p = make_profile(m, ms)
+    assert list(mellin_system(p)) == mellin_by_composition(p)
+
+
+def test_systems_are_assembled_without_operator_arithmetic(monkeypatch):
+    """horn_system and mellin_system build integer maps by key shifts: no
+    operator composition, sum, difference or negation runs inside them."""
+    def forbidden(*args):
+        raise AssertionError("operator arithmetic in a system construction")
+
+    for name in ("__mul__", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(DiffOperator, name, forbidden)
+    mellin_system.cache_clear()
+    for m, ms in [(2, [1]), (3, [2, 1]), (6, [4, 2]), (5, [3, 2, 1])]:
+        p = make_profile(m, ms)
+        horn_system(p)
+        mellin_system(p)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])

@@ -8,8 +8,11 @@ canonical-form Weyl algebra.
 The library multiplies theta polynomials and composes operators over a
 common denominator, in integers; ``theta_mul_by_fractions`` and
 ``compose_by_fractions`` accumulate the same sums one Fraction at a time.
-``horn_x_by_own_factors`` builds the x-form Horn companions from their own
-factors, where the library substitutes theta -> theta / m in the w-form.
+``horn_w_by_own_factors`` and ``horn_x_by_own_factors`` build the two Horn
+forms from their own factors with those Fraction products and a composed
+left factor x_j^e, where the library multiplies m^m T_j out in integers
+once and assembles both forms by key shifts; ``mellin_by_composition``
+expands the Fraction product of the indicial factors by composition.
 
 ``equals_up_to_rational_scale`` and ``factorization_check`` compare
 operators for the factorization and Horn/Mellin tests;
@@ -84,32 +87,69 @@ def compose_by_fractions(p, q) -> DiffOperator:
     return DiffOperator(p.n_vars, out)
 
 
-def horn_x_by_own_factors(profile) -> list[DiffOperator]:
-    """H'_j = prod_{k<m}(theta_j - k) - (-1)^{m'_j} x_j^m tail_x(theta),
-    tail_x = prod_{k<m_j}(-<M,theta>/m - 1/m - k)
-             prod_{k<m'_j}(-<M',theta>/m + 1/m - k),
-    every product multiplied out from these x-factors."""
+def _horn_by_own_factors(profile, s, x_power) -> list[DiffOperator]:
+    """lead_j - x_power(j) o tail_j, with every product multiplied out from
+    the factors
+        lead_j = prod_{k<m}(s m theta_j - k),
+        tail_j = prod_{k<m_j}(-s <M,theta> - 1/m - k)
+                 prod_{k<m'_j}(-s <M',theta> + 1/m - k)."""
     m, n = profile.m, profile.n
     one = ThetaPoly.one(n)
     out = []
     for j in range(n):
-        theta_j = [1 if i == j else 0 for i in range(n)]
         lead = reduce(theta_mul_by_fractions,
-                      [ThetaPoly.linear(theta_j, -k) for k in range(m)], one)
+                      [ThetaPoly.linear([s * m if i == j else 0
+                                         for i in range(n)], -k)
+                       for k in range(m)], one)
         tail = reduce(
             theta_mul_by_fractions,
-            [ThetaPoly.linear([Fraction(-v, m) for v in profile.m_list],
+            [ThetaPoly.linear([-s * v for v in profile.m_list],
                               Fraction(-1, m) - k)
              for k in range(profile.m_list[j])]
-            + [ThetaPoly.linear([Fraction(-v, m) for v in profile.mprime_list],
+            + [ThetaPoly.linear([-s * v for v in profile.mprime_list],
                                 Fraction(1, m) - k)
                for k in range(profile.mprime_list[j])],
             one)
-        sign = (-1) ** profile.mprime_list[j]
         out.append(lead.to_operator()
-                   - compose_by_fractions(
-                       DiffOperator.x_power(n, j, m, coeff=sign),
-                       tail.to_operator()))
+                   - compose_by_fractions(x_power(j), tail.to_operator()))
+    return out
+
+
+def horn_w_by_own_factors(profile) -> list[DiffOperator]:
+    """H_j = prod_{k<m}(m theta_j - k) - w_j tail_w(theta),
+    tail_w = prod_{k<m_j}(-<M,theta> - 1/m - k)
+             prod_{k<m'_j}(-<M',theta> + 1/m - k), in the variables w."""
+    return _horn_by_own_factors(
+        profile, 1, lambda j: DiffOperator.x_power(profile.n, j))
+
+
+def horn_x_by_own_factors(profile) -> list[DiffOperator]:
+    """H'_j = prod_{k<m}(theta_j - k) - (-1)^{m'_j} x_j^m tail_x(theta),
+    tail_x = prod_{k<m_j}(-<M,theta>/m - 1/m - k)
+             prod_{k<m'_j}(-<M',theta>/m + 1/m - k)."""
+    m = profile.m
+    return _horn_by_own_factors(
+        profile, Fraction(1, m),
+        lambda j: DiffOperator.x_power(profile.n, j, m,
+                                       coeff=(-1) ** profile.mprime_list[j]))
+
+
+def mellin_by_composition(profile) -> list[DiffOperator]:
+    """P_j(theta) - (-1)^{m_j} m^m D_j^m, with P_j the Fraction product of
+    its indicial factors expanded by composition."""
+    m, n = profile.m, profile.n
+    out = []
+    for j in range(n):
+        indicial = reduce(
+            theta_mul_by_fractions,
+            [ThetaPoly.linear(profile.m_list, m * k + 1)
+             for k in range(profile.m_list[j])]
+            + [ThetaPoly.linear(profile.mprime_list, m * k - 1)
+               for k in range(profile.mprime_list[j])],
+            ThetaPoly.one(n))
+        out.append(theta_poly_by_composition(indicial)
+                   - DiffOperator.partial(
+                       n, j, m, coeff=(-1) ** profile.m_list[j] * m**m))
     return out
 
 
