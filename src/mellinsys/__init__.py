@@ -10,7 +10,7 @@ factorizations.
 from .profiles import (DimensionReport, ExponentProfile, ProfileError,
                        algebraic_index_set, coset_representatives, dims,
                        index_box, make_profile, missing_index_set,
-                       modular_count, relation_basis)
+                       modular_count, modular_counts, relation_basis)
 from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
                     get_cyclotomic_ring)
 from .roots import (EquationInstance, LogSolution, RootFindingError,
@@ -45,7 +45,7 @@ __all__ = [
     "is_generating", "lattice_matrices", "leading_coefficient", "lift_jets",
     "log_solution", "make_profile", "mellin_operator_1d", "mellin_system",
     "mellin_system_theta_form", "missing_index_set",
-    "modular_count", "origin_instance", "principal_coefficient",
+    "modular_count", "modular_counts", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
     "rotate", "scaled_root_series", "subseries", "twist_rank",
 ]

@@ -25,7 +25,7 @@ from functools import lru_cache
 from . import roots as roots_mod
 from .profiles import (ExponentProfile, ProfileError, algebraic_index_set,
                        coset_representatives, dims, index_box, make_profile,
-                       missing_index_set, modular_count, relation_basis)
+                       missing_index_set, modular_counts, relation_basis)
 from .series import (TruncatedSeries, convenient_basis_series, format_series,
                      independence_rank, is_generating, principal_series,
                      scaled_root_series, series_to_json, twist_rank)
@@ -166,7 +166,7 @@ def cmd_dims(config: RunConfig) -> int:
             "gamma": [list(i) for i in gamma],
         }
         if p.d == 1:
-            payload["modular_counts"] = [modular_count(p, r) for r in range(p.m)]
+            payload["modular_counts"] = modular_counts(p)
         print(_dumps(payload))
         return 0
     print(f"profile   : {p.equation_str()}   (m={p.m}, n={p.n}, d={p.d})")
@@ -336,7 +336,7 @@ def run_verification(config: RunConfig) -> list[Check]:
         f"rank {report.rank}, dim Y {report.dim_Y}, dim R {report.dim_R}, "
         f"|Gamma| {len(gamma)}")
     if p.d == 1:
-        counts = {modular_count(p, r) for r in range(p.m)}
+        counts = set(modular_counts(p))
         add("modular-count", counts == {p.m ** (p.n - 1)},
             f"every residue hit {p.m ** (p.n - 1)} times")
 

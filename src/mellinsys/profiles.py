@@ -194,10 +194,16 @@ def relation_basis(profile: ExponentProfile) -> list[tuple[Fraction, ...]]:
             for j in range(k)]
 
 
+def modular_counts(profile: ExponentProfile) -> list[int]:
+    """#{nu in B : <M, nu> = r (mod m)} for r = 0..m-1, in one walk of B;
+    each equals m^{n-1} if d = 1."""
+    m, counts = profile.m, [0] * profile.m
+    for nu in index_box(profile):
+        counts[dot(profile.m_list, nu) % m] += 1
+    return counts
+
+
 def modular_count(profile: ExponentProfile, r: int) -> int:
     """#{nu in B : <M, nu> = r (mod m)}; equals m^{n-1} for every r if d = 1."""
-    m = profile.m
-    r %= m
-    return sum(1 for nu in index_box(profile)
-               if dot(profile.m_list, nu) % m == r)
+    return modular_counts(profile)[r % profile.m]
 

@@ -18,29 +18,39 @@ Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
 point, and Newton lifting of all m Taylor branches at the origin, where the
 roots are the distinct m-th roots of unity and the Jacobian never
-degenerates; Newton update k runs at order min(2^{k+1} - 1, order), the
-degree through which it is correct.  Their tolerances (also surfaced by
-the CLI) are 1e-10 for the substitution residual of the lifted jets and
-1e-10 relative for rank pivots.  Complex series keep every term, so a
-reported gap is the measured rounding error, about 1e-15 on order-12
-jets.  Branch series, rotations of the complex y_pr, are built only for
-these witnesses and for ``coset_equation_jets``.
+degenerates.  The lift starts from zeta^b and never reads y_pr.  It
+carries the m branches as the rows of one dense complex array over the
+exponents sorted by degree, multiplies through a cached table of exponent
+pairs with elementwise products and fixed-order segment sums (no BLAS, so
+the digits do not depend on the build or the thread count), and runs
+Newton update k at order min(2^{k+1} - 1, order), the degree through
+which it is correct.  Their tolerances (also surfaced by the CLI) are
+1e-10 for the substitution residual of the lifted jets and 1e-10 relative
+for rank pivots.  Complex series keep every term, so a reported gap is
+the measured rounding error, about 1e-15 on order-12 jets.  Branch
+series, rotations of the complex y_pr, are built only for these witnesses
+and for ``coset_equation_jets``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from typing import NamedTuple
+
+import numpy as np
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, make_profile)
 from .rings import COMPLEX, RATIONAL, get_cyclotomic_ring
-from .series import (RANK_TOL, TruncatedSeries, principal_series,
-                     scaled_root_series, twist_rank)
+from .series import (RANK_TOL, TruncatedSeries, exponents_up_to,
+                     principal_series, scaled_root_series, twist_rank)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
@@ -147,23 +157,99 @@ def roots_at_point(instance: EquationInstance, seed: int = 0) -> list[complex]:
                                         round(abs(y), 9)))
 
 
-def _poly_and_derivative(instance: EquationInstance, y: TruncatedSeries,
-                         xs) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """p(y) and p'(y) for the defining polynomial of the instance, from one
-    table of powers y^0..y^m (m - 1 products), over the ring of y (complex
-    if the twist is nonzero)."""
-    profile = instance.profile
-    m, ring = profile.m, y.ring
-    eps = cmath.exp(2j * cmath.pi / m)
-    powers = [TruncatedSeries.constant(ring, y.n_vars, y.order, ring.one), y]
+MAX_LIFT_VALUES = 2**21  # complex values in one gathered product of the lift
+
+
+class _LiftTable(NamedTuple):
+    """Dense layout of the jets of n variables through one order.
+
+    Column k holds exps[k]; the exponents are sorted by total degree, so
+    the truncation to degree d is the first cols[d] columns.  Pair p says
+    exps[left[p]] + exps[right[p]] is the exponent of its column; pairs are
+    sorted by column and those of column k start at starts[k], so the
+    columns of degree <= d own the first starts[cols[d]] pairs (starts has
+    one entry past the last column).  shifts[j][k] is the column of
+    exps[k] + e_j, for the columns below the top degree.
+    """
+
+    exps: tuple
+    cols: tuple
+    left: np.ndarray
+    right: np.ndarray
+    starts: np.ndarray
+    shifts: tuple
+
+
+@lru_cache(maxsize=16)
+def _lift_table(n: int, order: int) -> _LiftTable:
+    """The layout of the jets of n variables through ``order``, built on
+    the first lift that needs it and cached, as ``mellin_system`` is."""
+    exps = sorted(exponents_up_to(n, order), key=sum)
+    index = {e: k for k, e in enumerate(exps)}
+    left, right, starts = [], [], []
+    for e in exps:
+        starts.append(len(left))
+        for u in product(*(range(v + 1) for v in e)):
+            left.append(index[u])
+            right.append(index[tuple(map(operator.sub, e, u))])
+    starts.append(len(left))
+    cols = tuple(math.comb(d + n, n) for d in range(order + 1))
+    below = exps[:cols[order - 1]]
+    shifts = tuple(_read_only([index[e[:j] + (e[j] + 1,) + e[j + 1:]]
+                               for e in below]) for j in range(n))
+    return _LiftTable(exps=tuple(exps), cols=cols, left=_read_only(left),
+                      right=_read_only(right), starts=_read_only(starts),
+                      shifts=shifts)
+
+
+def _read_only(values) -> np.ndarray:
+    """An index array that every caller of the cached table shares."""
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
+def _mul(table: _LiftTable, a, b, order: int):
+    """Row-wise product of a and b through degree ``order``."""
+    top = table.cols[order]
+    end = table.starts[top]
+    return np.add.reduceat(a[:, table.left[:end]] * b[:, table.right[:end]],
+                           table.starts[:top], axis=1)
+
+
+def _inverse(table: _LiftTable, f, order: int):
+    """Row-wise reciprocal of f through degree ``order``, filled degree by
+    degree: f_0 g_e = -sum_{u + v = e, v != e} f_u g_v.  The pair (0, e)
+    meets g_e while it is still 0."""
+    cols, starts = table.cols, table.starts
+    g = np.zeros_like(f[:, :cols[order]])
+    g[:, 0] = 1 / f[:, 0]
+    for d in range(1, order + 1):
+        lo, hi = starts[cols[d - 1]], starts[cols[d]]
+        acc = np.add.reduceat(
+            f[:, table.left[lo:hi]] * g[:, table.right[lo:hi]],
+            starts[cols[d - 1]:cols[d]] - lo, axis=1)
+        g[:, cols[d - 1]:cols[d]] = -acc * g[:, :1]
+    return g
+
+
+def _dense_p_and_dp(y, order: int, table: _LiftTable,
+                    profile: ExponentProfile, units):
+    """p(y) and p'(y) through degree ``order`` for every row of y, from one
+    table of powers y^0..y^m (m - 1 products); x_j shifts columns, and
+    units[j] is the twist unit of x_j."""
+    m, top, low = profile.m, table.cols[order], table.cols[order - 1]
+    one = np.zeros_like(y[:, :top])
+    one[:, 0] = 1
+    powers = [one, y[:, :top]]
     for _ in range(m - 1):
-        powers.append(powers[-1] * y)
-    p = powers[m] - powers[0]
-    dp = powers[m - 1].scale_rational(m)
-    for x, ij, mj in zip(xs, instance.twist, profile.m_list):
-        unit = eps**ij if ij else 1
-        p = p + (x * powers[mj]).scale(unit)
-        dp = dp + (x * powers[mj - 1]).scale(unit * mj)
+        powers.append(_mul(table, powers[-1], y, order))
+    p = powers[m] - one
+    dp = m * powers[m - 1]
+    for shift, unit, mj in zip(table.shifts, units, profile.m_list):
+        at = shift[:low]
+        p[:, at] += unit * powers[mj][:, :low]
+        dp[:, at] += (unit * mj) * powers[mj - 1][:, :low]
     return p, dp
 
 
@@ -175,9 +261,14 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
     doubles the number of correct degrees (Brent-Kung, J. ACM 25, 1978),
     so exactly ceil(log2(order + 1)) updates reach the order, and update
     k = 0, 1, ... runs at order min(2^{k+1} - 1, order): y is correct
-    through degree 2^k - 1 and its terms above are zero.  The final
-    substitution residual, taken at the full order, must stay below
-    SUBSTITUTION_TOL.
+    through degree 2^k - 1 and its terms above are zero.  The m branches
+    are the rows of one complex array whose columns are the exponents
+    sorted by degree (``_LiftTable``): a product is a gather over the
+    cached pair table and one fixed-order segment sum, so no library
+    summation order enters the digits.  The final substitution residual
+    of each branch, taken at the full order, must stay below
+    SUBSTITUTION_TOL.  A lift whose products would hold more than
+    MAX_LIFT_VALUES complex values is refused before any table is built.
     """
     if any(abs(v) != 0 for v in instance.base_point):
         raise ProfileError("jets are lifted at the origin only")
@@ -185,23 +276,28 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
         raise ValueError("jet order must be at least 1")
     profile = instance.profile
     m, n = profile.m, profile.n
+    values = m * math.comb(order + 2 * n, 2 * n)
+    if values > MAX_LIFT_VALUES:
+        raise ValueError(
+            f"lifting {m} branches in {n} variables at order {order} "
+            f"multiplies {values} complex values, above MAX_LIFT_VALUES = "
+            f"{MAX_LIFT_VALUES}")
+    table = _lift_table(n, order)
     zeta = cmath.exp(2j * cmath.pi / m)
-    xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
-    steps = math.ceil(math.log2(order + 1))
-    jets = []
-    for b in range(m):
-        y = TruncatedSeries.constant(COMPLEX, n, 0, zeta**b)
-        for k in range(steps):
-            y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
-                                y.terms)
-            p, dp = _poly_and_derivative(instance, y, xs)
-            y = y - p * dp.inverse()
-        residual = _poly_and_derivative(instance, y, xs)[0].max_abs()
+    units = [zeta**ij if ij else 1 for ij in instance.twist]
+    y = np.zeros((m, table.cols[order]), dtype=complex)
+    y[:, 0] = [zeta**b for b in range(m)]
+    for k in range(math.ceil(math.log2(order + 1))):
+        d = min(2 ** (k + 1) - 1, order)
+        p, dp = _dense_p_and_dp(y, d, table, profile, units)
+        y[:, :table.cols[d]] -= _mul(table, p, _inverse(table, dp, d), d)
+    p = _dense_p_and_dp(y, order, table, profile, units)[0]
+    for b, residual in enumerate(np.abs(p).max(axis=1)):
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
                 f"branch {b} substitution residual {residual:.3e}")
-        jets.append(y)
-    return jets
+    return [TruncatedSeries(COMPLEX, n, order, dict(zip(table.exps, row)))
+            for row in y.tolist()]
 
 
 def _branches(profile: ExponentProfile, twist,
@@ -301,11 +397,16 @@ def _branch_residual(profile: ExponentProfile, order: int) -> float:
 
 @lru_cache(maxsize=64)
 def _substitution_residual(profile: ExponentProfile, order: int) -> float:
-    """max_abs of y_pr^m + sum_j x_j y_pr^{m_j} - 1, exact over Q."""
-    xs = [TruncatedSeries.variable(RATIONAL, profile.n, order, j)
-          for j in range(profile.n)]
-    return _poly_and_derivative(origin_instance(profile),
-                                _source(profile, order, 1), xs)[0].max_abs()
+    """max_abs of y_pr^m + sum_j x_j y_pr^{m_j} - 1, exact over Q, from
+    one table of powers y_pr^0..y_pr^m (m - 1 products)."""
+    y, n = _source(profile, order, 1), profile.n
+    powers = [TruncatedSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
+    for _ in range(profile.m - 1):
+        powers.append(powers[-1] * y)
+    p = powers[-1] - powers[0]
+    for j, mj in enumerate(profile.m_list):
+        p = p + TruncatedSeries.variable(RATIONAL, n, order, j) * powers[mj]
+    return p.max_abs()
 
 
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:

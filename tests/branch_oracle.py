@@ -12,9 +12,11 @@ vanishes, each tested on its own.
 the reference for the annihilation residuals that the library reads off
 op_j(y_pr) and op_j(y_pr log y_pr).  ``equation_record_by_branches`` is the
 per-equation record measured on the m complex branches, where the library
-takes its residual and rank from y_pr.  ``lift_jets_full_order`` is the
-Newton lift with every update at the full jet order, the reference for
-the precision-doubling lift of ``roots.lift_jets``.
+takes its residual and rank from y_pr.  ``poly_and_derivative`` evaluates
+p and p' of a twisted equation on one series.  ``lift_jets_by_series`` is
+the precision-doubling Newton lift run branch by branch on sparse series,
+and ``lift_jets_full_order`` the lift with every update at the full jet
+order: the references for the dense batched lift of ``roots.lift_jets``.
 """
 
 import cmath
@@ -22,7 +24,8 @@ import math
 
 from mellinsys.profiles import coset_representatives
 from mellinsys.rings import COMPLEX, get_cyclotomic_ring
-from mellinsys.roots import _poly_and_derivative, origin_instance
+from mellinsys.roots import (SUBSTITUTION_TOL, RootFindingError,
+                             origin_instance)
 from mellinsys.series import (TruncatedSeries, independence_rank,
                               principal_series, scaled_root_series)
 from mellinsys.weyl import mellin_system
@@ -52,9 +55,51 @@ def equation_record_by_branches(p, twist, order):
     jets = [scaled_root_series(p, j, order, inst.twist, ypr).to_complex()
             for j in range(p.m)]
     xs = [TruncatedSeries.variable(COMPLEX, p.n, order, j) for j in range(p.n)]
-    residual = max(_poly_and_derivative(inst, y, xs)[0].max_abs()
+    residual = max(poly_and_derivative(inst, y, xs)[0].max_abs()
                    for y in jets)
     return residual, independence_rank(jets)
+
+
+def poly_and_derivative(instance, y, xs):
+    """p(y) and p'(y) for the defining polynomial of the instance, from one
+    table of powers y^0..y^m (m - 1 products), over the ring of y (complex
+    if the twist is nonzero)."""
+    profile = instance.profile
+    m, ring = profile.m, y.ring
+    eps = cmath.exp(2j * cmath.pi / m)
+    powers = [TruncatedSeries.constant(ring, y.n_vars, y.order, ring.one), y]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * y)
+    p = powers[m] - powers[0]
+    dp = powers[m - 1].scale_rational(m)
+    for x, ij, mj in zip(xs, instance.twist, profile.m_list):
+        unit = eps**ij if ij else 1
+        p = p + (x * powers[mj]).scale(unit)
+        dp = dp + (x * powers[mj - 1]).scale(unit * mj)
+    return p, dp
+
+
+def lift_jets_by_series(instance, order):
+    """The m branches at the origin, each lifted on its own sparse series:
+    ceil(log2(order + 1)) Newton updates from zeta^b, update k at order
+    min(2^{k+1} - 1, order), and a full-order substitution residual."""
+    n, m = instance.profile.n, instance.profile.m
+    zeta = cmath.exp(2j * cmath.pi / m)
+    xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
+    jets = []
+    for b in range(m):
+        y = TruncatedSeries.constant(COMPLEX, n, 0, zeta**b)
+        for k in range(math.ceil(math.log2(order + 1))):
+            y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
+                                y.terms)
+            p, dp = poly_and_derivative(instance, y, xs)
+            y = y - p * dp.inverse()
+        residual = poly_and_derivative(instance, y, xs)[0].max_abs()
+        if residual >= SUBSTITUTION_TOL:
+            raise RootFindingError(
+                f"branch {b} substitution residual {residual:.3e}")
+        jets.append(y)
+    return jets
 
 
 def lift_jets_full_order(instance, order):
@@ -67,7 +112,7 @@ def lift_jets_full_order(instance, order):
     for b in range(m):
         y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
         for _ in range(math.ceil(math.log2(order + 1))):
-            p, dp = _poly_and_derivative(instance, y, xs)
+            p, dp = poly_and_derivative(instance, y, xs)
             y = y - p * dp.inverse()
         jets.append(y)
     return jets

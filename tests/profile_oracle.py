@@ -2,7 +2,9 @@
 
 ``missing_indices_by_congruence`` computes the vanishing initial exponents
 from a congruence, where the library tests the principal coefficient's
-product range; ``profile_suite`` enumerates the profiles the tests sweep.
+product range; ``modular_count_by_walk`` counts one residue of <M, nu> mod
+m in its own walk of the box, where the library counts every residue in
+one; ``profile_suite`` enumerates the profiles the tests sweep.
 ``beukers_heckman_reducible`` is the integrality condition certifying that
 the depressed trinomial factor is irreducible.
 """
@@ -29,6 +31,13 @@ def missing_indices_by_congruence(profile: ExponentProfile) -> list[tuple[int, .
                 continue
             out.append(nu)
     return out
+
+
+def modular_count_by_walk(profile: ExponentProfile, r: int) -> int:
+    """#{nu in B : <M, nu> = r (mod m)} from one walk of B for r alone."""
+    m = profile.m
+    return sum(1 for nu in index_box(profile)
+               if dot(profile.m_list, nu) % m == r % m)
 
 
 def profile_suite(max_m: int, max_n: int, d_one_only: bool = True):

@@ -7,9 +7,10 @@ import pytest
 from mellinsys.profiles import (MAX_BOX, ProfileError, algebraic_index_set,
                                 coset_representatives, dims, index_box,
                                 make_profile, missing_index_set,
-                                modular_count, relation_basis)
+                                modular_count, modular_counts, relation_basis)
 from profile_oracle import (beukers_heckman_reducible,
-                            missing_indices_by_congruence, profile_suite)
+                            missing_indices_by_congruence,
+                            modular_count_by_walk, profile_suite)
 
 
 def test_make_profile_basic():
@@ -163,6 +164,14 @@ def test_modular_count_uniform():
         expect = p.m ** (p.n - 1)
         for r in range(p.m):
             assert modular_count(p, r) == expect
+
+
+def test_modular_counts_match_one_walk_per_residue():
+    suite = profile_suite(7, 3, d_one_only=False)
+    assert len(suite) == 91
+    for p in suite:
+        assert modular_counts(p) == [modular_count_by_walk(p, r)
+                                     for r in range(p.m)]
 
 
 def test_cardinality_formula_brute_force():

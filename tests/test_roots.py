@@ -31,8 +31,9 @@ from mellinsys.series import (TruncatedSeries, exponents_up_to,
 from mellinsys.profiles import ProfileError
 import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
-                           lift_jets_full_order, log_parts_by_branches,
-                           mellin_residual, nonvanishing, root_sum_by_branches)
+                           lift_jets_by_series, lift_jets_full_order,
+                           log_parts_by_branches, mellin_residual, nonvanishing,
+                           poly_and_derivative, root_sum_by_branches)
 from profile_oracle import profile_suite
 
 F = Fraction
@@ -179,19 +180,35 @@ def test_scaled_root_identity(m, ms):
 def test_lift_reaches_the_order_in_ceil_log2_updates(monkeypatch, m, ms):
     """From the exact root each Newton update doubles the correct degrees:
     ceil(log2(order + 1)) updates, update k at order min(2^{k+1} - 1,
-    order), and one final residual at the full order per branch reach the
-    closed-form branches at every order."""
+    order), and one final residual at the full order, each one evaluation
+    for all m branches, reach the closed-form branches at every order."""
     orders = {1: [1, 1], 2: [1, 2, 2], 3: [1, 3, 3], 4: [1, 3, 4, 4],
               7: [1, 3, 7, 7], 8: [1, 3, 7, 8, 8], 12: [1, 3, 7, 12, 12]}
-    real = roots._poly_and_derivative
-    seen = []
-    monkeypatch.setattr(roots, "_poly_and_derivative",
-                        lambda *args: seen.append(args[1].order) or real(*args))
+    real = roots._dense_p_and_dp
+    seen, rows = [], set()
+
+    def spy(y, order, *rest):
+        seen.append(order)
+        rows.add(y.shape[0])
+        return real(y, order, *rest)
+    monkeypatch.setattr(roots, "_dense_p_and_dp", spy)
     p = make_profile(m, ms)
-    for order, per_branch in orders.items():
+    for order, updates in orders.items():
         seen.clear()
         assert scaled_root_max_deviation(p, order) < SUBSTITUTION_TOL
-        assert seen == per_branch * m
+        assert seen == updates
+    assert rows == {m}
+
+
+def test_lift_refuses_a_table_above_the_bound():
+    """n = 4 at order 64 needs about 1.2e10 pairs: refused before the pair
+    table is built, while the largest lift of the tests (m = 9, n = 3,
+    order 12) is admitted."""
+    built = roots._lift_table.cache_info()
+    with pytest.raises(ValueError, match="MAX_LIFT_VALUES"):
+        lift_jets(origin_instance(make_profile(5, [4, 3, 2, 1])), 64)
+    assert roots._lift_table.cache_info() == built
+    assert len(lift_jets(origin_instance(make_profile(9, [8, 7, 6])), 12)) == 9
 
 
 LIFT_PROFILES = profile_suite(7, 2, d_one_only=False)
@@ -210,14 +227,31 @@ def test_precision_doubling_lift_matches_the_full_order_lift(p, order, pick):
         assert (jet - want).max_abs() < 1e-13
 
 
+DENSE_LIFT_PROFILES = profile_suite(7, 3, d_one_only=False)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(st.sampled_from(DENSE_LIFT_PROFILES), st.integers(1, 12),
+       st.integers(0, 99))
+def test_dense_lift_matches_the_lift_by_series(p, order, pick):
+    """Every term of every branch of the batched dense lift is within
+    1e-13 of the per-branch sparse-series lift, on a coset equation."""
+    reps = coset_representatives(p)
+    inst = origin_instance(p, reps[pick % len(reps)])
+    for jet, want in zip(lift_jets(inst, order),
+                         lift_jets_by_series(inst, order), strict=True):
+        assert jet.order == want.order == order
+        assert (jet - want).max_abs() < 1e-13
+
+
 def test_substitution_residual_measures_a_small_perturbation():
     p = make_profile(3, [2, 1])
     inst = origin_instance(p)
     xs = [TruncatedSeries.variable(COMPLEX, 2, 6, j) for j in range(2)]
     jet = scaled_root_series(p, 1, 6).to_complex()
     bumped = jet + TruncatedSeries(COMPLEX, 2, 6, {(2, 1): 1e-13})
-    exact = roots._poly_and_derivative(inst, jet, xs)[0].max_abs()
-    residual = roots._poly_and_derivative(inst, bumped, xs)[0].max_abs()
+    exact = poly_and_derivative(inst, jet, xs)[0].max_abs()
+    residual = poly_and_derivative(inst, bumped, xs)[0].max_abs()
     assert exact < residual
     assert residual >= 1e-14
 
