@@ -69,6 +69,14 @@ CASES = [
     ("series-6-4-2-basis-json",
      ["series", "6", "4", "2", "--basis", "5,3", "--order", "20", "--json"],
      0),
+    ("series-3-2-roots-generating",
+     ["series", "3", "2", "--roots", "--generating-check", "--order", "2"], 0),
+    ("series-2-1-roots-order-0-json",
+     ["series", "2", "1", "--roots", "--order", "0", "--json"], 0),
+    ("series-5-3-principal-roots-json",
+     ["series", "5", "3", "--principal", "--roots", "--order", "7", "--json"],
+     0),
+    ("operators-7-6-json", ["operators", "7", "6", "--json"], 0),
 ]
 
 
