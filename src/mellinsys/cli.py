@@ -7,8 +7,12 @@ Subcommands: ``dims`` (box/dimension combinatorics), ``operators``
 
 Exit codes: 0 all checks pass, 1 usage or profile error, 2 verification
 failure.  Output is deterministic for a fixed (arguments, seed) pair.
-``--json`` output is byte-identical to ``json.dumps(obj, indent=2)``; it is
-written by :func:`_dumps`, which builds the same text in one pass.
+``--json`` output is byte-identical to ``json.dumps(obj, indent=2)`` of the
+dict form in docs/schema.md; it is written by :func:`_dumps`, which builds
+the same text in one pass.  Series and operator terms are held as rows
+(:class:`_TermRows`) of exponent tuples and coefficient text, and the m
+root branches of ``series --roots`` are read off the rows of y_pr: branch
+j carries y_s in coordinate j(1 + <M, s>) mod m of Q[Z/m].
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from functools import lru_cache
 
 from . import roots as roots_mod
 from .profiles import (ExponentProfile, ProfileError, algebraic_index_set,
-                       coset_representatives, dims, index_box, make_profile,
-                       missing_index_set, modular_counts, relation_basis)
-from .series import (TruncatedSeries, convenient_basis_series, format_series,
-                     independence_rank, is_generating, principal_series,
-                     scaled_root_series, series_to_json, twist_rank)
+                       coset_representatives, dims, dot, index_box,
+                       make_profile, missing_index_set, modular_counts,
+                       relation_basis, var_names)
+from .series import (TruncatedSeries, convenient_basis_series,
+                     independence_rank, is_generating, monomial_text,
+                     principal_series, twist_rank)
 from .weyl import (DiffOperator, discriminant_poly, derivative_factorization,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
                    leading_coefficient, mellin_system,
@@ -82,6 +87,25 @@ def _profile_label(profile: ExponentProfile) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+class _TermRows:
+    """A term list of docs/schema.md held as rows, for :func:`_write_json`.
+
+    A row is its exponent tuples, one for each name in ``keys`` ("exp", or
+    "x" and "d"), then its coefficient text.  With ``m`` unset the
+    coefficient is that string.  Root branch ``j`` over Q[Z/m] takes rows
+    (exponent, k, text): its coefficient lists m strings, the text in
+    coordinate j*k mod m and "0" in the others.  ``heads`` keeps, per
+    indent, each row's text up to its coefficient; the branches of one
+    y_pr share it.
+    """
+
+    __slots__ = ("keys", "rows", "m", "j", "heads")
+
+    def __init__(self, keys, rows, m=None, j=0, heads=None):
+        self.keys, self.rows, self.m, self.j = keys, rows, m, j
+        self.heads = {} if heads is None else heads
+
+
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, built in one pass.
 
@@ -91,6 +115,8 @@ def _dumps(obj) -> str:
     escaped as with ``ensure_ascii``; every other scalar (float, bool, None)
     goes through the stdlib's C encoder, so NaN, +-Infinity and float repr
     match.  Circular containers are not detected (they exhaust recursion).
+    A :class:`_TermRows` is written as the list of term dicts it stands
+    for, one string per term, with no dict, list or call per term.
     """
     out: list[str] = []
     _write_json(obj, out, "\n")
@@ -139,8 +165,40 @@ def _write_json(obj, out: list, nl: str) -> None:
         out.append("[" + inner + ("," + inner).join(items) + nl + "]")
     elif type(obj) is int:
         out.append(int.__repr__(obj))
+    elif isinstance(obj, _TermRows):
+        _write_rows(obj, out, nl)
     else:
         out.append(json.dumps(obj))
+
+
+def _write_rows(terms: _TermRows, out: list, nl: str) -> None:
+    rows = terms.rows
+    if not rows:
+        out.append("[]")
+        return
+    item = nl + "  "  # each term opens here
+    key = item + "  "
+    val = key + "  "
+    heads = terms.heads.get(nl)
+    if heads is None:
+        sep = "," + val
+        fields = [(i, f"{_json_str(name)}: [{val}")
+                  for i, name in enumerate(terms.keys)]
+        heads = terms.heads[nl] = [
+            "{" + key + "".join([f + sep.join(map(str, row[i])) + key + "],"
+                                 + key for i, f in fields]) + '"coeff": '
+            for row in rows]
+    close = item + "}"
+    if terms.m is None:
+        body = [h + _json_str(row[-1]) + close for h, row in zip(heads, rows)]
+    else:
+        m, j = terms.m, terms.j
+        pre = ["[" + val + ('"0",' + val) * k for k in range(m)]
+        post = [("," + val + '"0"') * (m - 1 - k) + key + "]" + close
+                for k in range(m)]
+        body = [h + pre[j * k % m] + _json_str(text) + post[j * k % m]
+                for h, (_, k, text) in zip(heads, rows)]
+    out.append("[" + item + ("," + item).join(body) + nl + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +247,11 @@ def _render_op(op: DiffOperator) -> str:
     return op.render_ode() if op.n_vars == 1 else op.render()
 
 
+def _op_rows(op: DiffOperator) -> _TermRows:
+    return _TermRows(("x", "d"), [(a, b, str(c))
+                                  for (a, b), c in op.sorted_terms()])
+
+
 def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
     p = config.profile
     mellin = mellin_system(p)
@@ -198,10 +261,10 @@ def cmd_operators(config: RunConfig, check_horn: bool = False) -> int:
     if config.as_json:
         payload = {
             "profile": p.to_json(),
-            "mellin": [op.to_json() for op in mellin],
-            "cleared": [op.to_json() for op in cleared],
-            "horn_w": [op.to_json() for op in horn_w],
-            "horn_x": [op.to_json() for op in horn_x],
+            "mellin": [_op_rows(op) for op in mellin],
+            "cleared": [_op_rows(op) for op in cleared],
+            "horn_w": [_op_rows(op) for op in horn_w],
+            "horn_x": [_op_rows(op) for op in horn_x],
             "matrices": {
                 "A": [list(r) for r in lattice.A],
                 "A_prime": [[str(v) for v in r] for r in lattice.A_prime],
@@ -270,41 +333,60 @@ def parse_basis(profile: ExponentProfile, text: str) -> tuple[int, ...]:
 
 def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
                generating_check: bool) -> int:
-    """``basis`` is None or an index from :func:`parse_basis`."""
-    p = config.profile
-    chosen = []
-    if principal:
-        chosen.append(("principal", principal_series(p, config.order)))
+    """``basis`` is None or an index from :func:`parse_basis`.
+
+    Root branch j is e^j y_pr(e^{j m_1} x_1, ..., e^{j m_n} x_n) over
+    Q[Z/m]: its coefficient at x^s is y_s e^{j k_s}, k_s = 1 + <M, s>, so
+    every branch is written from the sorted rows of y_pr.
+    """
+    p, order = config.profile, config.order
+    if not (principal or basis is not None or show_roots):
+        raise ProfileError("nothing selected: use --principal, --basis or --roots")
+    ypr = principal_series(p, order) if principal or show_roots else None
+    chosen = [("principal", ypr)] if principal else []
     if basis is not None:
         chosen.append((f"basis{_fmt_vec(basis)}",
-                       convenient_basis_series(p, basis, config.order)))
-    if show_roots:
-        ypr = principal_series(p, config.order)
-        for j in range(p.m):
-            chosen.append((f"root[{j}]",
-                           scaled_root_series(p, j, config.order, series=ypr)))
-    if not chosen:
-        raise ProfileError("nothing selected: use --principal, --basis or --roots")
+                       convenient_basis_series(p, basis, order)))
     gen_result = None
-    if generating_check:
-        target = chosen[0][1]
-        gen_result = is_generating(target, p)
+    if generating_check:  # branch 0 is y_pr in coordinate 0 of Q[Z/m]
+        gen_result = is_generating(chosen[0][1] if chosen else ypr, p)
+    chosen = [(name, [(s, str(c)) for s, c in f.sorted_items()])
+              for name, f in chosen]
+    if show_roots:
+        roots = [(s, (1 + dot(p.m_list, s)) % p.m, str(c))
+                 for s, c in ypr.sorted_items()]
     if config.as_json:
-        payload = {
-            "profile": p.to_json(),
-            "order": config.order,
-            "series": [{"name": name, **series_to_json(s)}
-                       for name, s in chosen],
-        }
+        series = [{"name": name, "n_vars": p.n, "order": order,
+                   "ring": "rational", "terms": _TermRows(("exp",), rows)}
+                  for name, rows in chosen]
+        if show_roots:
+            heads = {}
+            series += [{"name": f"root[{j}]", "n_vars": p.n, "order": order,
+                        "ring": "cyclotomic", "m": p.m,
+                        "terms": _TermRows(("exp",), roots, p.m, j, heads)}
+                       for j in range(p.m)]
+        payload = {"profile": p.to_json(), "order": order, "series": series}
         if gen_result is not None:
             payload["generating"] = gen_result
         print(_dumps(payload))
         return 0
-    for name, s in chosen:
-        print(f"-- {name} (order {config.order}, ring {s.ring.name})")
-        print(format_series(s))
+    names = var_names(p.n)
+    out = []
+    for name, rows in chosen:
+        out.append(f"-- {name} (order {order}, ring rational)")
+        out += [f"{text} * {monomial_text(s, names)}" for s, text in rows]
+    if show_roots:
+        m = p.m
+        monos = [monomial_text(s, names) for s, _, _ in roots]
+        pre = ["[" + "0, " * k for k in range(m)]
+        post = [", 0" * (m - 1 - k) + "] * " for k in range(m)]
+        for j in range(m):
+            out.append(f"-- root[{j}] (order {order}, ring cyclotomic)")
+            out += [pre[j * k % m] + text + post[j * k % m] + mono
+                    for (_, k, text), mono in zip(roots, monos)]
     if gen_result is not None:
-        print("GENERATING" if gen_result else "NOT GENERATING")
+        out.append("GENERATING" if gen_result else "NOT GENERATING")
+    print("\n".join(out))
     return 0
 
 
@@ -581,6 +663,9 @@ def main(argv=None) -> int:
         profile = make_profile(ns.m, ns.m_list)
         if ns.command == "verify":
             check_verify_order(profile, ns.order)
+        if ns.order < 0:
+            raise ProfileError(f"--order {ns.order} is negative: the "
+                               "truncation order must be at least 0")
         if ns.order > MAX_ORDER:
             raise ProfileError(f"--order {ns.order} exceeds the cap "
                                f"MAX_ORDER = {MAX_ORDER}")
@@ -592,6 +677,9 @@ def main(argv=None) -> int:
             return cmd_operators(config, check_horn=ns.check_horn)
         if ns.command == "series":
             basis = None if ns.basis is None else parse_basis(profile, ns.basis)
+            if basis is not None and sum(basis) > ns.order:
+                raise ProfileError(f"--basis {ns.basis} needs --order at "
+                                   f"least |I| = {sum(basis)}, got {ns.order}")
             return cmd_series(config, principal=ns.principal, basis=basis,
                               show_roots=ns.roots,
                               generating_check=ns.generating_check)

@@ -483,29 +483,20 @@ def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rendering / serialization
+# Rendering
 # ---------------------------------------------------------------------------
+
+def monomial_text(exp, names) -> str:
+    """``x1^2 x3`` for the exponent (2, 0, 1); "1" for the zero exponent."""
+    return " ".join(f"{nm}^{e}" if e > 1 else nm
+                    for nm, e in zip(names, exp) if e) or "1"
+
 
 def format_series(series: TruncatedSeries, letter: str = "x") -> str:
     """Canonical one-term-per-line rendering, sorted by degree then lex."""
     names = var_names(series.n_vars, letter)
     if series.is_zero():
         return "0"
-    lines = []
-    for exp, c in series.sorted_items():
-        mono = " ".join(f"{nm}^{e}" if e > 1 else nm
-                        for nm, e in zip(names, exp) if e)
-        mono = mono or "1"
-        lines.append(f"{series.ring.coeff_text(c)} * {mono}")
-    return "\n".join(lines)
-
-
-def series_to_json(series: TruncatedSeries) -> dict:
-    ring = series.ring
-    return {
-        "n_vars": series.n_vars,
-        "order": series.order,
-        **ring.json_fields(),
-        "terms": [{"exp": list(exp), "coeff": ring.coeff_json(c)}
-                  for exp, c in series.sorted_items()],
-    }
+    coeff_text = series.ring.coeff_text
+    return "\n".join(f"{coeff_text(c)} * {monomial_text(exp, names)}"
+                     for exp, c in series.sorted_items())

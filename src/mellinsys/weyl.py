@@ -294,10 +294,6 @@ class DiffOperator:
                              else f"{ptxt} {dpart}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_json(self) -> list:
-        return [{"x": list(a), "d": list(b), "coeff": str(c)}
-                for (a, b), c in self.sorted_terms()]
-
     def __repr__(self):
         return f"DiffOperator(n={self.n_vars}, terms={len(self.terms)})"
 

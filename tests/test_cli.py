@@ -2,17 +2,25 @@
 
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinsys import cli, roots, series
+from mellinsys import cli, rings, roots, series
 from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
-from mellinsys.series import TruncatedSeries
+from mellinsys.series import (TruncatedSeries, convenient_basis_series,
+                              format_series, is_generating, principal_series,
+                              scaled_root_series)
+from mellinsys.weyl import (horn_mellin_multiplier, horn_system,
+                            lattice_matrices, mellin_system,
+                            mellin_system_theta_form)
+from series_oracle import series_to_json
 from test_golden import CASES as GOLDEN_CASES
+from weyl_oracle import operator_to_json
 
 
 def run_cli(capsys, *args):
@@ -112,6 +120,31 @@ def test_order_over_cap_exits_one_before_any_work(capsys, monkeypatch, cmd):
         assert code == 1
         assert out == ""
         assert f"--order {order} exceeds the cap MAX_ORDER = 64" in err
+
+
+@pytest.mark.parametrize("cmd", [["dims"], ["operators"],
+                                 ["series", "--principal"]])
+def test_negative_order_exits_one_before_any_work(capsys, monkeypatch, cmd):
+    for name in ("cmd_dims", "cmd_operators", "cmd_series", "cmd_verify"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("ran"))
+    code, out, err = run_cli(capsys, cmd[0], "3", "2", *cmd[1:],
+                             "--order", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: --order -1 is negative: the truncation order "
+                   "must be at least 0\n")
+
+
+def test_series_order_below_the_basis_degree_exits_one(capsys):
+    code, out, err = run_cli(capsys, "series", "3", "2", "--basis", "2",
+                             "--order", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --basis 2 needs --order at least |I| = 2, got 1\n"
+    code, out, _ = run_cli(capsys, "series", "3", "2", "--basis", "2",
+                           "--order", "2")
+    assert code == 0
+    assert out.startswith("-- basis(2) (order 2, ring rational)")
 
 
 def test_order_at_cap_is_accepted(capsys):
@@ -384,3 +417,119 @@ def test_json_output_is_stdlib_indent_two(capsys, m, ms):
         code, out, _ = run_cli(capsys, *cmd, *args)
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+
+# ---------------------------------------------------------------------------
+# term rows against the dict-form oracles
+# ---------------------------------------------------------------------------
+
+def _term_row_cases():
+    """Every profile with m <= 7, n <= 3, each with a seeded order in 0..8,
+    a seeded index I with |I| <= order and a seeded --check-horn."""
+    rng = random.Random("term-rows")
+    cases = []
+    for m in range(2, 8):
+        for n in (1, 2, 3):
+            for ms in combinations(range(m - 1, 0, -1), n):
+                order = rng.randrange(9)
+                index = []
+                for _ in ms:
+                    index.append(rng.randrange(min(m - 1, order - sum(index))
+                                               + 1))
+                cases.append((m, list(ms), order, tuple(index),
+                              rng.random() < 0.5))
+    return cases
+
+
+TERM_ROW_CASES = _term_row_cases()
+
+
+def _series_payload(p, order, index, generating):
+    ypr = principal_series(p, order)
+    chosen = [("principal", ypr),
+              (f"basis{cli._fmt_vec(index)}",
+               convenient_basis_series(p, index, order))]
+    chosen += [(f"root[{j}]", scaled_root_series(p, j, order))
+               for j in range(p.m)]
+    payload = {"profile": p.to_json(), "order": order,
+               "series": [{"name": name, **series_to_json(f)}
+                          for name, f in chosen]}
+    if generating:
+        payload["generating"] = is_generating(ypr, p)
+    return payload
+
+
+def _operators_payload(p, check_horn):
+    horn_w, horn_x = horn_system(p)
+    lattice = lattice_matrices(p)
+    payload = {
+        "profile": p.to_json(),
+        "mellin": [operator_to_json(op) for op in mellin_system(p)],
+        "cleared": [operator_to_json(op) for op in mellin_system_theta_form(p)],
+        "horn_w": [operator_to_json(op) for op in horn_w],
+        "horn_x": [operator_to_json(op) for op in horn_x],
+        "matrices": {
+            "A": [list(r) for r in lattice.A],
+            "A_prime": [[str(v) for v in r] for r in lattice.A_prime],
+            "B": [list(r) for r in lattice.B],
+            "c": [str(v) for v in lattice.c],
+            "beta": list(lattice.beta),
+            "beta_prime": [str(v) for v in lattice.beta_prime],
+            "horn_rank": lattice.horn_rank,
+            "toric_pairs": [[list(u), list(v)] for u, v in lattice.toric_pairs],
+        },
+    }
+    if check_horn:
+        payload["horn_mellin_multipliers"] = [
+            str(horn_mellin_multiplier(p, j)) for j in range(p.n)]
+    return payload
+
+
+@pytest.mark.parametrize("m,ms,order,index,check_horn", TERM_ROW_CASES,
+                         ids=[f"{m}-{'-'.join(map(str, ms))}-o{order}"
+                              for m, ms, order, *_ in TERM_ROW_CASES])
+def test_term_rows_match_the_dict_form(capsys, m, ms, order, index,
+                                       check_horn):
+    p = make_profile(m, ms)
+    args = [str(m), *map(str, ms), "--order", str(order)]
+    generating = order >= p.n * (m - 1)
+    code, out, _ = run_cli(capsys, "series", *args, "--principal", "--basis",
+                           ",".join(map(str, index)), "--roots", "--json",
+                           *(["--generating-check"] if generating else []))
+    assert code == 0
+    want = _series_payload(p, order, index, generating)
+    assert out == json.dumps(want, indent=2) + "\n"
+
+    code, out, _ = run_cli(capsys, "series", *args, "--roots")
+    assert code == 0
+    assert out == "".join(
+        f"-- root[{j}] (order {order}, ring cyclotomic)\n"
+        f"{format_series(scaled_root_series(p, j, order))}\n"
+        for j in range(m))
+
+    code, out, _ = run_cli(capsys, "operators", *args, "--json",
+                           *(["--check-horn"] if check_horn else []))
+    assert code == 0
+    assert out == json.dumps(_operators_payload(p, check_horn), indent=2) + "\n"
+
+
+def test_term_row_cases_cover_every_order():
+    assert {c[2] for c in TERM_ROW_CASES} == set(range(9))
+    assert len(TERM_ROW_CASES) == 91
+    assert all(sum(c[3]) <= c[2] for c in TERM_ROW_CASES)
+    assert {c[4] for c in TERM_ROW_CASES} == {False, True}
+
+
+def test_roots_build_no_group_ring_series(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Q[Z/m] series was built")
+
+    for name in ("rotate", "scaled_root_series"):
+        monkeypatch.setattr(series, name, refuse)
+    monkeypatch.setattr(rings, "get_cyclotomic_ring", refuse)
+    for extra in ([], ["--json"], ["--principal", "--generating-check"]):
+        code, out, _ = run_cli(capsys, "series", "4", "3", "1", "--roots",
+                               "--order", "6", *extra)
+        assert code == 0
+        assert "root[3]" in out

@@ -18,14 +18,14 @@ from mellinsys.profiles import (algebraic_index_set, dims, index_box,
 from basis_oracle import basis_by_recurrence
 from field_oracle import cyclotomic_field
 from profile_oracle import profile_suite
-from series_oracle import naive_product
+from series_oracle import naive_product, series_to_json
 from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, format_series,
                               independence_rank, is_generating,
                               principal_coefficient, principal_series,
                               rank_complex, rotate, scaled_root_series,
-                              series_to_json, subseries, twist_rank)
+                              subseries, twist_rank)
 from mellinsys.weyl import mellin_system
 
 

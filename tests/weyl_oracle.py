@@ -23,6 +23,10 @@ The library reads the least multiplier x^e with x^e M(m, m-1) = L o
 (theta - 1) off the x-valuation of the displayed left factor;
 ``least_theta_multiplier`` finds it by exact right division by theta - 1
 (``right_divide_theta_minus_one``) for e = 0, 1, ..., m.
+
+``operator_to_json`` is the documented JSON form of an operator as a list
+of term dicts; ``mellinsys operators --json`` writes the same text from
+term rows without building it.
 """
 
 from fractions import Fraction
@@ -230,3 +234,9 @@ def least_theta_multiplier(m: int):
         if quotient is not None:
             return e, quotient
     return None
+
+
+def operator_to_json(op):
+    """The docs/schema.md operator: one {"x", "d", "coeff"} dict per term."""
+    return [{"x": list(a), "d": list(b), "coeff": str(c)}
+            for (a, b), c in op.sorted_terms()]
