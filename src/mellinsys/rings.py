@@ -10,8 +10,8 @@ Three interchangeable rings:
 
 Every per-ring decision of the series code is a method here, so that code
 never asks which ring it holds: arithmetic, inverting a unit, the exact
-test for a vanishing complex embedding, rendering a coefficient as text
-and as JSON, and the map (c, k) -> c e^k into the ring of rotations:
+test for a vanishing complex embedding, rendering a coefficient as text,
+and the map (c, k) -> c e^k into the ring of rotations:
 Q[Z/m] for an exact coefficient, C (e -> zeta) for a complex one.
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
@@ -69,11 +69,6 @@ class RationalRing:
     @staticmethod
     def coeff_text(a) -> str:
         return str(a)
-
-    coeff_json = coeff_text
-
-    def json_fields(self) -> dict:
-        return {"ring": self.name}
 
     @staticmethod
     def group_ring(m=None):
@@ -134,13 +129,6 @@ class ComplexRing:
     @staticmethod
     def coeff_text(a) -> str:
         return f"[{a.real:.12e}, {a.imag:.12e}]"
-
-    @staticmethod
-    def coeff_json(a) -> list:
-        return [a.real, a.imag]
-
-    def json_fields(self) -> dict:
-        return {"ring": self.name}
 
     @staticmethod
     def group_ring(m=None):
@@ -248,13 +236,6 @@ class CyclotomicRing:
         """``[q_0, ..., q_{m-1}]``; a zero coordinate prints as the constant
         "0", with no str() call."""
         return "[" + ", ".join([str(q) if q else "0" for q in a]) + "]"
-
-    @staticmethod
-    def coeff_json(a) -> list:
-        return [str(q) if q else "0" for q in a]
-
-    def json_fields(self) -> dict:
-        return {"ring": self.name, "m": self.m}
 
     def group_ring(self, m=None):
         """This ring and the map (a, k) -> a e^k, a cyclic shift."""

@@ -10,7 +10,10 @@ Q(zeta_m), which decides once per class that a class vanishes there):
 root sums and relation residuals, empty for a true relation; the
 logarithmic combinations sum_k c_k sum_b y_b log y_b as two group-ring
 parts; the annihilation residuals of those parts and the annihilation
-and substitution residuals of every branch.  The ranks of the branches
+and substitution residuals of every branch.  y_pr log y_pr is a closed
+form, the alpha-derivative of Mellin's y_pr^alpha, and the substitution
+residual an integer convolution: neither takes a series product, inverse
+or logarithm.  The ranks of the branches
 of one equation and of the invariant-subspace splitting (univariate,
 d > 1) are twist ranks of y_pr, counted from its classes.
 
@@ -27,9 +30,10 @@ Newton update k at order min(2^{k+1} - 1, order), the degree through
 which it is correct.  Their tolerances (also surfaced by the CLI) are
 1e-10 for the substitution residual of the lifted jets and 1e-10 relative
 for rank pivots.  Complex series keep every term, so a reported gap is
-the measured rounding error, about 1e-15 on order-12 jets.  Branch
-series, rotations of the complex y_pr, are built only for these witnesses
-and for ``coset_equation_jets``.
+the measured rounding error, about 1e-15 on order-12 jets.  The
+scaled-root gap compares the dense rows of the lift with the rotations of
+y_pr column by column; branch series, rotations of the complex y_pr, are
+built only by ``coset_equation_jets``.
 """
 
 from __future__ import annotations
@@ -270,6 +274,15 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
     SUBSTITUTION_TOL.  A lift whose products would hold more than
     MAX_LIFT_VALUES complex values is refused before any table is built.
     """
+    table, y = _dense_lift(instance, order)
+    return [TruncatedSeries(COMPLEX, instance.profile.n, order,
+                            dict(zip(table.exps, row)))
+            for row in y.tolist()]
+
+
+def _dense_lift(instance: EquationInstance, order: int):
+    """The lift of ``lift_jets`` as its table and its (m, K) array: row b
+    is branch b over the K columns ``table.exps``."""
     if any(abs(v) != 0 for v in instance.base_point):
         raise ProfileError("jets are lifted at the origin only")
     if order < 1:
@@ -296,8 +309,7 @@ def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
                 f"branch {b} substitution residual {residual:.3e}")
-    return [TruncatedSeries(COMPLEX, n, order, dict(zip(table.exps, row)))
-            for row in y.tolist()]
+    return table, y
 
 
 def _branches(profile: ExponentProfile, twist,
@@ -310,13 +322,20 @@ def _branches(profile: ExponentProfile, twist,
 def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     """Max coefficient gap between origin jets and the rotated principal root.
 
-    Branch j of the untwisted equation must match
-    e^j * y_pr(e^{j m_1} x_1, ..., e^{j m_n} x_n) coefficientwise.
+    Branch b of the untwisted equation must match
+    e^b * y_pr(e^{b m_1} x_1, ..., e^{b m_n} x_n), whose coefficient at s
+    is y_s zeta^{b(1 + <M, s>)}: each column of the dense lift is compared
+    with complex(y_s) times these units from the Q[Z/m] embedding table.
     """
-    jets = lift_jets(origin_instance(profile), order)
-    targets = _branches(profile, None,
-                        principal_series(profile, order).to_complex())
-    return max((jet - target).max_abs() for jet, target in zip(jets, targets))
+    table, y = _dense_lift(origin_instance(profile), order)
+    m, ypr = profile.m, principal_series(profile, order)
+    zeta = get_cyclotomic_ring(m)._embedding
+    targets = []
+    for s in table.exps:
+        c, r = complex(ypr.coefficient(s)), 1 + dot(profile.m_list, s)
+        targets.append([c * zeta[b * r % m] for b in range(m)])
+    # Python's complex abs: numpy's can differ from it in the last bit
+    return max(map(abs, (y - np.array(targets).T).ravel().tolist()))
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
@@ -365,11 +384,29 @@ def _coset_sum(profile: ExponentProfile, f: TruncatedSeries, c,
 @lru_cache(maxsize=64)
 def _source(profile: ExponentProfile, order: int, power: int):
     """y_pr log y_pr (power 0) or y_pr (power 1): the parts A and B of
-    every logarithmic solution are their coset sums with that power."""
+    every logarithmic solution are their coset sums with that power.
+
+    y_pr log y_pr is d/dalpha y_pr^alpha at alpha = 1, and by Mellin's
+    formula y_pr^alpha has the coefficient (-1)^|nu| alpha prod_{mu=1}^{
+    |nu|-1} (<M,nu> - m mu + alpha) / (m^|nu| nu!) at nu != 0.  With f_mu
+    = <M,nu> - m mu + 1 and P = prod f_mu, its derivative at 1 is
+    (-1)^|nu| (P + sum_mu P / f_mu) / (m^|nu| nu!).  The f_mu step by m,
+    so at most one is 0, and then only its own term is left: the product
+    of the others.  The constant term is 0.  No series product is taken.
+    """
     if power:
         return principal_series(profile, order)
-    ypr = _source(profile, order, 1)
-    return ypr * ypr.log()
+    m, terms = profile.m, {}
+    for nu in exponents_up_to(profile.n, order):
+        k = sum(nu)
+        top = dot(profile.m_list, nu) + 1 - m
+        f = [v for v in range(top, top - m * (k - 1), -m) if v]
+        p = math.prod(f)
+        num = p if len(f) < k - 1 else p + sum(p // v for v in f)
+        if k and num:
+            terms[nu] = Fraction((-1) ** k * num,
+                                 m**k * math.prod(map(math.factorial, nu)))
+    return TruncatedSeries(RATIONAL, profile.n, order, terms)
 
 
 @lru_cache(maxsize=64)
@@ -397,16 +434,38 @@ def _branch_residual(profile: ExponentProfile, order: int) -> float:
 
 @lru_cache(maxsize=64)
 def _substitution_residual(profile: ExponentProfile, order: int) -> float:
-    """max_abs of y_pr^m + sum_j x_j y_pr^{m_j} - 1, exact over Q, from
-    one table of powers y_pr^0..y_pr^m (m - 1 products)."""
-    y, n = _source(profile, order, 1), profile.n
-    powers = [TruncatedSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
-    for _ in range(profile.m - 1):
-        powers.append(powers[-1] * y)
-    p = powers[-1] - powers[0]
+    """max_abs of y_pr^m + sum_j x_j y_pr^{m_j} - 1, exact over Q, as an
+    integer convolution.
+
+    Scaled as f~_s = m^|s| s! f_s, y_pr is integral by its closed form (a
+    coefficient that is not stays an exact Fraction), a product is the
+    binomial convolution (fg)~_s = sum_{a <= s} C(s, a) f~_a g~_{s-a}, and
+    x_j f is m s_j f~_{s-e_j}.  One table of powers y^0..y^m takes m - 1
+    products; each residual coefficient is unscaled once, for its float.
+    """
+    m, y = profile.m, _source(profile, order, 1).terms
+    exps = list(exponents_up_to(profile.n, order))
+    index = {s: k for k, s in enumerate(exps)}
+    scales = [m**sum(s) * math.prod(map(math.factorial, s)) for s in exps]
+    u = [y.get(s, 0) * w for s, w in zip(exps, scales)]
+    u = [q.numerator if q.denominator == 1 else q for q in u]
+    # the pairs (a, s - a) of column s, each weighted by C(s, a) u_{s-a}
+    rows = [[(index[a], math.prod(map(math.comb, s, a))
+              * u[index[tuple(map(operator.sub, s, a))]])
+             for a in product(*(range(v + 1) for v in s))] for s in exps]
+    one = [1] + [0] * (len(exps) - 1)
+    powers = [one, u]
+    for _ in range(m - 1):
+        f = powers[-1]
+        powers.append([sum(f[k] * w for k, w in row) for row in rows])
+    r = list(map(operator.sub, powers[m], one))
     for j, mj in enumerate(profile.m_list):
-        p = p + TruncatedSeries.variable(RATIONAL, n, order, j) * powers[mj]
-    return p.max_abs()
+        f = powers[mj]
+        for k, s in enumerate(exps):
+            if s[j]:
+                r[k] += m * s[j] * f[index[s[:j] + (s[j] - 1,) + s[j + 1:]]]
+    return max((abs(float(Fraction(v, w))) for v, w in zip(r, scales) if v),
+               default=0.0)
 
 
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:

@@ -157,7 +157,7 @@ class TruncatedSeries:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative powers: use inverse() first")
+            raise ValueError("negative powers are not supported")
         result = TruncatedSeries.constant(self.ring, self.n_vars, self.order,
                                           self.ring.one)
         base = self
@@ -169,52 +169,6 @@ class TruncatedSeries:
                 base = base * base
             k >>= 1
         return result
-
-    def inverse(self):
-        """Reciprocal; the constant term must be a unit the ring inverts."""
-        ring = self.ring
-        c0 = self.coefficient(_zero_exp(self.n_vars))
-        if ring.is_zero(c0):
-            raise ZeroDivisionError("series has zero constant term")
-        inv0 = ring.inv(c0)
-        rest = [(s, c, sum(s)) for s, c in self.terms.items() if sum(s) > 0]
-        out = {_zero_exp(self.n_vars): inv0}
-        # fill by increasing total degree: c0*g_e = -sum f_u g_{e-u}
-        by_degree: dict[int, list] = {}
-        for s in exponents_up_to(self.n_vars, self.order):
-            by_degree.setdefault(sum(s), []).append(s)
-        for deg in range(1, self.order + 1):
-            for e in by_degree.get(deg, []):
-                acc = ring.zero
-                for u, fu, du in rest:
-                    if du <= deg and all(ui <= ei for ui, ei in zip(u, e)):
-                        g = out.get(tuple(a - b for a, b in zip(e, u)))
-                        if g is not None:
-                            acc = ring.add(acc, ring.mul(fu, g))
-                if not ring.is_zero(acc):
-                    out[e] = ring.mul(ring.neg(acc), inv0)
-        return TruncatedSeries(ring, self.n_vars, self.order, out)
-
-    def log(self):
-        """Series logarithm of a series with constant term exactly 1.
-
-        The Euler operator E = sum_j x_j d/dx_j multiplies the term at s by
-        |s|, and E(log f) = E(f) / f, so one inverse and one product give
-        every coefficient (Brent-Kung, J. ACM 25, 1978).
-        """
-        ring, n = self.ring, self.n_vars
-        c0 = self.coefficient(_zero_exp(n))
-        if ring.is_zero(c0):
-            raise ZeroDivisionError("logarithm of a series with zero constant term")
-        if c0 != ring.one:
-            raise ValueError("series logarithm needs constant term 1")
-        euler = TruncatedSeries(ring, n, self.order,
-                                {s: ring.scale_rational(c, sum(s))
-                                 for s, c in self.terms.items()})
-        quotient = euler * self.inverse()
-        return TruncatedSeries(ring, n, self.order,
-                               {s: ring.scale_rational(c, Fraction(1, sum(s)))
-                                for s, c in quotient.terms.items()})
 
     def diff(self, j: int):
         """Partial derivative; the reliable order drops by one."""

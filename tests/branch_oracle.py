@@ -17,18 +17,25 @@ p and p' of a twisted equation on one series.  ``lift_jets_by_series`` is
 the precision-doubling Newton lift run branch by branch on sparse series,
 and ``lift_jets_full_order`` the lift with every update at the full jet
 order: the references for the dense batched lift of ``roots.lift_jets``.
+
+``substitution_residual_by_products`` is the residual of y_pr in its
+equation from Fraction series products, where the library convolves
+integers; ``scaled_root_deviation_by_series`` compares the lifted jets
+with the rotated y_pr as sparse series, where the library compares
+columns of the dense lift.
 """
 
 import cmath
 import math
 
 from mellinsys.profiles import coset_representatives
-from mellinsys.rings import COMPLEX, get_cyclotomic_ring
-from mellinsys.roots import (SUBSTITUTION_TOL, RootFindingError,
+from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
+from mellinsys.roots import (SUBSTITUTION_TOL, RootFindingError, lift_jets,
                              origin_instance)
 from mellinsys.series import (TruncatedSeries, independence_rank,
                               principal_series, scaled_root_series)
 from mellinsys.weyl import mellin_system
+from series_oracle import inverse, log
 
 
 def mellin_residual(profile, series) -> float:
@@ -93,7 +100,7 @@ def lift_jets_by_series(instance, order):
             y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
                                 y.terms)
             p, dp = poly_and_derivative(instance, y, xs)
-            y = y - p * dp.inverse()
+            y = y - p * inverse(dp)
         residual = poly_and_derivative(instance, y, xs)[0].max_abs()
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
@@ -113,7 +120,7 @@ def lift_jets_full_order(instance, order):
         y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
         for _ in range(math.ceil(math.log2(order + 1))):
             p, dp = poly_and_derivative(instance, y, xs)
-            y = y - p * dp.inverse()
+            y = y - p * inverse(dp)
         jets.append(y)
     return jets
 
@@ -139,7 +146,7 @@ def root_sum_by_branches(p, c, order):
 def log_parts_by_branches(p, c, order):
     """A and B of ``log_solution`` summed branch by branch for one vector."""
     ypr = principal_series(p, order)
-    ylog = ypr * ypr.log()
+    ylog = ypr * log(ypr)
     a = b = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
     for ck, rep in zip(c, coset_representatives(p)):
         for j in range(p.m):
@@ -169,3 +176,24 @@ def elementary_symmetric(series_list, order: int):
                 new.append(term + prev)
         elems = new
     return elems[1:]
+
+
+def substitution_residual_by_products(p, y):
+    """max_abs of y^m + sum_j x_j y^{m_j} - 1 for a rational series y,
+    from one table of powers y^0..y^m (m - 1 Fraction series products)."""
+    n, order = p.n, y.order
+    powers = [TruncatedSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
+    for _ in range(p.m - 1):
+        powers.append(powers[-1] * y)
+    res = powers[-1] - powers[0]
+    for j, mj in enumerate(p.m_list):
+        res = res + TruncatedSeries.variable(RATIONAL, n, order, j) * powers[mj]
+    return res.max_abs()
+
+
+def scaled_root_deviation_by_series(p, order):
+    """Max coefficient gap between the lifted jets of the untwisted
+    equation and the complex rotations e^j y_pr(e^{j m_k} x_k)."""
+    ypr = principal_series(p, order).to_complex()
+    return max((jet - scaled_root_series(p, j, order, None, ypr)).max_abs()
+               for j, jet in enumerate(lift_jets(origin_instance(p), order)))

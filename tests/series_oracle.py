@@ -1,16 +1,24 @@
-"""Reference kernel for ``TruncatedSeries.__mul__``.
+"""Reference kernels for ``TruncatedSeries`` and its documented forms.
 
 ``naive_product`` walks every pair of terms in dict order and skips, one
 pair at a time, those past the common order.  Every key gathers its
 products in the order of the left operand, as the library kernel does, so
 the two agree bit for bit over every ring.
 
+``inverse`` and ``log`` are the series reciprocal and logarithm, built
+from products; the library needs neither, since it takes y_pr log y_pr in
+closed form, and they serve as its oracle.
+
 ``series_to_json`` is the documented JSON form of a series, with one
 {"exp", "coeff"} dict per term; ``mellinsys series --json`` writes the
-same text from term rows without building it.
+same text from term rows without building it.  ``coeff_json`` and
+``json_fields`` are its per-ring parts.
 """
 
-from mellinsys.series import TruncatedSeries
+from fractions import Fraction
+
+from mellinsys.rings import COMPLEX, RATIONAL
+from mellinsys.series import TruncatedSeries, exponents_up_to
 
 
 def naive_product(a, b):
@@ -26,13 +34,76 @@ def naive_product(a, b):
     return TruncatedSeries(ring, a.n_vars, order, out)
 
 
+def inverse(f):
+    """Reciprocal; the constant term must be a unit the ring inverts.
+
+    Filled by increasing total degree: c0 g_e = -sum_{u != 0} f_u g_{e-u}.
+    """
+    ring, n = f.ring, f.n_vars
+    c0 = f.coefficient((0,) * n)
+    if ring.is_zero(c0):
+        raise ZeroDivisionError("series has zero constant term")
+    inv0 = ring.inv(c0)
+    rest = [(s, c, sum(s)) for s, c in f.terms.items() if sum(s) > 0]
+    out = {(0,) * n: inv0}
+    for e in sorted(exponents_up_to(n, f.order), key=sum)[1:]:
+        acc = ring.zero
+        for u, fu, du in rest:
+            if du <= sum(e) and all(ui <= ei for ui, ei in zip(u, e)):
+                g = out.get(tuple(a - b for a, b in zip(e, u)))
+                if g is not None:
+                    acc = ring.add(acc, ring.mul(fu, g))
+        if not ring.is_zero(acc):
+            out[e] = ring.mul(ring.neg(acc), inv0)
+    return TruncatedSeries(ring, n, f.order, out)
+
+
+def log(f):
+    """Series logarithm of a series with constant term exactly 1.
+
+    The Euler operator E = sum_j x_j d/dx_j multiplies the term at s by
+    |s|, and E(log f) = E(f) / f, so one inverse and one product give
+    every coefficient (Brent-Kung, J. ACM 25, 1978).
+    """
+    ring, n = f.ring, f.n_vars
+    c0 = f.coefficient((0,) * n)
+    if ring.is_zero(c0):
+        raise ZeroDivisionError("logarithm of a series with zero constant term")
+    if c0 != ring.one:
+        raise ValueError("series logarithm needs constant term 1")
+    euler = TruncatedSeries(ring, n, f.order,
+                            {s: ring.scale_rational(c, sum(s))
+                             for s, c in f.terms.items()})
+    quotient = euler * inverse(f)
+    return TruncatedSeries(ring, n, f.order,
+                           {s: ring.scale_rational(c, Fraction(1, sum(s)))
+                            for s, c in quotient.terms.items()})
+
+
+def coeff_json(ring, c):
+    """A rational as its string, a complex number as [re, im], and a
+    Q[Z/m] element as its coordinate strings, a zero one as "0"."""
+    if ring == RATIONAL:
+        return str(c)
+    if ring == COMPLEX:
+        return [c.real, c.imag]
+    return [str(q) if q else "0" for q in c]
+
+
+def json_fields(ring) -> dict:
+    """The ring fields of a series object: its name, and m for Q[Z/m]."""
+    if ring in (RATIONAL, COMPLEX):
+        return {"ring": ring.name}
+    return {"ring": ring.name, "m": ring.m}
+
+
 def series_to_json(series):
     """The docs/schema.md series object, terms sorted by degree then lex."""
     ring = series.ring
     return {
         "n_vars": series.n_vars,
         "order": series.order,
-        **ring.json_fields(),
-        "terms": [{"exp": list(exp), "coeff": ring.coeff_json(c)}
+        **json_fields(ring),
+        "terms": [{"exp": list(exp), "coeff": coeff_json(ring, c)}
                   for exp, c in series.sorted_items()],
     }

@@ -1,7 +1,9 @@
 """Numeric branches, logarithmic solutions, and rank witnesses."""
 
 import cmath
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import random
@@ -33,8 +35,11 @@ import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
                            lift_jets_by_series, lift_jets_full_order,
                            log_parts_by_branches, mellin_residual, nonvanishing,
-                           poly_and_derivative, root_sum_by_branches)
+                           poly_and_derivative, root_sum_by_branches,
+                           scaled_root_deviation_by_series,
+                           substitution_residual_by_products)
 from profile_oracle import profile_suite
+from series_oracle import log
 
 F = Fraction
 
@@ -242,6 +247,23 @@ def test_dense_lift_matches_the_lift_by_series(p, order, pick):
                          lift_jets_by_series(inst, order), strict=True):
         assert jet.order == want.order == order
         assert (jet - want).max_abs() < 1e-13
+
+
+@settings(deadline=None, max_examples=20, derandomize=True)
+@given(st.sampled_from(DENSE_LIFT_PROFILES), st.integers(1, 12))
+def test_scaled_root_gap_equals_the_sparse_series_route(p, order):
+    """The gap read off the columns of the dense lift is the gap of the
+    jet series minus the rotated complex y_pr, to the last bit."""
+    assert (scaled_root_max_deviation(p, order)
+            == scaled_root_deviation_by_series(p, order))
+
+
+@pytest.mark.parametrize("p", profile_suite(9, 1, d_one_only=False),
+                         ids=lambda p: f"{p.m}-{p.m_list[0]}")
+def test_scaled_root_gap_of_the_univariate_sweep(p):
+    """The 36 univariate profiles at order 8, as ``verify`` runs them."""
+    gap = scaled_root_max_deviation(p, 8)
+    assert gap == scaled_root_deviation_by_series(p, 8) < SUBSTITUTION_TOL
 
 
 def test_substitution_residual_measures_a_small_perturbation():
@@ -714,8 +736,84 @@ def test_equation_records_see_a_changed_principal_coefficient(monkeypatch,
             cache.cache_clear()
 
 
+SOURCE_PROFILES = profile_suite(7, 3, d_one_only=False)
+SOURCE_ORDERS = random.Random(7).choices(range(1, 9), k=len(SOURCE_PROFILES))
+
+
+@pytest.mark.parametrize(
+    "p,order", zip(SOURCE_PROFILES, SOURCE_ORDERS),
+    ids=[f"{p.m}-{'-'.join(map(str, p.m_list))}-order-{o}"
+         for p, o in zip(SOURCE_PROFILES, SOURCE_ORDERS)])
+def test_exact_sources_equal_the_series_product_oracles(monkeypatch, p, order):
+    """Over the 91 profiles with m <= 7, n <= 3: the closed-form y_pr log
+    y_pr is y_pr * log(y_pr) term for term, and the integer residual is
+    the Fraction-product residual, on y_pr (0.0) and on y_pr with one
+    seeded coefficient raised by 1/7 (nonzero)."""
+    ypr = principal_series(p, order)
+    assert roots._source(p, order, 0).terms == (ypr * log(ypr)).terms
+    nu = random.Random(order).choice(sorted(exponents_up_to(p.n, order)))
+    bumped = ypr + TruncatedSeries(RATIONAL, p.n, order, {nu: F(1, 7)})
+    try:
+        for y in (ypr, bumped):
+            roots._substitution_residual.cache_clear()
+            monkeypatch.setattr(roots, "_source", lambda *args, y=y: y)
+            assert (roots._substitution_residual(p, order)
+                    == substitution_residual_by_products(p, y))
+        assert roots._substitution_residual(p, order) > 0
+    finally:
+        roots._substitution_residual.cache_clear()
+
+
+def test_exact_sources_take_no_series_product(monkeypatch, capsys):
+    """``verify --json`` multiplies no two rational series: the residual
+    is an integer convolution and y_pr log y_pr a closed form, and the
+    series logarithm and inverse have left the library."""
+    assert not hasattr(TruncatedSeries, "log")
+    assert not hasattr(TruncatedSeries, "inverse")
+    real, exact = TruncatedSeries.__mul__, []
+
+    def spy(a, b):
+        if isinstance(b, TruncatedSeries) and a.ring == RATIONAL:
+            exact.append(sys._getframe(1).f_code.co_name)
+        return real(a, b)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", spy)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", spy)
+    caches = (roots._source, roots._images, roots._substitution_residual)
+    for cache in caches:
+        cache.cache_clear()
+    for argv in (["verify", "3", "2", "1", "--json"],
+                 ["verify", "6", "4", "2", "--json"],
+                 ["verify", "5", "2", "--json"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert exact == []
+
+
+VERIFY_PROFILES = [p for p in profile_suite(7, 3, d_one_only=False)
+                   if p.m**p.n <= 64]
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(st.sampled_from(VERIFY_PROFILES))
+def test_verify_passes_at_the_order_floor(p):
+    """``verify --json`` at the order floor max(m + 2, n(m - 1)) exits 0
+    on profiles with m <= 7, n <= 3, m^n <= 64, with an exact zero
+    substitution residual in every record."""
+    floor = max(p.m + 2, p.n * (p.m - 1))
+    argv = ["verify", str(p.m), *map(str, p.m_list), "--order", str(floor),
+            "--json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    doc = json.loads(out.getvalue())
+    assert [e["substitution_residual"] for e in doc["equations"]] == [
+        0.0] * len(coset_representatives(p))
+    assert all(c["ok"] for c in doc["checks"] if c["name"] == "log-solutions")
+
+
 def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
         monkeypatch, capsys):
+    """Only the complex jets of ``algebraic-span`` are branch series; the
+    ``scaled-roots`` gap reads the dense lift column by column."""
     callers = set()
     real = roots._branches
 
@@ -727,7 +825,7 @@ def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
                  ["verify", "6", "4", "2", "--json"]):
         assert main(argv) == 0
     capsys.readouterr()
-    assert callers == {"scaled_root_max_deviation", "coset_equation_jets"}
+    assert callers == {"coset_equation_jets"}
 
 
 def test_aberth_rejects_degenerate_polynomial():
