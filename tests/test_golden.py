@@ -77,6 +77,8 @@ CASES = [
      ["series", "5", "3", "--principal", "--roots", "--order", "7", "--json"],
      0),
     ("operators-7-6-json", ["operators", "7", "6", "--json"], 0),
+    ("verify-5-1", ["verify", "5", "1"], 0),
+    ("verify-7-6-json", ["verify", "7", "6", "--json"], 0),
 ]
 
 
