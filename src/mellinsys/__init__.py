@@ -22,7 +22,7 @@ from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
                      principal_series, rotate, scaled_root_series, subseries,
                      twist_rank)
-from .weyl import (DiffOperator, LatticeData, ThetaFactorization, ThetaPoly,
+from .weyl import (DiffOperator, LatticeData, ThetaFactorization,
                    derivative_factorization, discriminant_poly,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
                    leading_coefficient, mellin_operator_1d, mellin_system,
@@ -34,7 +34,7 @@ __all__ = [
     "COMPLEX", "RATIONAL", "CyclotomicRing",
     "DiffOperator", "DimensionReport", "EquationInstance", "ExponentProfile",
     "LatticeData", "LogSolution", "ProfileError",
-    "RootFindingError", "SubspaceWitness", "ThetaFactorization", "ThetaPoly",
+    "RootFindingError", "SubspaceWitness", "ThetaFactorization",
     "TruncatedSeries", "aberth_roots", "algebraic_index_set",
     "convenient_basis_series",
     "coset_equation_jets", "coset_representatives",

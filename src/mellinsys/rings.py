@@ -9,10 +9,10 @@ Three interchangeable rings:
 * ``COMPLEX`` -- double-precision complex numbers.
 
 Every per-ring decision of the series code is a method here, so that code
-never asks which ring it holds: arithmetic, inverting a unit, the exact
-test for a vanishing complex embedding, rendering a coefficient as text,
-and the map (c, k) -> c e^k into the ring of rotations:
-Q[Z/m] for an exact coefficient, C (e -> zeta) for a complex one.
+never asks which ring it holds: arithmetic, the exact test for a vanishing
+complex embedding, rendering a coefficient as text, and the map
+(c, k) -> c e^k into the ring of rotations: Q[Z/m] for an exact
+coefficient, C (e -> zeta) for a complex one.
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
@@ -47,10 +47,6 @@ class RationalRing:
     @staticmethod
     def mul(a, b):
         return a * b
-
-    @staticmethod
-    def inv(a):
-        return Fraction(1) / a
 
     @staticmethod
     def scale_rational(a, q):
@@ -107,10 +103,6 @@ class ComplexRing:
     @staticmethod
     def mul(a, b):
         return a * b
-
-    @staticmethod
-    def inv(a):
-        return 1.0 / a
 
     @staticmethod
     def scale_rational(a, q):
@@ -204,16 +196,6 @@ class CyclotomicRing:
         if k == 0:
             return a
         return tuple(a[(i - k) % self.m] for i in range(self.m))
-
-    def inv(self, a):
-        """Inverse of a monomial unit q e^k, the units that series carry."""
-        support = [k for k, x in enumerate(a) if x]
-        if not support:
-            raise ZeroDivisionError("inverse of zero")
-        if len(support) > 1:
-            raise ValueError("only monomial units q e^k are inverted")
-        k = support[0]
-        return self.monomial(Fraction(1) / a[k], -k)
 
     def scale_rational(self, a, q):
         q = Fraction(q)

@@ -3,9 +3,9 @@
 A :class:`TruncatedSeries` stores a sparse map from exponent tuples to
 coefficients in one of the rings of :mod:`mellinsys.rings`, together with
 an inclusive total-degree bound ``order`` below which every coefficient is
-reliable.  Arithmetic never reports terms beyond the common reliable
-order; multiplication truncates to the minimum of the operand orders and
-partial differentiation lowers the reliable order by one.
+reliable.  Arithmetic (sums, products, scalings) never reports terms
+beyond the common reliable order; multiplication truncates to the minimum
+of the operand orders.
 
 On top of the arithmetic live the solution-space constructions for the
 Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
@@ -155,42 +155,6 @@ class TruncatedSeries:
             self.ring, self.n_vars, self.order,
             {s: self.ring.mul(c, coeff) for s, c in self.terms.items()})
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        result = TruncatedSeries.constant(self.ring, self.n_vars, self.order,
-                                          self.ring.one)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k >>= 1
-        return result
-
-    def diff(self, j: int):
-        """Partial derivative; the reliable order drops by one."""
-        out = {}
-        for s, c in self.terms.items():
-            if s[j] == 0:
-                continue
-            exp = tuple(v - 1 if i == j else v for i, v in enumerate(s))
-            out[exp] = self.ring.scale_rational(c, s[j])
-        return TruncatedSeries(self.ring, self.n_vars, max(self.order - 1, 0),
-                               out)
-
-    def evaluate(self, point) -> complex:
-        """Value at a complex point; terms beyond the order are simply absent."""
-        total = 0j
-        for s, c in self.terms.items():
-            mono = 1 + 0j
-            for p, e in zip(point, s):
-                mono *= p**e
-            total += self.ring.to_complex(c) * mono
-        return total
-
     def truncate(self, order: int):
         if order >= self.order:
             return self
@@ -201,12 +165,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             COMPLEX, self.n_vars, self.order,
             {s: self.ring.to_complex(c) for s, c in self.terms.items()})
-
-    def to_cyclotomic(self, m: int):
-        """The same series over the ring of its rotations (Q[Z/m] if exact)."""
-        ring, embed = self.ring.group_ring(m)
-        return TruncatedSeries(ring, self.n_vars, self.order,
-                               {s: embed(c, 0) for s, c in self.terms.items()})
 
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "

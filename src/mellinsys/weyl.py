@@ -7,21 +7,22 @@ Composition uses the per-variable expansion
 
     D^p x^q = sum_k C(p,k) * q!/(q-k)! * x^{q-k} D^{p-k}
 
-which reduces to the defining relation D x = x D + 1.  Composition and
-the theta-polynomial kernels put each operand over the lcm of its
-denominators, accumulate integer numerators, and build one Fraction per
-output term.
+which reduces to the defining relation D x = x D + 1.  Composition puts
+each operand over the lcm of its denominators, accumulates integer
+numerators, and builds one Fraction per output term.
 
-Polynomials in the Euler operators theta_j = x_j D_j are expanded in
-closed form, not by composition: theta^e = sum_i S(e, i) x^i D^i with S
-the Stirling numbers of the second kind, and the theta_j commute, so every
-monomial theta^k lands directly in canonical form.  Left multiplication by
-x_j^e only raises the x_j exponent of each term, so the Mellin operators
-and both Horn forms are assembled as integer maps by key shifts, over one
-denominator, with no operator composition, sum or negation.  Composition
-remains only where a check compares against that assembly: the x_j^m
-clearing that the Horn/Mellin identity is checked against, and the two
-univariate factorizations.
+Polynomials in the Euler operators theta_j = x_j D_j have one form: an
+integer map {k: c} for sum c theta^k.  Every one built here is a product
+of affine forms sum w_j theta_j + c with integer w_j and c, multiplied out
+in integers and expanded in closed form, not by composition: theta^e =
+sum_i S(e, i) x^i D^i with S the Stirling numbers of the second kind, and
+the theta_j commute, so every monomial theta^k lands directly in canonical
+form.  Left multiplication by x_j^e only raises the x_j exponent of each
+term, so the Mellin operators and both Horn forms are assembled as integer
+maps by key shifts, over one denominator, with no operator composition,
+sum or negation.  Composition remains only where a check compares against
+that assembly: the x_j^m clearing that the Horn/Mellin identity is checked
+against, and the two univariate factorizations.
 
 Built on top of the arithmetic:
 
@@ -378,6 +379,15 @@ def _int_product(n_vars, factors):
     return out
 
 
+def _theta_terms(n_vars, factors):
+    """{(a, b): int}, the canonical form of the product of integer theta
+    maps: multiplied out once, each monomial expanded once."""
+    terms: dict = {}
+    for k, c in _int_product(n_vars, factors).items():
+        _expand_theta(k, [(terms, c, 0)])
+    return terms
+
+
 def _pass_through(b, a):
     """Expansion of D^b o x^a as sum_k f_k x^{a-k} D^{b-k}, per variable."""
     options = []
@@ -395,82 +405,9 @@ def _pass_through(b, a):
     yield from rec(0, [], 1)
 
 
-class ThetaPoly:
-    """Commutative polynomial in the Euler operators theta_1..theta_n."""
-
-    __slots__ = ("n_vars", "coeffs")
-
-    def __init__(self, n_vars, coeffs=None):
-        self.n_vars = n_vars
-        clean = {}
-        for k, c in (coeffs or {}).items():
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c:
-                clean[tuple(k)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def one(cls, n_vars):
-        return cls(n_vars, {_zeros(n_vars): Fraction(1)})
-
-    @classmethod
-    def linear(cls, weights, const) -> "ThetaPoly":
-        """The affine form sum w_j theta_j + const."""
-        return cls(len(weights), _linear_map(weights, const))
-
-    def __mul__(self, other):
-        if not isinstance(other, ThetaPoly):
-            return NotImplemented
-        return theta_product(self.n_vars, [self, other])
-
-    def to_operator(self) -> DiffOperator:
-        """Expand into canonical x^a D^b form in closed form (_expand_theta)."""
-        den, ints = _over_common_denominator(self.coeffs)
-        terms: dict = {}
-        for k, c in ints.items():
-            _expand_theta(k, [(terms, c, 0)])
-        return DiffOperator(self.n_vars, _fractions(terms, den))
-
-    def evaluate(self, point) -> Fraction:
-        out = Fraction(0)
-        for k, c in self.coeffs.items():
-            v = c
-            for pj, e in zip(point, k):
-                v *= Fraction(pj) ** e
-            out += v
-        return out
-
-
-def theta_product(n_vars, factors) -> ThetaPoly:
-    """The product of the factors, multiplied out in integers: each factor
-    goes over its own denominator and one Fraction is built per output
-    coefficient."""
-    den, ints = 1, []
-    for f in factors:
-        d, f_ints = _over_common_denominator(f.coeffs)
-        den *= d
-        ints.append(f_ints)
-    return ThetaPoly(n_vars, _fractions(_int_product(n_vars, ints), den))
-
-
 # ---------------------------------------------------------------------------
 # The Mellin system and its companions
 # ---------------------------------------------------------------------------
-
-def _indicial_factors(profile: ExponentProfile, j: int) -> list[dict]:
-    m = profile.m
-    return ([_linear_map(profile.m_list, m * k + 1)
-             for k in range(profile.m_list[j])]
-            + [_linear_map(profile.mprime_list, m * k - 1)
-               for k in range(profile.mprime_list[j])])
-
-
-def indicial_theta_poly(profile: ExponentProfile, j: int) -> ThetaPoly:
-    """prod_{k<m_j} (<M,theta> + mk + 1) * prod_{k<m'_j} (<M',theta> + mk - 1)."""
-    return ThetaPoly(profile.n,
-                     _int_product(profile.n, _indicial_factors(profile, j)))
-
 
 @lru_cache(maxsize=32)
 def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
@@ -483,12 +420,14 @@ def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
     m, n = profile.m, profile.n
     ops = []
     for j in range(n):
-        terms: dict = {}
-        for k, c in _int_product(n, _indicial_factors(profile, j)).items():
-            _expand_theta(k, [(terms, c, 0)])
+        terms = _theta_terms(
+            n, [_linear_map(profile.m_list, m * k + 1)
+                for k in range(profile.m_list[j])]
+            + [_linear_map(profile.mprime_list, m * k - 1)
+               for k in range(profile.mprime_list[j])])
         d_j = tuple(m if i == j else 0 for i in range(n))
         terms[(_zeros(n), d_j)] = -((-1) ** profile.m_list[j]) * m**m
-        ops.append(DiffOperator(n, _fractions(terms, 1)))
+        ops.append(DiffOperator(n, terms))
     return tuple(ops)
 
 
@@ -682,11 +621,10 @@ def theta_factorization(m: int) -> ThetaFactorization:
     if m < 2:
         raise ValueError("m must be at least 2")
     mel = mellin_operator_1d(m, m - 1)
-    first = theta_product(1, [ThetaPoly.linear([m - 1], m * k + 1)
-                              for k in range(m - 1)]).to_operator()
-    second = theta_product(1, [ThetaPoly.linear([1], 0)]
-                           + [ThetaPoly.linear([1], -k)
-                              for k in range(2, m)]).to_operator()
+    first = DiffOperator(1, _theta_terms(
+        1, [_linear_map([m - 1], m * k + 1) for k in range(m - 1)]))
+    second = DiffOperator(1, _theta_terms(
+        1, [_linear_map([1], -k) for k in (0, *range(2, m))]))
     displayed = (DiffOperator.x_power(1, 0, m) * first
                  + second.scale((-m) ** m))
     right = DiffOperator.theta(1, 0) - DiffOperator.identity(1)
@@ -710,8 +648,8 @@ def derivative_factorization(m: int) -> tuple[DiffOperator, DiffOperator]:
     if m < 2:
         raise ValueError("m must be at least 2")
     mel = mellin_operator_1d(m, 1)
-    inner = theta_product(1, [ThetaPoly.linear([m - 1], m * k - 1)
-                              for k in range(m - 1)]).to_operator()
+    inner = DiffOperator(1, _theta_terms(
+        1, [_linear_map([m - 1], m * k - 1) for k in range(m - 1)]))
     right = (DiffOperator.x_power(1, 0, 1) * inner
              + DiffOperator.partial(1, 0, m - 1, coeff=m**m))
     left = DiffOperator.partial(1, 0, 1)

@@ -8,16 +8,26 @@ time: writing psi(p) for the coefficient at I + m*p and s = m*p,
     psi(p + e_j) = psi(p) * P_j(s + I)
                    / ((-1)^{m_j} m^m * prod_{k=0}^{m-1}(s_j + m + i_j - k)),
 
-where P_j is the indicial polynomial ``weyl.indicial_theta_poly`` evaluated
-at an integer point.  The predecessor of p is p - e_j for the first or the
-last nonzero coordinate j, so two different paths can be compared.
+where P_j(v) = prod_{k<m_j}(<M,v> + mk + 1) prod_{k<m'_j}(<M',v> + mk - 1)
+is the indicial polynomial, evaluated here in integers with no help from
+``weyl``.  The predecessor of p is p - e_j for the first or the last
+nonzero coordinate j, so two different paths can be compared.
 """
 
 from fractions import Fraction
+from math import prod
 
 from mellinsys.series import TruncatedSeries, exponents_up_to
 from mellinsys.rings import RATIONAL
-from mellinsys.weyl import indicial_theta_poly
+
+
+def indicial_value(profile, j, v) -> int:
+    """P_j at the integer point v."""
+    m = profile.m
+    mv = sum(a * b for a, b in zip(profile.m_list, v))
+    mpv = sum(a * b for a, b in zip(profile.mprime_list, v))
+    return (prod(mv + m * k + 1 for k in range(profile.m_list[j]))
+            * prod(mpv + m * k - 1 for k in range(profile.mprime_list[j])))
 
 
 def basis_by_recurrence(profile, index, order, last=False) -> TruncatedSeries:
@@ -25,7 +35,6 @@ def basis_by_recurrence(profile, index, order, last=False) -> TruncatedSeries:
     first-nonzero (or, with ``last``, last-nonzero) predecessors."""
     m, n = profile.m, profile.n
     index = tuple(index)
-    indicial = [indicial_theta_poly(profile, j) for j in range(n)]
     psi = {(0,) * n: Fraction(1)}
     for p in exponents_up_to(n, (order - sum(index)) // m):
         if not any(p):
@@ -34,7 +43,7 @@ def basis_by_recurrence(profile, index, order, last=False) -> TruncatedSeries:
         j = nonzero[-1] if last else nonzero[0]
         q = tuple(v - 1 if i == j else v for i, v in enumerate(p))
         s = tuple(m * v for v in q)
-        num = indicial[j].evaluate([a + b for a, b in zip(s, index)])
+        num = indicial_value(profile, j, [a + b for a, b in zip(s, index)])
         den = (-1) ** profile.m_list[j] * m**m
         for k in range(m):
             den *= s[j] + m + index[j] - k

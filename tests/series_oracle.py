@@ -7,7 +7,9 @@ the two agree bit for bit over every ring.
 
 ``inverse`` and ``log`` are the series reciprocal and logarithm, built
 from products; the library needs neither, since it takes y_pr log y_pr in
-closed form, and they serve as its oracle.
+closed form, and they serve as its oracle.  ``unit_inverse`` inverts the
+constant term: a rational, a complex number, or a monomial unit q e^k of
+Q[Z/m], the units that series carry.
 
 ``series_to_json`` is the documented JSON form of a series, with one
 {"exp", "coeff"} dict per term; ``mellinsys series --json`` writes the
@@ -34,6 +36,21 @@ def naive_product(a, b):
     return TruncatedSeries(ring, a.n_vars, order, out)
 
 
+def unit_inverse(ring, c):
+    """1/c in the ring; in Q[Z/m], only a monomial unit q e^k is inverted."""
+    if ring == RATIONAL:
+        return Fraction(1) / c
+    if ring == COMPLEX:
+        return 1.0 / c
+    support = [k for k, x in enumerate(c) if x]
+    if not support:
+        raise ZeroDivisionError("inverse of zero")
+    if len(support) > 1:
+        raise ValueError("only monomial units q e^k are inverted")
+    k = support[0]
+    return ring.monomial(Fraction(1) / c[k], -k)
+
+
 def inverse(f):
     """Reciprocal; the constant term must be a unit the ring inverts.
 
@@ -43,7 +60,7 @@ def inverse(f):
     c0 = f.coefficient((0,) * n)
     if ring.is_zero(c0):
         raise ZeroDivisionError("series has zero constant term")
-    inv0 = ring.inv(c0)
+    inv0 = unit_inverse(ring, c0)
     rest = [(s, c, sum(s)) for s, c in f.terms.items() if sum(s) > 0]
     out = {(0,) * n: inv0}
     for e in sorted(exponents_up_to(n, f.order), key=sum)[1:]:

@@ -274,7 +274,7 @@ def test_rotate_sign_flip():
 
 def test_rotate_pure_subseries_scales():
     p = make_profile(3, [2, 1])
-    y = principal_series(p, 9).to_cyclotomic(3)
+    y = rotate(principal_series(p, 9), (0, 0), 3)
     ring = y.ring
     for big_i in [(1, 0), (2, 2), (1, 2)]:
         for j_idx in [(0, 1), (1, 1), (2, 0)]:
@@ -310,14 +310,18 @@ def test_scaled_roots_satisfy_equation_exactly(m, ms):
     p = make_profile(m, ms)
     order = 8
     ring = get_cyclotomic_ring(m)
-    xs = [TruncatedSeries.variable(RATIONAL, p.n, order, j).to_cyclotomic(m)
+    xs = [rotate(TruncatedSeries.variable(RATIONAL, p.n, order, j),
+                 (0,) * p.n, m)
           for j in range(p.n)]
     one = TruncatedSeries.constant(ring, p.n, order, ring.one)
     for j in range(m):
         y = scaled_root_series(p, j, order)
-        total = y**m - one
+        powers = [one]
+        for _ in range(m):
+            powers.append(powers[-1] * y)
+        total = powers[m] - one
         for xj, mj in zip(xs, p.m_list):
-            total = total + xj * y**mj
+            total = total + xj * powers[mj]
         assert total.is_zero()
 
 
@@ -491,7 +495,7 @@ def test_rank_of_quadratic_basis():
 
 def test_independence_rank_refuses_exact_series():
     a = TruncatedSeries(RATIONAL, 1, 4, {(0,): Fraction(1)})
-    for exact in (a, a.to_cyclotomic(3)):
+    for exact in (a, rotate(a, (0,), 3)):
         with pytest.raises(ValueError, match="numeric"):
             independence_rank([exact])
 
@@ -520,9 +524,9 @@ def test_vandermonde_rotation_rank():
 def test_rank_ring_mismatch():
     a = TruncatedSeries(RATIONAL, 1, 4, {(0,): Fraction(1)})
     with pytest.raises(ValueError, match="ring mismatch"):
-        independence_rank([a.to_complex(), a.to_cyclotomic(3)])
+        independence_rank([a.to_complex(), rotate(a, (0,), 3)])
     with pytest.raises(ValueError, match="rational"):
-        twist_rank(a.to_cyclotomic(3), [(0,)], 3)
+        twist_rank(rotate(a, (0,), 3), [(0,)], 3)
 
 
 def test_rank_cyclotomic_scalar_multiple_collapses():
@@ -707,13 +711,6 @@ def test_group_ring_log_and_inverse_commute_with_rotation():
         log(branch)
 
 
-def test_diff():
-    s = TruncatedSeries(RATIONAL, 1, 4, {(2,): Fraction(1)})
-    d = s.diff(0)
-    assert d.terms == {(1,): Fraction(2)}
-    assert d.order == 3
-
-
 @st.composite
 def product_cases(draw):
     """Two random sparse operands over Q, C or Q[Z/m] with n <= 3 and
@@ -767,17 +764,6 @@ def test_inverse_geometric():
     assert (s * inv).terms == {(0,): Fraction(1)}
 
 
-def test_pow_binary():
-    s = TruncatedSeries(RATIONAL, 1, 4, {(0,): Fraction(1), (1,): Fraction(1)})
-    assert (s**4).coefficient((2,)) == 6  # C(4,2)
-    assert (s**0).terms == {(0,): Fraction(1)}
-
-
-def test_evaluate():
-    s = TruncatedSeries(RATIONAL, 2, 3, {(1, 0): Fraction(2), (0, 2): Fraction(1)})
-    assert abs(s.evaluate((0.5, 2.0)) - (1.0 + 4.0)) < 1e-14
-
-
 def test_complex_series_keeps_small_terms():
     s = TruncatedSeries(COMPLEX, 1, 3, {(0,): 1.0, (1,): 1e-14, (2,): 0j})
     assert s.terms == {(0,): 1.0, (1,): 1e-14}
@@ -796,7 +782,7 @@ def test_series_json_and_text_are_deterministic():
     assert j1["ring"] == "rational"
     assert j1["terms"][0] == {"exp": [0, 0], "coeff": "1"}
     assert format_series(y) == format_series(principal_series(p, 4))
-    cy = series_to_json(y.to_cyclotomic(3))
+    cy = series_to_json(rotate(y, (0, 0), 3))
     assert cy["m"] == 3
     assert cy["terms"][0]["coeff"] == ["1", "0", "0"]
     cz = series_to_json(y.to_complex())

@@ -18,20 +18,24 @@ from mellinsys.profiles import make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               principal_series)
 from mellinsys.rings import RATIONAL
-from mellinsys.weyl import (DiffOperator, ThetaPoly, derivative_factorization,
+from mellinsys import weyl
+from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             discriminant_poly,
                             horn_mellin_multiplier, horn_system,
                             lattice_matrices, leading_coefficient,
                             mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
-                            theta_factorization, theta_product)
-from mellinsys.weyl import _stirling_row
+                            theta_factorization)
+from mellinsys.weyl import _int_product, _stirling_row, _theta_terms
+from basis_oracle import basis_by_recurrence
 from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
                          euler_product_identity, factorization_check,
                          horn_w_by_own_factors, horn_x_by_own_factors,
-                         least_theta_multiplier, mellin_by_composition,
-                         operator_to_json, right_divide_theta_minus_one,
-                         theta_mul_by_fractions, theta_poly_by_composition)
+                         least_theta_multiplier, linear,
+                         mellin_by_composition, operator_to_json,
+                         right_divide_theta_minus_one,
+                         theta_mul_by_fractions, theta_poly_by_composition,
+                         theta_product_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)
 D = lambda n=1, j=0, k=1: DiffOperator.partial(n, j, k)
@@ -101,7 +105,7 @@ def test_stirling_rows_match_repeated_theta_composition():
 
 @st.composite
 def theta_polys(draw):
-    """Rational ThetaPoly in n <= 3 Euler operators, total degree <= 7."""
+    """An integer theta map in n <= 3 Euler operators, total degree <= 7."""
     n = draw(st.integers(1, 3))
     coeffs = {}
     for _ in range(draw(st.integers(0, 6))):
@@ -109,20 +113,26 @@ def theta_polys(draw):
         for _ in range(n):
             k.append(draw(st.integers(0, left)))
             left -= k[-1]
-        coeffs[tuple(k)] = Fraction(draw(st.integers(-50, 50)),
-                                    draw(st.integers(1, 12)))
-    return ThetaPoly(n, coeffs)
+        coeffs[tuple(k)] = draw(st.integers(-50, 50))
+    return n, coeffs
+
+
+def _integer_terms(terms):
+    return all(type(c) is int for c in terms.values())
 
 
 @settings(deadline=None)
 @given(theta_polys())
 def test_theta_expansion_matches_composition_oracle(poly):
-    assert poly.to_operator() == theta_poly_by_composition(poly)
+    n, coeffs = poly
+    terms = _theta_terms(n, [coeffs])
+    assert _integer_terms(terms)
+    assert DiffOperator(n, terms) == theta_poly_by_composition(n, coeffs)
 
 
 @st.composite
 def kernel_coeffs(draw, keys):
-    """Coefficient maps for the integer kernels: integers only, or rationals
+    """Coefficient maps for the composition kernel: integers only, or rationals
     over several distinct denominators; negative and zero values; a small
     value set, so that products of overlapping terms cancel to 0."""
     if draw(st.booleans()):
@@ -139,10 +149,12 @@ def _exponents(n, top):
 
 @st.composite
 def theta_poly_pairs(draw):
-    """Two ThetaPoly in the same n <= 3 Euler operators, degree <= 3 each."""
+    """Two integer theta maps in the same n <= 3 Euler operators, degree <= 3
+    each, over a small value set so that products cancel to 0."""
     n = draw(st.integers(1, 3))
-    return tuple(ThetaPoly(n, draw(kernel_coeffs(_exponents(n, 3))))
-                 for _ in range(2))
+    return (n, *(draw(st.dictionaries(_exponents(n, 3), st.integers(-3, 3),
+                                      max_size=5))
+                 for _ in range(2)))
 
 
 @st.composite
@@ -159,21 +171,22 @@ def _normalized_fractions(values):
 
 @settings(deadline=None)
 @given(theta_poly_pairs())
-@example((ThetaPoly.linear([1], 1), ThetaPoly.linear([1], -1)))  # theta^2 - 1
+@example((1, {(0,): 1, (1,): 1}, {(0,): -1, (1,): 1}))  # theta^2 - 1
 def test_theta_product_kernel_matches_fraction_oracle(pair):
-    p, q = pair
-    got = p * q
-    assert got.coeffs == theta_mul_by_fractions(p, q).coeffs
-    assert _normalized_fractions(got.coeffs.values())
+    n, p, q = pair
+    got = _int_product(n, [p, q])
+    assert got == theta_mul_by_fractions(p, q)
+    assert all(type(c) is int and c for c in got.values())
 
 
 @settings(deadline=None)
 @given(theta_poly_pairs())
 def test_theta_expansion_kernel_matches_composition_oracle(pair):
-    for poly in pair:
-        got = poly.to_operator()
-        assert got == theta_poly_by_composition(poly)
-        assert _normalized_fractions(got.terms.values())
+    n, p, q = pair
+    for factors in ([p], [q], [p, q]):
+        terms = _theta_terms(n, factors)
+        assert _integer_terms(terms)
+        assert DiffOperator(n, terms) == theta_product_by_composition(n, factors)
 
 
 @settings(deadline=None)
@@ -224,6 +237,30 @@ def test_systems_are_assembled_without_operator_arithmetic(monkeypatch):
         mellin_system(p)
 
 
+def test_references_are_built_without_the_theta_kernels(monkeypatch):
+    """The Horn, Mellin and basis references expand by composition and
+    evaluate in integers: with the library's theta product and Stirling
+    expansion patched to raise, they still build, and equal the library."""
+    def forbidden(*args):
+        raise AssertionError("a reference ran a library theta kernel")
+
+    cases = [(2, [1]), (3, [2, 1]), (4, [3]), (6, [4, 2]), (5, [3, 2, 1])]
+    refs = []
+    with monkeypatch.context() as patch:
+        patch.setattr(weyl, "_expand_theta", forbidden)
+        patch.setattr(weyl, "_int_product", forbidden)
+        for m, ms in cases:
+            p = make_profile(m, ms)
+            refs.append((p, horn_w_by_own_factors(p), horn_x_by_own_factors(p),
+                         mellin_by_composition(p),
+                         basis_by_recurrence(p, [1] * p.n, 3 * m)))
+    for p, horn_w, horn_x, mellin, basis in refs:
+        assert list(horn_system(p)) == [horn_w, horn_x]
+        assert list(mellin_system(p)) == mellin
+        assert basis.terms == convenient_basis_series(
+            p, [1] * p.n, 3 * p.m).terms
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
 def test_euler_product_identity(m):
     for n, j in [(1, 0), (2, 1)]:
@@ -246,13 +283,13 @@ def test_general_cubic_system_displayed_form():
     #   x2^3 (2t1+t2+1)(t1+2t2-1)(t1+2t2+2) + 27 t2(t2-1)(t2-2)
     p = make_profile(3, [2, 1])
     cleared = mellin_system_theta_form(p)
-    lin = ThetaPoly.linear
-    p1 = theta_product(2, [lin([2, 1], 1), lin([2, 1], 4), lin([1, 2], -1)])
-    p2 = theta_product(2, [lin([2, 1], 1), lin([1, 2], -1), lin([1, 2], 2)])
-    t1 = theta_product(2, [lin([1, 0], 0), lin([1, 0], -1), lin([1, 0], -2)])
-    t2 = theta_product(2, [lin([0, 1], 0), lin([0, 1], -1), lin([0, 1], -2)])
-    want1 = X(2, 0, 3) * p1.to_operator() - t1.to_operator().scale(27)
-    want2 = X(2, 1, 3) * p2.to_operator() + t2.to_operator().scale(27)
+    lin, expand = linear, theta_product_by_composition
+    p1 = expand(2, [lin([2, 1], 1), lin([2, 1], 4), lin([1, 2], -1)])
+    p2 = expand(2, [lin([2, 1], 1), lin([1, 2], -1), lin([1, 2], 2)])
+    t1 = expand(2, [lin([1, 0], 0), lin([1, 0], -1), lin([1, 0], -2)])
+    t2 = expand(2, [lin([0, 1], 0), lin([0, 1], -1), lin([0, 1], -2)])
+    want1 = X(2, 0, 3) * p1 - t1.scale(27)
+    want2 = X(2, 1, 3) * p2 + t2.scale(27)
     assert cleared[0] == want1
     assert cleared[1] == want2
 
@@ -280,9 +317,9 @@ def test_horn_to_mellin_identity(m, ms):
         assert horn_x[j].scale(mult) == cleared[j]
         # leading block of H_j is prod_k (m*theta_j - k): the remainder
         # after removing it is left-divisible by the j-th variable
-        lead = theta_product(
-            p.n, [ThetaPoly.linear([m if i == j else 0 for i in range(p.n)], -k)
-                  for k in range(m)]).to_operator()
+        lead = theta_product_by_composition(
+            p.n, [linear([m if i == j else 0 for i in range(p.n)], -k)
+                  for k in range(m)])
         rest = lead - horn_w[j]
         assert rest.left_divide_x_power(j, 1) is not None
 

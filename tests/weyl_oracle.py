@@ -1,23 +1,29 @@
 """Test oracles for the Weyl-algebra kernels.
 
+A theta-polynomial here is a plain map {theta-monomial: Fraction}; the
+oracles build every one from its affine factors (``linear``) and import no
+theta kernel of the library, so they stay independent of what they check.
+
 The library expands theta^k in closed form through Stirling numbers of the
 second kind; ``theta_poly_by_composition`` is the direct expansion it is
 checked against, composing theta_j = x_j D_j with itself in the
 canonical-form Weyl algebra.
 
-The library multiplies theta polynomials and composes operators over a
+The library multiplies integer theta maps and composes operators over a
 common denominator, in integers; ``theta_mul_by_fractions`` and
-``compose_by_fractions`` accumulate the same sums one Fraction at a time.
-``horn_w_by_own_factors`` and ``horn_x_by_own_factors`` build the two Horn
-forms from their own factors with those Fraction products and a composed
-left factor x_j^e, where the library multiplies m^m T_j out in integers
-once and assembles both forms by key shifts; ``mellin_by_composition``
-expands the Fraction product of the indicial factors by composition.
+``compose_by_fractions`` accumulate the same sums one Fraction at a time,
+and ``theta_product_by_composition`` expands a Fraction product of
+factors by composition.  ``horn_w_by_own_factors`` and
+``horn_x_by_own_factors`` build the two Horn forms from their own factors
+that way, with a composed left factor x_j^e, where the library multiplies
+m^m T_j out in integers once and assembles both forms by key shifts;
+``mellin_by_composition`` does the same for the indicial factors.
 
 ``equals_up_to_rational_scale`` and ``factorization_check`` compare
 operators for the factorization and Horn/Mellin tests;
 ``euler_product_identity`` gives both sides of x^m D^m = theta (theta - 1)
-... (theta - m + 1).
+... (theta - m + 1), the left by composition and the right by the
+library's closed-form expansion.
 
 The library reads the least multiplier x^e with x^e M(m, m-1) = L o
 (theta - 1) off the x-valuation of the displayed left factor;
@@ -35,8 +41,8 @@ from itertools import product
 from math import comb, perm, prod
 
 from field_oracle import _poly_sub
-from mellinsys.weyl import (DiffOperator, ThetaPoly, mellin_operator_1d,
-                            theta_product)
+from mellinsys import weyl
+from mellinsys.weyl import DiffOperator, mellin_operator_1d
 
 
 def operator_power(op: DiffOperator, k: int) -> DiffOperator:
@@ -52,27 +58,46 @@ def operator_power(op: DiffOperator, k: int) -> DiffOperator:
     return result
 
 
-def theta_poly_by_composition(poly) -> DiffOperator:
-    """Canonical form of a ThetaPoly, one composed monomial at a time."""
-    total = DiffOperator.zero(poly.n_vars)
-    for k, c in sorted(poly.coeffs.items()):
-        term = DiffOperator.identity(poly.n_vars).scale(c)
+def linear(weights, const) -> dict:
+    """{theta-monomial: Fraction} of sum w_j theta_j + const, zeros dropped."""
+    n = len(weights)
+    terms = {(0,) * n: Fraction(const)}
+    for j, w in enumerate(weights):
+        terms[tuple(1 if i == j else 0 for i in range(n))] = Fraction(w)
+    return {k: c for k, c in terms.items() if c}
+
+
+def theta_poly_by_composition(n_vars, coeffs) -> DiffOperator:
+    """Canonical form of sum c theta^k, one composed monomial at a time."""
+    powers = {}
+    total = DiffOperator.zero(n_vars)
+    for k, c in sorted(coeffs.items()):
+        term = DiffOperator.identity(n_vars).scale(c)
         for j, e in enumerate(k):
             if e:
-                theta = DiffOperator.theta(poly.n_vars, j)
-                term = term * operator_power(theta, e)
+                if (j, e) not in powers:
+                    powers[j, e] = operator_power(
+                        DiffOperator.theta(n_vars, j), e)
+                term = term * powers[j, e]
         total = total + term
     return total
 
 
-def theta_mul_by_fractions(p, q) -> ThetaPoly:
-    """p * q, accumulated term by term in Fractions."""
+def theta_mul_by_fractions(p, q) -> dict:
+    """p * q, accumulated term by term in Fractions, zeros dropped."""
     out = {}
-    for k1, c1 in p.coeffs.items():
-        for k2, c2 in q.coeffs.items():
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
             key = tuple(a + b for a, b in zip(k1, k2))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return ThetaPoly(p.n_vars, out)
+            out[key] = out.get(key, Fraction(0)) + Fraction(c1) * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def theta_product_by_composition(n_vars, factors) -> DiffOperator:
+    """The Fraction product of the theta maps, expanded by composition."""
+    return theta_poly_by_composition(
+        n_vars, reduce(theta_mul_by_fractions, factors,
+                       {(0,) * n_vars: Fraction(1)}))
 
 
 def compose_by_fractions(p, q) -> DiffOperator:
@@ -98,24 +123,18 @@ def _horn_by_own_factors(profile, s, x_power) -> list[DiffOperator]:
         tail_j = prod_{k<m_j}(-s <M,theta> - 1/m - k)
                  prod_{k<m'_j}(-s <M',theta> + 1/m - k)."""
     m, n = profile.m, profile.n
-    one = ThetaPoly.one(n)
     out = []
     for j in range(n):
-        lead = reduce(theta_mul_by_fractions,
-                      [ThetaPoly.linear([s * m if i == j else 0
-                                         for i in range(n)], -k)
-                       for k in range(m)], one)
-        tail = reduce(
-            theta_mul_by_fractions,
-            [ThetaPoly.linear([-s * v for v in profile.m_list],
-                              Fraction(-1, m) - k)
-             for k in range(profile.m_list[j])]
-            + [ThetaPoly.linear([-s * v for v in profile.mprime_list],
-                                Fraction(1, m) - k)
-               for k in range(profile.mprime_list[j])],
-            one)
-        out.append(lead.to_operator()
-                   - compose_by_fractions(x_power(j), tail.to_operator()))
+        lead = theta_product_by_composition(
+            n, [linear([s * m if i == j else 0 for i in range(n)], -k)
+                for k in range(m)])
+        tail = theta_product_by_composition(
+            n, [linear([-s * v for v in profile.m_list], Fraction(-1, m) - k)
+                for k in range(profile.m_list[j])]
+            + [linear([-s * v for v in profile.mprime_list],
+                      Fraction(1, m) - k)
+               for k in range(profile.mprime_list[j])])
+        out.append(lead - compose_by_fractions(x_power(j), tail))
     return out
 
 
@@ -144,16 +163,13 @@ def mellin_by_composition(profile) -> list[DiffOperator]:
     m, n = profile.m, profile.n
     out = []
     for j in range(n):
-        indicial = reduce(
-            theta_mul_by_fractions,
-            [ThetaPoly.linear(profile.m_list, m * k + 1)
-             for k in range(profile.m_list[j])]
-            + [ThetaPoly.linear(profile.mprime_list, m * k - 1)
-               for k in range(profile.mprime_list[j])],
-            ThetaPoly.one(n))
-        out.append(theta_poly_by_composition(indicial)
-                   - DiffOperator.partial(
-                       n, j, m, coeff=(-1) ** profile.m_list[j] * m**m))
+        indicial = theta_product_by_composition(
+            n, [linear(profile.m_list, m * k + 1)
+                for k in range(profile.m_list[j])]
+            + [linear(profile.mprime_list, m * k - 1)
+               for k in range(profile.mprime_list[j])])
+        out.append(indicial - DiffOperator.partial(
+            n, j, m, coeff=(-1) ** profile.m_list[j] * m**m))
     return out
 
 
@@ -184,9 +200,9 @@ def factorization_check(left: DiffOperator, right: DiffOperator,
 def euler_product_identity(n_vars: int, j: int, m: int) -> tuple[DiffOperator, DiffOperator]:
     """Both sides of x_j^m D_j^m = prod_{k=0}^{m-1} (theta_j - k)."""
     lhs = DiffOperator.x_power(n_vars, j, m) * DiffOperator.partial(n_vars, j, m)
-    theta_j = [Fraction(1) if i == j else Fraction(0) for i in range(n_vars)]
-    rhs = theta_product(n_vars, [ThetaPoly.linear(theta_j, -k)
-                                 for k in range(m)]).to_operator()
+    theta_j = [1 if i == j else 0 for i in range(n_vars)]
+    rhs = DiffOperator(n_vars, weyl._theta_terms(
+        n_vars, [weyl._linear_map(theta_j, -k) for k in range(m)]))
     return lhs, rhs
 
 
