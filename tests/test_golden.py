@@ -79,6 +79,7 @@ CASES = [
     ("operators-7-6-json", ["operators", "7", "6", "--json"], 0),
     ("verify-5-1", ["verify", "5", "1"], 0),
     ("verify-7-6-json", ["verify", "7", "6", "--json"], 0),
+    ("verify-5-4-3-2", ["verify", "5", "4", "3", "2"], 0),
 ]
 
 
