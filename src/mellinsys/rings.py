@@ -11,8 +11,7 @@ Three interchangeable rings:
 Every per-ring decision of the series code is a method here, so that code
 never asks which ring it holds: arithmetic, the exact test for a vanishing
 complex embedding, rendering a coefficient as text, and the map
-(c, k) -> c e^k into the ring of rotations: Q[Z/m] for an exact
-coefficient, C (e -> zeta) for a complex one.
+(c, k) -> c e^k of an exact coefficient into the ring of rotations Q[Z/m].
 
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
@@ -121,14 +120,6 @@ class ComplexRing:
     @staticmethod
     def coeff_text(a) -> str:
         return f"[{a.real:.12e}, {a.imag:.12e}]"
-
-    @staticmethod
-    def group_ring(m=None):
-        """This ring and the image (c, k) -> c zeta^k of the map to Q[Z/m]."""
-        if m is None:
-            raise ValueError("complex coefficients need the modulus m")
-        zeta = get_cyclotomic_ring(m)._embedding
-        return COMPLEX, lambda c, k: c * zeta[k % m]
 
     def __eq__(self, other):
         return type(other) is ComplexRing

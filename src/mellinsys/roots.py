@@ -4,18 +4,18 @@ Branch b of the equation twisted by I, e^b y_pr(e^{b m_k + i_k} x_k) over
 Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), is y_pr with its
 coefficient at s times a unit fixed by s mod m.  Every operator term
 x^a D^b has a = b (mod m), so the Mellin operators commute with such
-weightings, and every exact check here comes from the rational y_pr and
-y_pr log y_pr with no branch series built (``_coset_sum``, exact in
-Q(zeta_m), which decides once per class that a class vanishes there):
-root sums and relation residuals, empty for a true relation; the
-logarithmic combinations sum_k c_k sum_b y_b log y_b as two group-ring
-parts; the annihilation residuals of those parts and the annihilation
-and substitution residuals of every branch.  y_pr log y_pr is a closed
-form, the alpha-derivative of Mellin's y_pr^alpha, and the substitution
-residual an integer convolution: neither takes a series product, inverse
-or logarithm.  The ranks of the branches
-of one equation and of the invariant-subspace splitting (univariate,
-d > 1) are twist ranks of y_pr, counted from its classes.
+weightings.  So every exact check here reads the rational y_pr, y_pr
+log y_pr or their images against one exact table {J: w_J} in Q[Z/m] of
+the nonzero class weights of a coset sum (``_class_weights``), with no
+branch series built: root sums and relation residuals, empty for a true
+relation; the logarithmic combinations sum_k c_k sum_b y_b log y_b and
+their annihilation residuals; the annihilation and substitution
+residuals of every branch.  y_pr log y_pr is a closed form, the
+alpha-derivative of Mellin's y_pr^alpha, and the substitution residual
+an integer convolution: neither takes a series product, inverse or
+logarithm.  The ranks of the branches of one equation and of the
+invariant-subspace splitting (univariate, d > 1) are twist ranks of
+y_pr, counted from its classes.
 
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
@@ -32,8 +32,8 @@ which it is correct.  Their tolerances (also surfaced by the CLI) are
 for rank pivots.  Complex series keep every term, so a reported gap is
 the measured rounding error, about 1e-15 on order-12 jets.  The
 scaled-root gap compares the dense rows of the lift with the rotations of
-y_pr column by column; branch series, rotations of the complex y_pr, are
-built only by ``coset_equation_jets``.
+y_pr column by column; complex branch series, y_pr times embedded
+phases, are built only by ``coset_equation_jets``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
-                       dot, make_profile)
+                       dot, index_box, make_profile)
 from .rings import COMPLEX, RATIONAL, get_cyclotomic_ring
 from .series import (RANK_TOL, TruncatedSeries, exponents_up_to,
-                     principal_series, scaled_root_series, twist_rank)
+                     principal_series, twist_rank)
 from .weyl import mellin_system
 
 SUBSTITUTION_TOL = 1e-10
@@ -312,13 +312,6 @@ def _dense_lift(instance: EquationInstance, order: int):
     return table, y
 
 
-def _branches(profile: ExponentProfile, twist,
-              ypr: TruncatedSeries) -> list[TruncatedSeries]:
-    """The m branches twisted by ``twist``, as rotations of ypr."""
-    return [scaled_root_series(profile, j, ypr.order, twist, ypr)
-            for j in range(profile.m)]
-
-
 def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     """Max coefficient gap between origin jets and the rotated principal root.
 
@@ -339,46 +332,71 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
-    """Complex jets of every branch of every coset-representative equation."""
-    ypr = principal_series(profile, order).to_complex()
-    return [_branches(profile, rep, ypr)
-            for rep in coset_representatives(profile)]
+    """Complex jets of every branch of every coset-representative equation:
+    branch b of I has complex(y_s) zeta^{b(1 + <M,s>) + <I,s>} at s."""
+    m, ypr = profile.m, principal_series(profile, order)
+    zeta = get_cyclotomic_ring(m)._embedding
+    terms = [(s, complex(c), 1 + dot(profile.m_list, s))
+             for s, c in ypr.terms.items()]
+    return [[TruncatedSeries(COMPLEX, profile.n, order, {
+        s: c * zeta[(b * r + dot(rep, s)) % m] for s, c, r in terms})
+        for b in range(m)] for rep in coset_representatives(profile)]
 
 
-def _coset_sum(profile: ExponentProfile, f: TruncatedSeries, c,
-               power: int) -> TruncatedSeries:
-    """sum_k c_k sum_b b^power (branch b of coset equation k built on a
-    rational f), exact in Q(zeta_m): no coefficient of it vanishes there.
+def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
+    """{J: w_J}, exact in Q[Z/m], over the classes J whose weight w_J in
+    sum_k c_k sum_b b^power (branch b of coset equation k) is nonzero in
+    Q(zeta_m): built on a rational f, that sum has f_s w_J at s.
 
-    Branch b of the equation twisted by I_k has coefficient
-    f_s e^{b r + <I_k, J>} at s, J = s mod m, r = 1 + <M, J>
-    (``scaled_root_series``), so the sum is f_s times the class weight
-    chi_J(c) S_power(r), chi_J(c) = sum_k c_k e^{<I_k, J>} and
-    S_p(r) = sum_b b^p e^{b r}.  S_0(r) embeds to m if r = 0 (mod m), else
-    to 0; S_1(r) to m(m-1)/2 or m / (zeta^r - 1), never 0.  So a class is
-    kept iff (power = 1 or r = 0) and chi_J(c) is nonzero mod Phi_m."""
+    Branch b of the equation twisted by I_k has f_s e^{b r + <I_k, J>} at
+    s, J = s mod m, r = 1 + <M, J> (``scaled_root_series``), so w_J =
+    chi_J(c) S_power(r) with chi_J(c) = sum_k c_k e^{<I_k, J>} and S_p(r) =
+    sum_b b^p e^{b r}.  S_0(r) embeds to m if r = 0 (mod m), else to 0;
+    S_1(r) to m(m-1)/2 or m / (zeta^r - 1), never 0.  So J is kept iff
+    (power = 1 or r = 0) and chi_J(c) is nonzero mod Phi_m: one test per
+    distinct chi and one product per distinct (chi, r)."""
     m, ring = profile.m, get_cyclotomic_ring(profile.m)
     reps = coset_representatives(profile)
     if len(c) != len(reps):
         raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
     pairs = [(Fraction(ck), rep) for ck, rep in zip(c, reps) if ck]
-    classes = {s: tuple(v % m for v in s) for s in f.terms}
-    weights = {}
-    for cls in set(classes.values()):
+    kept, formed, weights = {}, {}, {}
+    for cls in index_box(profile):
         r = (1 + dot(profile.m_list, cls)) % m
         if power == 0 and r:
             continue
         chi = list(ring.zero)
         for ck, rep in pairs:
             chi[dot(rep, cls) % m] += ck
-        if ring.is_zero_complex(chi):
-            continue
-        s_power = [sum(b**power for b in range(m) if b * r % m == k)
-                   for k in range(m)]
-        weights[cls] = ring.mul(chi, s_power)
-    return TruncatedSeries(ring, f.n_vars, f.order, {
-        s: tuple(x * fs if x else x for x in weights[classes[s]])
-        for s, fs in f.terms.items() if classes[s] in weights})
+        chi = tuple(chi)
+        if chi not in kept:
+            kept[chi] = not ring.is_zero_complex(chi)
+        if kept[chi]:
+            if (chi, r) not in formed:
+                s_power = [sum(b**power for b in range(m) if b * r % m == k)
+                           for k in range(m)]
+                formed[chi, r] = ring.mul(chi, s_power)
+            weights[cls] = formed[chi, r]
+    return weights
+
+
+def _embedded(f: TruncatedSeries, weights: dict, m: int) -> dict:
+    """{s: complex(w_J f_s)} over the terms of a rational f whose class
+    J = s mod m the table keeps: float(x f_s) is one correctly rounded int
+    division per coordinate x of w_J, with no Fraction built."""
+    zeta, out = get_cyclotomic_ring(m)._embedding, {}
+    for s, q in f.terms.items() if weights else ():
+        w = weights.get(tuple(v % m for v in s))
+        if w is not None:
+            n, d = q.numerator, q.denominator
+            out[s] = sum((x.numerator * n) / (x.denominator * d) * zeta[k]
+                         for k, x in enumerate(w) if x)
+    return out
+
+
+def _weighted_max(f: TruncatedSeries, weights: dict, m: int) -> float:
+    """max_abs of the coset sum that the weights build on a rational f."""
+    return max(map(abs, _embedded(f, weights, m).values()), default=0.0)
 
 
 @lru_cache(maxsize=64)
@@ -471,15 +489,26 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
 def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
     """sum_k c_k (root sum of coset equation k), exact in Q(zeta_m): empty
     for a true relation, the untwisted equation's root sum for c = e_0."""
-    return _coset_sum(profile, _source(profile, order, 1), c, 0)
+    m, weights = profile.m, _class_weights(profile, c, 0)
+    ypr = _source(profile, order, 1)
+    classes = {s: tuple(v % m for v in s) for s in ypr.terms}
+    return TruncatedSeries(get_cyclotomic_ring(m), profile.n, order, {
+        s: tuple(x * q for x in weights[classes[s]])
+        for s, q in ypr.terms.items() if classes[s] in weights})
+
+
+def _relation_residual(profile: ExponentProfile, weights: dict,
+                       order: int) -> float:
+    """max_abs of the root sum that power-0 weights build on y_pr."""
+    if profile.d > 1:
+        raise ProfileError("root-sum relations are defined only for d = 1")
+    return _weighted_max(_source(profile, order, 1), weights, profile.m)
 
 
 def relation_check(profile: ExponentProfile, c, order: int) -> float:
     """Max coefficient magnitude of sum_k c_k (root sum of equation k):
-    exactly 0.0 for a true relation, whose root sum is empty."""
-    if profile.d > 1:
-        raise ProfileError("root-sum relations are defined only for d = 1")
-    return root_sum(profile, c, order).max_abs()
+    exactly 0.0 for a true relation, whose table keeps no class of y_pr."""
+    return _relation_residual(profile, _class_weights(profile, c, 0), order)
 
 
 @dataclass(frozen=True)
@@ -490,15 +519,16 @@ class LogSolution:
     (k, b, q) stand for q * 2*pi*i * zeta^b with q = c_k * b/m, the branch
     logarithm at the origin being fixed as log zeta^b = 2*pi*i*b/m.
 
-    parts = (A, B) are coset sums, exact in Q(zeta_m), with chi = A +
-    (2*pi*i/m) B: A = sum_k c_k sum_b e^b R_b(y_pr log y_pr) and B =
-    sum_k c_k sum_b b y_b, R_b being the rotation carrying y_pr to e^{-b} y_b.
+    weights = (W_A, W_B) are the exact class-weight tables of the coset
+    sums A = sum_k c_k sum_b e^b R_b(y_pr log y_pr) and B = sum_k c_k sum_b
+    b y_b (R_b carries y_pr to e^{-b} y_b), chi = A + (2*pi*i/m) B: A_s =
+    W_A[s mod m] (y_pr log y_pr)_s and B_s = W_B[s mod m] (y_pr)_s.
     """
 
     c: tuple
     chi: TruncatedSeries
     constant_offsets: tuple
-    parts: tuple
+    weights: tuple
 
 
 def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
@@ -506,33 +536,36 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
 
     Rotation is a ring homomorphism, so log(e^{-b} y_b) = R_b(log y_pr)
     and y_b log y_b = e^b R_b(y_pr log y_pr) + (2*pi*i*b/m) y_b: no
-    group-ring logarithm or inverse is needed.
+    group-ring logarithm or inverse is needed, and no Q[Z/m] series.
     """
-    residual = relation_check(profile, c, order)
+    weights = tuple(_class_weights(profile, c, power) for power in (0, 1))
+    residual = _relation_residual(profile, weights[0], order)
     if residual != 0:
         raise ValueError(
             f"relation residual {residual:.3e} is not zero: the logarithmic "
             "combination would break the homogeneity of the system")
     m = profile.m
-    part_a, part_b = (_coset_sum(profile, _source(profile, order, k), c, k)
-                      for k in (0, 1))
-    chi = part_a.to_complex() + part_b.to_complex().scale(2j * cmath.pi / m)
+    part_a, part_b = (TruncatedSeries(COMPLEX, profile.n, order, _embedded(
+        _source(profile, order, power), table, m))
+        for power, table in enumerate(weights))
+    chi = part_a + part_b.scale(2j * cmath.pi / m)
     offsets = tuple((k, b, Fraction(ck) * Fraction(b, m))
                     for k, ck in enumerate(c) if ck for b in range(1, m))
     return LogSolution(c=tuple(Fraction(v) for v in c), chi=chi,
-                       constant_offsets=offsets, parts=(part_a, part_b))
+                       constant_offsets=offsets, weights=weights)
 
 
 def log_residual(profile: ExponentProfile, sol: LogSolution) -> float:
     """The larger relative annihilation residual of the two exact parts,
-    from coset sums of op_j(y_pr log y_pr) and op_j(y_pr), which are empty
-    for a true relation: no operator runs on a group-ring series."""
-    worst = 0.0
-    for power, part in enumerate(sol.parts):
-        images, scale = _images(profile, sol.chi.order, power), part.max_abs()
-        worst = max([worst] + [
-            _coset_sum(profile, im, sol.c, power).max_abs() / scale
-            for im in images if scale])
+    read from op_j(y_pr log y_pr) and op_j(y_pr) against the weight tables;
+    a part's scale is read only when an image term is kept."""
+    m, order, worst = profile.m, sol.chi.order, 0.0
+    for power, weights in enumerate(sol.weights):
+        top = max((_weighted_max(im, weights, m)
+                   for im in _images(profile, order, power)), default=0.0)
+        if top:
+            scale = _weighted_max(_source(profile, order, power), weights, m)
+            worst = max(worst, top / scale)
     return worst
 
 

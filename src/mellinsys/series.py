@@ -3,9 +3,8 @@
 A :class:`TruncatedSeries` stores a sparse map from exponent tuples to
 coefficients in one of the rings of :mod:`mellinsys.rings`, together with
 an inclusive total-degree bound ``order`` below which every coefficient is
-reliable.  Arithmetic (sums, products, scalings) never reports terms
-beyond the common reliable order; multiplication truncates to the minimum
-of the operand orders.
+reliable.  Sums and scalings never report terms beyond the common
+reliable order; there is no series product.
 
 On top of the arithmetic live the solution-space constructions for the
 Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
@@ -13,7 +12,7 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 * the principal root's expansion (explicit coefficient formula),
 * one series per initial exponent I in B = {0..m-1}^n, supported on
   I + m*N^n, each coefficient a closed-form Pochhammer (Gamma) ratio,
-* rotations x_j -> e^{i_j} x_j over the group ring Q[Z/m],
+* rotations x_j -> e^{i_j} x_j of exact series over the group ring Q[Z/m],
 * congruence subseries and the generating test,
 * exact ranks of twists of a rational series over a coset of (Z/m)^n,
   counted from its residue classes (:func:`twist_rank`), and numeric
@@ -23,7 +22,6 @@ Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 from __future__ import annotations
 
 import cmath
-import operator
 from fractions import Fraction
 from math import factorial, prod
 
@@ -33,10 +31,6 @@ from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
 from .rings import COMPLEX, RATIONAL
 
 RANK_TOL = 1e-10  # relative pivot tolerance of every numeric rank
-
-
-def _zero_exp(n):
-    return (0,) * n
 
 
 class TruncatedSeries:
@@ -61,7 +55,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, ring, n_vars, order, value):
-        return cls(ring, n_vars, order, {_zero_exp(n_vars): value})
+        return cls(ring, n_vars, order, {(0,) * n_vars: value})
 
     @classmethod
     def variable(cls, ring, n_vars, order, j):
@@ -119,30 +113,6 @@ class TruncatedSeries:
     def __neg__(self):
         return TruncatedSeries(self.ring, self.n_vars, self.order,
                                {s: self.ring.neg(c) for s, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            order = min(self.order, other.order)
-            mul, add, zero = self.ring.mul, self.ring.add, self.ring.zero
-            out: dict = {}
-            # by degree, so each row stops at its first term past the budget;
-            # a key takes its terms in the order of the outer loop either way
-            right = sorted(((sum(t), t, e) for t, e in other.terms.items()),
-                           key=operator.itemgetter(0))
-            for s, c in self.terms.items():
-                budget = order - sum(s)
-                for dt, t, e in right:
-                    if dt > budget:
-                        break
-                    key = tuple(map(operator.add, s, t))
-                    out[key] = add(out.get(key, zero), mul(c, e))
-            return TruncatedSeries(self.ring, self.n_vars, order, out)
-        if isinstance(other, (int, Fraction)):
-            return self.scale_rational(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def scale_rational(self, q):
         return TruncatedSeries(
@@ -261,13 +231,15 @@ def convenient_basis_series(profile: ExponentProfile, index,
 
 def rotate(series: TruncatedSeries, index, m: int | None = None,
            shift: int = 0) -> TruncatedSeries:
-    """Substitute x_j -> e^{i_j} x_j: over Q[Z/m], or over C if complex.
+    """Substitute x_j -> e^{i_j} x_j in an exact series, over Q[Z/m].
 
     The coefficient at exponent s picks up the factor e^{<I, s> mod m},
     times e^shift when a shift is given, from the ring's map (c, k) ->
-    c e^k: a monomial for a rational c, a cyclic shift in Q[Z/m], a
-    product with zeta^k for a complex c.
+    c e^k: a monomial for a rational c, a cyclic shift in Q[Z/m].  A
+    complex series raises ValueError.
     """
+    if series.ring == COMPLEX:
+        raise ValueError("rotate takes an exact series, not a complex one")
     index = tuple(index)
     ring, embed = series.ring.group_ring(m)
     terms = {s: embed(c, shift + dot(index, s))
@@ -282,7 +254,7 @@ def scaled_root_series(profile: ExponentProfile, j: int, order: int,
     f is the principal root y_pr unless ``series`` is given; callers that
     need many branches pass a precomputed y_pr.  With the default twist
     I = 0 the result is the j-th root branch of the untwisted equation,
-    the one taking the value e^j at the origin.  Exact for an exact f.
+    the one taking the value e^j at the origin.  f must be exact.
 
     The coefficient at s is f_s e^{j + <index, s>}, index_k = j m_k + i_k:
     one cyclic shift of its coordinates, in a single pass over f.

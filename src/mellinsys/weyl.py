@@ -112,17 +112,6 @@ class DiffOperator:
         a = tuple(1 if i == j else 0 for i in range(n_vars))
         return cls(n_vars, {(a, a): Fraction(1)})
 
-    @classmethod
-    def from_univariate(cls, coeff_polys):
-        """Build sum_i p_i(x) D^i from ascending coefficient lists."""
-        terms = {}
-        for i, poly in enumerate(coeff_polys):
-            for deg, c in enumerate(poly):
-                if c:
-                    terms[((deg,), (i,))] = (
-                        terms.get(((deg,), (i,)), Fraction(0)) + Fraction(c))
-        return cls(1, terms)
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:

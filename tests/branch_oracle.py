@@ -6,7 +6,9 @@ element fixed by its exponent mod m, and keeps only the coefficients
 that do not vanish in Q(zeta_m).  These build each of the m |Gamma|
 branches over Q[Z/m] with ``scaled_root_series`` and add them up;
 ``nonvanishing`` drops from such a sum the coefficients whose embedding
-vanishes, each tested on its own.
+vanishes, each tested on its own.  ``log_parts_from_weights`` writes the
+two exact parts of a logarithmic solution from its class-weight tables,
+for comparison with these sums.
 
 ``mellin_residual`` runs every Mellin operator on the series it is given,
 the reference for the annihilation residuals that the library reads off
@@ -35,7 +37,7 @@ from mellinsys.roots import (SUBSTITUTION_TOL, RootFindingError, lift_jets,
 from mellinsys.series import (TruncatedSeries, independence_rank,
                               principal_series, scaled_root_series)
 from mellinsys.weyl import mellin_system
-from series_oracle import inverse, log
+from series_oracle import inverse, log, naive_product
 
 
 def mellin_residual(profile, series) -> float:
@@ -76,13 +78,13 @@ def poly_and_derivative(instance, y, xs):
     eps = cmath.exp(2j * cmath.pi / m)
     powers = [TruncatedSeries.constant(ring, y.n_vars, y.order, ring.one), y]
     for _ in range(m - 1):
-        powers.append(powers[-1] * y)
+        powers.append(naive_product(powers[-1], y))
     p = powers[m] - powers[0]
     dp = powers[m - 1].scale_rational(m)
     for x, ij, mj in zip(xs, instance.twist, profile.m_list):
         unit = eps**ij if ij else 1
-        p = p + (x * powers[mj]).scale(unit)
-        dp = dp + (x * powers[mj - 1]).scale(unit * mj)
+        p = p + naive_product(x, powers[mj]).scale(unit)
+        dp = dp + naive_product(x, powers[mj - 1]).scale(unit * mj)
     return p, dp
 
 
@@ -100,7 +102,7 @@ def lift_jets_by_series(instance, order):
             y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
                                 y.terms)
             p, dp = poly_and_derivative(instance, y, xs)
-            y = y - p * inverse(dp)
+            y = y - naive_product(p, inverse(dp))
         residual = poly_and_derivative(instance, y, xs)[0].max_abs()
         if residual >= SUBSTITUTION_TOL:
             raise RootFindingError(
@@ -120,7 +122,7 @@ def lift_jets_full_order(instance, order):
         y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
         for _ in range(math.ceil(math.log2(order + 1))):
             p, dp = poly_and_derivative(instance, y, xs)
-            y = y - p * inverse(dp)
+            y = y - naive_product(p, inverse(dp))
         jets.append(y)
     return jets
 
@@ -146,7 +148,7 @@ def root_sum_by_branches(p, c, order):
 def log_parts_by_branches(p, c, order):
     """A and B of ``log_solution`` summed branch by branch for one vector."""
     ypr = principal_series(p, order)
-    ylog = ypr * log(ypr)
+    ylog = naive_product(ypr, log(ypr))
     a = b = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
     for ck, rep in zip(c, coset_representatives(p)):
         for j in range(p.m):
@@ -154,6 +156,21 @@ def log_parts_by_branches(p, c, order):
             b = b + scaled_root_series(p, j, order, rep, ypr).scale_rational(
                 ck * j)
     return a, b
+
+
+def log_parts_from_weights(p, weights, order):
+    """The exact parts A and B of a logarithmic solution, rebuilt from its
+    class-weight tables (W_A, W_B): the coefficient of y_pr log y_pr (of
+    y_pr) at s times the weight of A (of B) at s mod m, where the table
+    has one."""
+    ring, ypr = get_cyclotomic_ring(p.m), principal_series(p, order)
+    parts = []
+    for f, table in zip((naive_product(ypr, log(ypr)), ypr), weights):
+        classes = {s: tuple(v % p.m for v in s) for s in f.terms}
+        parts.append(TruncatedSeries(ring, p.n, order, {
+            s: tuple(x * q for x in table[classes[s]])
+            for s, q in f.terms.items() if classes[s] in table}))
+    return parts
 
 
 def elementary_symmetric(series_list, order: int):
@@ -167,7 +184,7 @@ def elementary_symmetric(series_list, order: int):
             term = None
             if deg < len(elems):
                 term = elems[deg]
-            prev = elems[deg - 1] * s if deg >= 1 else None
+            prev = naive_product(elems[deg - 1], s) if deg >= 1 else None
             if term is None:
                 new.append(prev)
             elif prev is None:
@@ -184,16 +201,16 @@ def substitution_residual_by_products(p, y):
     n, order = p.n, y.order
     powers = [TruncatedSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
     for _ in range(p.m - 1):
-        powers.append(powers[-1] * y)
+        powers.append(naive_product(powers[-1], y))
     res = powers[-1] - powers[0]
     for j, mj in enumerate(p.m_list):
-        res = res + TruncatedSeries.variable(RATIONAL, n, order, j) * powers[mj]
+        res = res + naive_product(
+            TruncatedSeries.variable(RATIONAL, n, order, j), powers[mj])
     return res.max_abs()
 
 
 def scaled_root_deviation_by_series(p, order):
     """Max coefficient gap between the lifted jets of the untwisted
-    equation and the complex rotations e^j y_pr(e^{j m_k} x_k)."""
-    ypr = principal_series(p, order).to_complex()
-    return max((jet - scaled_root_series(p, j, order, None, ypr)).max_abs()
+    equation and the embedded exact branches e^j y_pr(e^{j m_k} x_k)."""
+    return max((jet - scaled_root_series(p, j, order).to_complex()).max_abs()
                for j, jet in enumerate(lift_jets(origin_instance(p), order)))

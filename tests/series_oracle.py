@@ -1,9 +1,10 @@
 """Reference kernels for ``TruncatedSeries`` and its documented forms.
 
 ``naive_product`` walks every pair of terms in dict order and skips, one
-pair at a time, those past the common order.  Every key gathers its
-products in the order of the left operand, as the library kernel does, so
-the two agree bit for bit over every ring.
+pair at a time, those past the common order; every key gathers its
+products in the order of the left operand.  The library has no series
+product (its exact series are closed forms, and its lift multiplies dense
+arrays), so this is the product every oracle here takes.
 
 ``inverse`` and ``log`` are the series reciprocal and logarithm, built
 from products; the library needs neither, since it takes y_pr log y_pr in
@@ -91,7 +92,7 @@ def log(f):
     euler = TruncatedSeries(ring, n, f.order,
                             {s: ring.scale_rational(c, sum(s))
                              for s, c in f.terms.items()})
-    quotient = euler * inverse(f)
+    quotient = naive_product(euler, inverse(f))
     return TruncatedSeries(ring, n, f.order,
                            {s: ring.scale_rational(c, Fraction(1, sum(s)))
                             for s, c in quotient.terms.items()})

@@ -26,7 +26,8 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             theta_factorization)
 from branch_oracle import mellin_residual
 from profile_oracle import beukers_heckman_reducible, profile_suite
-from weyl_oracle import equals_up_to_rational_scale, factorization_check
+from weyl_oracle import (equals_up_to_rational_scale, factorization_check,
+                         from_univariate)
 
 F = Fraction
 
@@ -107,7 +108,7 @@ def test_criterion_04_named_operators():
     scales = {}
     for (m, m1), polys in sorted(NAMED.items()):
         got = mellin_operator_1d(m, m1)
-        want = DiffOperator.from_univariate(polys)
+        want = from_univariate(polys)
         ratio = equals_up_to_rational_scale(got, want)
         assert ratio is not None
         scales[(m, m1)] = ratio
@@ -139,21 +140,21 @@ def test_criterion_06_factorizations():
     x2 = DiffOperator.x_power(1, 0, 2)
     # four displayed factorizations, exact canonical-form identities
     assert factorization_check(
-        DiffOperator.from_univariate([[0, 0, 4], [27, 0, 0, 14],
-                                      [0, -27, 0, 0, 4]]),
+        from_univariate([[0, 0, 4], [27, 0, 0, 14],
+                         [0, -27, 0, 0, 4]]),
         theta - one, mellin_operator_1d(3, 2), multiplier=x2)
     assert factorization_check(
-        d, DiffOperator.from_univariate([[0, -2], [0, 0, 6], [27, 0, 0, 4]]),
+        d, from_univariate([[0, -2], [0, 0, 6], [27, 0, 0, 4]]),
         mellin_operator_1d(3, 1))
     assert factorization_check(
-        DiffOperator.from_univariate([[15], [0, 20], [-16, 0, 4]]),
-        DiffOperator.from_univariate([[-1], [0, 4], [16, 0, 4]]),
+        from_univariate([[15], [0, 20], [-16, 0, 4]]),
+        from_univariate([[-1], [0, 4], [16, 0, 4]]),
         mellin_operator_1d(4, 2))
     assert factorization_check(
-        DiffOperator.from_univariate([[1309], [0, 1526], [0, 0, 432],
-                                      [-216, 0, 0, 32]]),
-        DiffOperator.from_univariate([[-5], [0, 86], [0, 0, 144],
-                                      [216, 0, 0, 32]]),
+        from_univariate([[1309], [0, 1526], [0, 0, 432],
+                         [-216, 0, 0, 32]]),
+        from_univariate([[-5], [0, 86], [0, 0, 144],
+                         [216, 0, 0, 32]]),
         mellin_operator_1d(6, 2))
     for m in range(2, 7):
         left, right = derivative_factorization(m)

@@ -19,7 +19,8 @@ from mellinsys import cli, roots, series
 from mellinsys.profiles import (coset_representatives, index_box,
                                 make_profile, relation_basis)
 from mellinsys.cli import main
-from mellinsys.rings import COMPLEX, RATIONAL, CyclotomicRing
+from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
+                             get_cyclotomic_ring)
 from mellinsys.roots import (SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, invariant_subspace_witness,
@@ -34,12 +35,13 @@ from mellinsys.profiles import ProfileError
 import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
                            lift_jets_by_series, lift_jets_full_order,
-                           log_parts_by_branches, mellin_residual, nonvanishing,
+                           log_parts_by_branches, log_parts_from_weights,
+                           mellin_residual, nonvanishing,
                            poly_and_derivative, root_sum_by_branches,
                            scaled_root_deviation_by_series,
                            substitution_residual_by_products)
 from profile_oracle import profile_suite
-from series_oracle import log
+from series_oracle import log, naive_product
 
 F = Fraction
 
@@ -302,7 +304,8 @@ def test_log_solution_parts_annihilated_exactly(m, ms):
     p = make_profile(m, ms)
     for vec in relation_basis(p):
         sol = log_solution(p, vec, 12)
-        assert all(mellin_residual(p, part) == 0 for part in sol.parts)
+        assert all(mellin_residual(p, part) == 0
+                   for part in log_parts_from_weights(p, sol.weights, 12))
 
 
 ORACLE_CASES = [(3, [2, 1], 10), (5, [3, 1], 7), (4, [1], 10), (5, [4, 1], 8),
@@ -317,19 +320,48 @@ def _relation_vectors(p):
 
 @pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
 def test_log_solution_matches_branch_by_branch_assembly(m, ms, order):
-    """The parts hold exactly the branch sums' coefficients that do not
-    vanish in Q(zeta_m), and chi is theirs bit for bit."""
+    """The parts the weight tables build hold exactly the branch sums'
+    coefficients that do not vanish in Q(zeta_m), and chi is theirs bit
+    for bit."""
     p = make_profile(m, ms)
     for c in _relation_vectors(p):
         sol = log_solution(p, c, order)
         a, b = map(nonvanishing, log_parts_by_branches(p, c, order))
-        assert [(s.order, s.terms) for s in sol.parts] == [
+        parts = log_parts_from_weights(p, sol.weights, order)
+        assert [(s.order, s.terms) for s in parts] == [
             (a.order, a.terms), (b.order, b.terms)]
         chi = a.to_complex() + b.to_complex().scale(2j * cmath.pi / m)
         assert sol.chi.terms == chi.terms
         assert sol.constant_offsets == tuple(
             (k, j, F(ck) * F(j, m)) for k, ck in enumerate(c) if ck
             for j in range(1, m))
+
+
+def test_weights_are_decided_in_the_field_not_the_group_ring():
+    """At (4;3,1) the coset equations take the phases 0, 1, 2, 3 at the
+    class J = (0, 1), so c = (1, 0, 1, 0) has chi_J = e^0 + e^2 and the
+    relation c = (1, -1, 1, -1) has chi_J = e^0 - e^1 + e^2 - e^3: nonzero
+    in Q[Z/4], zero in Q(i).  Both weight tables drop J, as the branch sums
+    lose its coefficients, and chi is the oracle's bit for bit.  A root
+    sum alone cannot show this: on the classes of y_pr that it keeps, the
+    phases of all coset equations agree."""
+    p, order, ring = make_profile(4, [3, 1]), 8, get_cyclotomic_ring(4)
+    assert [roots.dot(rep, (0, 1)) % 4
+            for rep in coset_representatives(p)] == [0, 1, 2, 3]
+    for c in ([1, 0, 1, 0], [1, -1, 1, -1]):
+        chi = tuple(F(v) for v in c)
+        assert any(chi) and ring.is_zero_complex(chi)
+        weights = tuple(roots._class_weights(p, c, power) for power in (0, 1))
+        assert (0, 1) not in weights[1]
+        a, b = map(nonvanishing, log_parts_by_branches(p, c, order))
+        parts = log_parts_from_weights(p, weights, order)
+        assert [s.terms for s in parts] == [a.terms, b.terms]
+        want = root_sum_by_branches(p, c, order)
+        assert root_sum(p, c, order).terms == nonvanishing(want).terms
+        assert relation_check(p, c, order) == want.max_abs()
+    sol = log_solution(p, [1, -1, 1, -1], order)
+    assert sol.chi.terms == (
+        a.to_complex() + b.to_complex().scale(2j * cmath.pi / 4)).terms
 
 
 @pytest.mark.parametrize("m,ms,order", ORACLE_CASES)
@@ -405,25 +437,92 @@ def test_verify_fails_on_a_nonzero_relation_residual(monkeypatch, capsys,
         assert "not zero" in next(ln for ln in lines if "log-solutions" in ln)
 
 
+def _stack_names():
+    """The function names on the calling stack."""
+    frame, names = sys._getframe(1), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+RELATION_PATHS = {"relation_check", "log_solution", "log_residual"}
+
+
 @pytest.mark.parametrize("m,ms", [(3, [2, 1]), (5, [3, 1]), (7, [3])])
 def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
-    """A relation basis vector has an empty root sum, and every image coset
-    sum of its logarithmic parts is empty; each coset sum takes at most one
-    Phi_m test per residue class."""
+    """A relation basis vector's weight tables keep no class of y_pr (for
+    its root sum) and no class of any image; each table makes at most one
+    Phi_m test per distinct character sum, and max_abs makes none."""
     p = make_profile(m, ms)
     real, tested = CyclotomicRing.is_zero_complex, []
-    monkeypatch.setattr(CyclotomicRing, "is_zero_complex",
-                        lambda ring, a: tested.append(1) or real(ring, a))
-    sums = [(0, roots._source(p, 12, 1))] + [
-        (power, image) for power in (0, 1)
-        for image in roots._images(p, 12, power)]
+    monkeypatch.setattr(CyclotomicRing, "is_zero_complex", lambda ring, a: (
+        tested.append((sys._getframe(1).f_code.co_name, tuple(a)))
+        or real(ring, a)))
+
+    def classes(f):
+        return {tuple(v % m for v in s) for s in f.terms}
     for vec in relation_basis(p):
-        assert root_sum(p, vec, 12).is_zero()
-        for power, f in sums:
+        tables = []
+        for power in (0, 1):
             tested.clear()
-            assert roots._coset_sum(p, f, vec, power).is_zero()
-            assert len(tested) <= len({tuple(v % m for v in s)
-                                       for s in f.terms})
+            tables.append(roots._class_weights(p, vec, power))
+            assert len(tested) == len(set(tested))
+        assert not classes(roots._source(p, 12, 1)) & tables[0].keys()
+        for power, table in enumerate(tables):
+            for image in roots._images(p, 12, power):
+                assert not classes(image) & table.keys()
+        tested.clear()
+        assert root_sum(p, vec, 12).is_zero()
+        assert relation_check(p, vec, 12) == 0.0
+        assert log_residual(p, log_solution(p, vec, 12)) == 0.0
+        assert {name for name, _ in tested} <= {"_class_weights"}
+
+
+def test_verify_tests_each_character_sum_once(monkeypatch, capsys):
+    """On ``verify 5 4 3 2`` (24 relation vectors) each weight table makes
+    one Phi_m test per distinct character sum, and no test runs in max_abs
+    on the relation and log paths."""
+    tables, outside = [], []
+    real_weights = roots._class_weights
+    real_test = CyclotomicRing.is_zero_complex
+
+    def weights(*args):
+        tables.append([])
+        return real_weights(*args)
+
+    def test(ring, a):
+        if sys._getframe(1).f_code.co_name == "_class_weights":
+            tables[-1].append(tuple(a))
+        else:
+            outside.append(_stack_names())
+        return real_test(ring, a)
+    monkeypatch.setattr(roots, "_class_weights", weights)
+    monkeypatch.setattr(CyclotomicRing, "is_zero_complex", test)
+    assert main(["verify", "5", "4", "3", "2"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 1 + 24 * 3
+    assert all(len(t) == len(set(t)) for t in tables)
+    assert not any(RELATION_PATHS & names for names in outside)
+
+
+@pytest.mark.parametrize("argv", [["3", "2", "1", "--json"], ["5", "3", "1"],
+                                  ["4", "3", "2", "1", "--order", "9"]])
+def test_relation_and_log_paths_build_no_group_ring_series(monkeypatch,
+                                                            capsys, argv):
+    """relation_check, log_solution and log_residual read rational terms
+    against weight tables: no Q[Z/m] series is built under them."""
+    real, seen = TruncatedSeries.__init__, []
+
+    def spy(series, ring, *args):
+        if isinstance(ring, CyclotomicRing):
+            seen.append(_stack_names())
+        real(series, ring, *args)
+    monkeypatch.setattr(TruncatedSeries, "__init__", spy)
+    assert main(["verify", *argv]) == 0
+    capsys.readouterr()
+    assert seen
+    assert not any(RELATION_PATHS & names for names in seen)
 
 
 @pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (9, [2], 12),
@@ -432,8 +531,9 @@ def test_log_residual_equals_mellin_residual_of_the_parts(m, ms, order):
     p = make_profile(m, ms)
     for c in _relation_vectors(p):
         sol = log_solution(p, c, order)
-        assert log_residual(p, sol) == max(mellin_residual(p, part)
-                                           for part in sol.parts)
+        assert log_residual(p, sol) == max(
+            mellin_residual(p, part)
+            for part in log_parts_from_weights(p, sol.weights, order))
 
 
 @pytest.fixture
@@ -471,10 +571,11 @@ def test_congruence_guard_accepts_a_congruent_term(extra_term):
     p = make_profile(3, [2, 1])
     sol = log_solution(p, relation_basis(p)[0], 8)
     extra_term((3, 0), (0, 0))
+    parts = log_parts_from_weights(p, sol.weights, 8)
     assert log_residual(p, sol) == max(mellin_residual(p, part)
-                                       for part in sol.parts) > 0
-    only_b = dataclasses.replace(sol, parts=(sol.parts[0] * 0, sol.parts[1]))
-    assert log_residual(p, only_b) == mellin_residual(p, sol.parts[1]) > 0
+                                       for part in parts) > 0
+    only_b = dataclasses.replace(sol, weights=({}, sol.weights[1]))
+    assert log_residual(p, only_b) == mellin_residual(p, parts[1]) > 0
     for rep in coset_representatives(p):
         report = roots.equation_report(p, rep, 8)
         assert 0 < report["annihilation_residual"] == pytest.approx(max(
@@ -751,7 +852,8 @@ def test_exact_sources_equal_the_series_product_oracles(monkeypatch, p, order):
     the Fraction-product residual, on y_pr (0.0) and on y_pr with one
     seeded coefficient raised by 1/7 (nonzero)."""
     ypr = principal_series(p, order)
-    assert roots._source(p, order, 0).terms == (ypr * log(ypr)).terms
+    assert (roots._source(p, order, 0).terms
+            == naive_product(ypr, log(ypr)).terms)
     nu = random.Random(order).choice(sorted(exponents_up_to(p.n, order)))
     bumped = ypr + TruncatedSeries(RATIONAL, p.n, order, {nu: F(1, 7)})
     try:
@@ -765,29 +867,12 @@ def test_exact_sources_equal_the_series_product_oracles(monkeypatch, p, order):
         roots._substitution_residual.cache_clear()
 
 
-def test_exact_sources_take_no_series_product(monkeypatch, capsys):
-    """``verify --json`` multiplies no two rational series: the residual
-    is an integer convolution and y_pr log y_pr a closed form, and the
-    series logarithm and inverse have left the library."""
-    assert not hasattr(TruncatedSeries, "log")
-    assert not hasattr(TruncatedSeries, "inverse")
-    real, exact = TruncatedSeries.__mul__, []
-
-    def spy(a, b):
-        if isinstance(b, TruncatedSeries) and a.ring == RATIONAL:
-            exact.append(sys._getframe(1).f_code.co_name)
-        return real(a, b)
-    monkeypatch.setattr(TruncatedSeries, "__mul__", spy)
-    monkeypatch.setattr(TruncatedSeries, "__rmul__", spy)
-    caches = (roots._source, roots._images, roots._substitution_residual)
-    for cache in caches:
-        cache.cache_clear()
-    for argv in (["verify", "3", "2", "1", "--json"],
-                 ["verify", "6", "4", "2", "--json"],
-                 ["verify", "5", "2", "--json"]):
-        assert main(argv) == 0
-    capsys.readouterr()
-    assert exact == []
+def test_exact_sources_take_no_series_product():
+    """The library has no series product: the substitution residual is an
+    integer convolution, y_pr log y_pr a closed form, and the series
+    logarithm and inverse have left the library."""
+    for name in ("__mul__", "__rmul__", "log", "inverse"):
+        assert not hasattr(TruncatedSeries, name)
 
 
 VERIFY_PROFILES = [p for p in profile_suite(7, 3, d_one_only=False)
@@ -813,20 +898,27 @@ def test_verify_passes_at_the_order_floor(p):
 
 def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
         monkeypatch, capsys):
-    """Only the complex jets of ``algebraic-span`` are branch series; the
+    """Only the complex jets of ``algebraic-span`` and the logarithmic
+    solutions are complex series, and no exact branch is rotated; the
     ``scaled-roots`` gap reads the dense lift column by column."""
-    callers = set()
-    real = roots._branches
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact branch was built")
+    builders, real = set(), TruncatedSeries.__init__
 
-    def spy(*args):
-        callers.add(sys._getframe(1).f_code.co_qualname.split(".")[0])
-        return real(*args)
-    monkeypatch.setattr(roots, "_branches", spy)
+    def spy(series, ring, *args):
+        if ring == COMPLEX:
+            frame = sys._getframe(1)
+            while frame.f_code.co_filename != roots.__file__:
+                frame = frame.f_back
+            builders.add(frame.f_code.co_qualname.split(".")[0])
+        real(series, ring, *args)
+    monkeypatch.setattr(series, "rotate", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__init__", spy)
     for argv in (["verify", "3", "2", "1", "--json"],
                  ["verify", "6", "4", "2", "--json"]):
         assert main(argv) == 0
     capsys.readouterr()
-    assert callers == {"coset_equation_jets"}
+    assert builders == {"coset_equation_jets", "log_solution"}
 
 
 def test_aberth_rejects_degenerate_polynomial():

@@ -30,8 +30,8 @@ from mellinsys.weyl import _int_product, _stirling_row, _theta_terms
 from basis_oracle import basis_by_recurrence
 from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
                          euler_product_identity, factorization_check,
-                         horn_w_by_own_factors, horn_x_by_own_factors,
-                         least_theta_multiplier, linear,
+                         from_univariate, horn_w_by_own_factors,
+                         horn_x_by_own_factors, least_theta_multiplier, linear,
                          mellin_by_composition, operator_to_json,
                          right_divide_theta_minus_one,
                          theta_mul_by_fractions, theta_poly_by_composition,
@@ -271,7 +271,7 @@ def test_euler_product_identity(m):
 @pytest.mark.parametrize("m,m1", sorted(NAMED_OPERATORS))
 def test_named_operators_exact(m, m1):
     got = mellin_operator_1d(m, m1)
-    want = DiffOperator.from_univariate(NAMED_OPERATORS[(m, m1)])
+    want = from_univariate(NAMED_OPERATORS[(m, m1)])
     ratio = equals_up_to_rational_scale(got, want)
     assert ratio is not None
     assert ratio == 1  # the construction reproduces the classical scaling
@@ -433,8 +433,8 @@ def test_leading_coefficient_rejects_zero():
 
 def test_displayed_factorization_cubic_top():
     # x^2 ( M(3,2) ) = ((4x^4-27x) D^2 + (14x^3+27) D + 4x^2) (x D - 1)
-    left = DiffOperator.from_univariate([[0, 0, 4], [27, 0, 0, 14],
-                                         [0, -27, 0, 0, 4]])
+    left = from_univariate([[0, 0, 4], [27, 0, 0, 14],
+                            [0, -27, 0, 0, 4]])
     right = THETA() - DiffOperator.identity(1)
     target = mellin_operator_1d(3, 2)
     assert factorization_check(left, right, target, multiplier=X(1, 0, 2))
@@ -443,24 +443,24 @@ def test_displayed_factorization_cubic_top():
 def test_displayed_factorization_cubic_bottom():
     # M(3,1) = D ((4x^3+27) D^2 + 6x^2 D - 2x)
     left = D()
-    right = DiffOperator.from_univariate([[0, -2], [0, 0, 6], [27, 0, 0, 4]])
+    right = from_univariate([[0, -2], [0, 0, 6], [27, 0, 0, 4]])
     assert factorization_check(left, right, mellin_operator_1d(3, 1))
 
 
 def test_displayed_factorization_quartic():
     # M(4,2) = ((4x^2-16) D^2 + 20x D + 15) ((4x^2+16) D^2 + 4x D - 1)
-    left = DiffOperator.from_univariate([[15], [0, 20], [-16, 0, 4]])
-    right = DiffOperator.from_univariate([[-1], [0, 4], [16, 0, 4]])
+    left = from_univariate([[15], [0, 20], [-16, 0, 4]])
+    right = from_univariate([[-1], [0, 4], [16, 0, 4]])
     assert factorization_check(left, right, mellin_operator_1d(4, 2))
 
 
 def test_displayed_factorization_sextic():
     # M(6,2) = ((32x^3-216) D^3 + 432 x^2 D^2 + 1526 x D + 1309)
     #          ((32x^3+216) D^3 + 144 x^2 D^2 + 86 x D - 5)
-    left = DiffOperator.from_univariate([[1309], [0, 1526], [0, 0, 432],
-                                         [-216, 0, 0, 32]])
-    right = DiffOperator.from_univariate([[-5], [0, 86], [0, 0, 144],
-                                          [216, 0, 0, 32]])
+    left = from_univariate([[1309], [0, 1526], [0, 0, 432],
+                            [-216, 0, 0, 32]])
+    right = from_univariate([[-5], [0, 86], [0, 0, 144],
+                             [216, 0, 0, 32]])
     assert factorization_check(left, right, mellin_operator_1d(6, 2))
 
 
@@ -486,8 +486,8 @@ def test_theta_factorization_matches_the_right_division_search(m):
 
 def test_theta_factorization_cubic_left_factor_is_displayed_one():
     fac = theta_factorization(3)
-    want = DiffOperator.from_univariate([[0, 0, 4], [27, 0, 0, 14],
-                                         [0, -27, 0, 0, 4]])
+    want = from_univariate([[0, 0, 4], [27, 0, 0, 14],
+                            [0, -27, 0, 0, 4]])
     assert fac.left == want
 
 
@@ -511,8 +511,8 @@ def test_derivative_factorization(m):
 
 def test_derivative_factorization_cubic_right_factor():
     _, right = derivative_factorization(3)
-    assert right == DiffOperator.from_univariate([[0, -2], [0, 0, 6],
-                                                  [27, 0, 0, 4]])
+    assert right == from_univariate([[0, -2], [0, 0, 6],
+                                     [27, 0, 0, 4]])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ The library reads the least multiplier x^e with x^e M(m, m-1) = L o
 ``least_theta_multiplier`` finds it by exact right division by theta - 1
 (``right_divide_theta_minus_one``) for e = 0, 1, ..., m.
 
+``from_univariate`` writes a univariate operator sum_i p_i(x) D^i from
+ascending coefficient lists, the form the displayed factorizations take.
+
 ``operator_to_json`` is the documented JSON form of an operator as a list
 of term dicts; ``mellinsys operators --json`` writes the same text from
 term rows without building it.
@@ -43,6 +46,17 @@ from math import comb, perm, prod
 from field_oracle import _poly_sub
 from mellinsys import weyl
 from mellinsys.weyl import DiffOperator, mellin_operator_1d
+
+
+def from_univariate(coeff_polys) -> DiffOperator:
+    """Build sum_i p_i(x) D^i from ascending coefficient lists."""
+    terms = {}
+    for i, poly in enumerate(coeff_polys):
+        for deg, c in enumerate(poly):
+            if c:
+                terms[((deg,), (i,))] = (
+                    terms.get(((deg,), (i,)), Fraction(0)) + Fraction(c))
+    return DiffOperator(1, terms)
 
 
 def operator_power(op: DiffOperator, k: int) -> DiffOperator:
