@@ -10,18 +10,15 @@ factorizations.
 from .profiles import (DimensionReport, ExponentProfile, ProfileError,
                        algebraic_index_set, coset_representatives, dims,
                        index_box, make_profile, missing_index_set,
-                       modular_count, modular_counts, relation_basis)
-from .rings import (COMPLEX, RATIONAL, CyclotomicRing, cyclotomic_polynomial,
-                    get_cyclotomic_ring)
+                       modular_counts, relation_basis)
+from .rings import cyclotomic_polynomial
 from .roots import (EquationInstance, LogSolution, RootFindingError,
                     SubspaceWitness, aberth_roots, coset_equation_jets,
-                    equation_report, invariant_subspace_witness, lift_jets,
-                    log_solution, origin_instance, relation_check,
-                    roots_at_point)
+                    equation_report, invariant_subspace_witness, log_solution,
+                    origin_instance, relation_check, roots_at_point)
 from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
-                     principal_series, rotate, scaled_root_series, subseries,
-                     twist_rank)
+                     principal_series, subseries, twist_rank)
 from .weyl import (DiffOperator, LatticeData, ThetaFactorization,
                    derivative_factorization, discriminant_poly,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
@@ -31,7 +28,6 @@ from .weyl import (DiffOperator, LatticeData, ThetaFactorization,
 __version__ = "0.1.0"
 
 __all__ = [
-    "COMPLEX", "RATIONAL", "CyclotomicRing",
     "DiffOperator", "DimensionReport", "EquationInstance", "ExponentProfile",
     "LatticeData", "LogSolution", "ProfileError",
     "RootFindingError", "SubspaceWitness", "ThetaFactorization",
@@ -39,13 +35,13 @@ __all__ = [
     "convenient_basis_series",
     "coset_equation_jets", "coset_representatives",
     "cyclotomic_polynomial", "derivative_factorization", "dims",
-    "discriminant_poly", "equation_report", "get_cyclotomic_ring",
+    "discriminant_poly", "equation_report",
     "horn_mellin_multiplier", "horn_system", "independence_rank", "index_box",
     "invariant_subspace_witness",
-    "is_generating", "lattice_matrices", "leading_coefficient", "lift_jets",
+    "is_generating", "lattice_matrices", "leading_coefficient",
     "log_solution", "make_profile", "mellin_operator_1d", "mellin_system",
     "mellin_system_theta_form", "missing_index_set",
-    "modular_count", "modular_counts", "origin_instance", "principal_coefficient",
+    "modular_counts", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
-    "rotate", "scaled_root_series", "subseries", "twist_rank",
+    "subseries", "twist_rank",
 ]

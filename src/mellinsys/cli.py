@@ -31,9 +31,10 @@ from .profiles import (ExponentProfile, ProfileError, algebraic_index_set,
                        coset_representatives, dims, dot, index_box,
                        make_profile, missing_index_set, modular_counts,
                        relation_basis, var_names)
-from .series import (TruncatedSeries, convenient_basis_series,
-                     independence_rank, is_generating, monomial_text,
-                     principal_series, twist_rank)
+from .rings import roots_of_unity, vanishes
+from .series import (convenient_basis_series, independence_rank,
+                     is_generating, monomial_text, principal_series,
+                     twist_rank)
 from .weyl import (DiffOperator, discriminant_poly, derivative_factorization,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
                    leading_coefficient, mellin_system,
@@ -394,6 +395,14 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
 # verify
 # ---------------------------------------------------------------------------
 
+def _max_embedded(values, m: int) -> float:
+    """The largest |embedding| of the Q[Z/m] elements that do not vanish
+    exactly in Q(zeta_m), 0.0 for none."""
+    zeta = roots_of_unity(m)
+    return max((abs(sum(float(x) * zeta[k] for k, x in enumerate(c) if x))
+                for c in values if not vanishes(c)), default=0.0)
+
+
 @dataclass
 class Check:
     name: str
@@ -493,9 +502,11 @@ def run_verification(config: RunConfig) -> list[Check]:
         f"degree-1 symmetric residual {abs(vieta):.3e}")
 
     total = roots_mod.root_sum(p, [1] + [0] * (len(gamma) - 1), order)
-    if p.m_list[0] == p.m - 1:
-        total = total + TruncatedSeries.variable(total.ring, p.n, order, 0)
-    gap = total.max_abs()
+    if p.m_list[0] == p.m - 1:  # add x_1, e^0 in Q[Z/m]
+        x1 = (1,) + (0,) * (p.n - 1)
+        c = total.get(x1, (0,) * p.m)
+        total[x1] = (c[0] + 1,) + c[1:]
+    gap = _max_embedded(total.values(), p.m)
     add("jet-root-sum", gap == 0,
         f"sum of origin branches matches -[y^(m-1)] ({gap:.3e})")
 

@@ -202,8 +202,3 @@ def modular_counts(profile: ExponentProfile) -> list[int]:
         counts[dot(profile.m_list, nu) % m] += 1
     return counts
 
-
-def modular_count(profile: ExponentProfile, r: int) -> int:
-    """#{nu in B : <M, nu> = r (mod m)}; equals m^{n-1} for every r if d = 1."""
-    return modular_counts(profile)[r % profile.m]
-

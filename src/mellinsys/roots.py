@@ -1,19 +1,19 @@
 """Root branches of the twisted equations and what they span.
 
-Branch b of the equation twisted by I, e^b y_pr(e^{b m_k + i_k} x_k) over
-Q[Z/m] (:func:`mellinsys.series.scaled_root_series`), is y_pr with its
-coefficient at s times a unit fixed by s mod m.  Every operator term
-x^a D^b has a = b (mod m), so the Mellin operators commute with such
-weightings.  So every exact check here reads the rational y_pr, y_pr
-log y_pr or their images against one exact table {J: w_J} in Q[Z/m] of
-the nonzero class weights of a coset sum (``_class_weights``), with no
-branch series built: root sums and relation residuals, empty for a true
-relation; the logarithmic combinations sum_k c_k sum_b y_b log y_b and
-their annihilation residuals; the annihilation and substitution
-residuals of every branch.  y_pr log y_pr is a closed form, the
-alpha-derivative of Mellin's y_pr^alpha, and the substitution residual
-an integer convolution: neither takes a series product, inverse or
-logarithm.  The ranks of the branches of one equation and of the
+Branch b of the equation twisted by I, e^b y_pr(e^{b m_k + i_k} x_k)
+over Q[Z/m], is y_pr with its coefficient at s times a unit fixed by
+s mod m.  Every operator term x^a D^b has a = b (mod m), so the Mellin
+operators commute with such weightings.  So every exact check here reads
+the rational y_pr, y_pr log y_pr or their images against one exact table
+{J: w_J} in Q[Z/m] of the nonzero class weights of a coset sum
+(``_class_weights``), with no branch series built: root sums
+(:func:`root_sum`, {exponent: Q[Z/m] tuple}) and relation residuals,
+empty for a true relation; the logarithmic combinations sum_k c_k sum_b
+y_b log y_b and their annihilation residuals; the annihilation and
+substitution residuals of every branch.  y_pr log y_pr is a closed form,
+the alpha-derivative of Mellin's y_pr^alpha, and the substitution
+residual an integer convolution: neither takes a series product, inverse
+or logarithm.  The ranks of the branches of one equation and of the
 invariant-subspace splitting (univariate, d > 1) are twist ranks of
 y_pr, counted from its classes.
 
@@ -29,11 +29,12 @@ the digits do not depend on the build or the thread count), and runs
 Newton update k at order min(2^{k+1} - 1, order), the degree through
 which it is correct.  Their tolerances (also surfaced by the CLI) are
 1e-10 for the substitution residual of the lifted jets and 1e-10 relative
-for rank pivots.  Complex series keep every term, so a reported gap is
-the measured rounding error, about 1e-15 on order-12 jets.  The
-scaled-root gap compares the dense rows of the lift with the rotations of
-y_pr column by column; complex branch series, y_pr times embedded
-phases, are built only by ``coset_equation_jets``.
+for rank pivots.  Complex values are never dropped for being small, so a
+reported gap is the measured rounding error, about 1e-15 on order-12
+jets.  The scaled-root gap compares the dense rows of the lift with the
+rotations of y_pr column by column.  The complex witnesses are plain
+{exponent: complex} maps: the branch jets of ``coset_equation_jets``, y_pr
+times embedded phases, and the ``chi`` of each :class:`LogSolution`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, index_box, make_profile)
-from .rings import COMPLEX, RATIONAL, get_cyclotomic_ring
+from .rings import mul, roots_of_unity, vanishes
 from .series import (RANK_TOL, TruncatedSeries, exponents_up_to,
                      principal_series, twist_rank)
 from .weyl import mellin_system
@@ -257,32 +258,24 @@ def _dense_p_and_dp(y, order: int, table: _LiftTable,
     return p, dp
 
 
-def lift_jets(instance: EquationInstance, order: int) -> list[TruncatedSeries]:
-    """Newton-lift all m branches at the origin; entry b is branch b.
+def _dense_lift(instance: EquationInstance, order: int):
+    """Newton-lift all m branches at the origin: the lift's table and its
+    (m, K) complex array, whose row b is branch b over the K columns
+    ``table.exps``.
 
     Branch b starts from the exact simple root zeta^b of y^m = 1, where
     the y-derivative m zeta^{b(m-1)} cannot vanish.  Each Newton update
     doubles the number of correct degrees (Brent-Kung, J. ACM 25, 1978),
     so exactly ceil(log2(order + 1)) updates reach the order, and update
     k = 0, 1, ... runs at order min(2^{k+1} - 1, order): y is correct
-    through degree 2^k - 1 and its terms above are zero.  The m branches
-    are the rows of one complex array whose columns are the exponents
-    sorted by degree (``_LiftTable``): a product is a gather over the
-    cached pair table and one fixed-order segment sum, so no library
-    summation order enters the digits.  The final substitution residual
-    of each branch, taken at the full order, must stay below
+    through degree 2^k - 1 and its terms above are zero.  The columns are
+    the exponents sorted by degree (``_LiftTable``): a product is a gather
+    over the cached pair table and one fixed-order segment sum, so no
+    library summation order enters the digits.  The final substitution
+    residual of each branch, taken at the full order, must stay below
     SUBSTITUTION_TOL.  A lift whose products would hold more than
     MAX_LIFT_VALUES complex values is refused before any table is built.
     """
-    table, y = _dense_lift(instance, order)
-    return [TruncatedSeries(COMPLEX, instance.profile.n, order,
-                            dict(zip(table.exps, row)))
-            for row in y.tolist()]
-
-
-def _dense_lift(instance: EquationInstance, order: int):
-    """The lift of ``lift_jets`` as its table and its (m, K) array: row b
-    is branch b over the K columns ``table.exps``."""
     if any(abs(v) != 0 for v in instance.base_point):
         raise ProfileError("jets are lifted at the origin only")
     if order < 1:
@@ -322,7 +315,7 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
     """
     table, y = _dense_lift(origin_instance(profile), order)
     m, ypr = profile.m, principal_series(profile, order)
-    zeta = get_cyclotomic_ring(m)._embedding
+    zeta = roots_of_unity(m)
     targets = []
     for s in table.exps:
         c, r = complex(ypr.coefficient(s)), 1 + dot(profile.m_list, s)
@@ -332,15 +325,15 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
 
 
 def coset_equation_jets(profile: ExponentProfile, order: int):
-    """Complex jets of every branch of every coset-representative equation:
-    branch b of I has complex(y_s) zeta^{b(1 + <M,s>) + <I,s>} at s."""
+    """Complex jets of every branch of every coset-representative equation,
+    one {exponent: complex} map per branch b of each I: complex(y_s)
+    zeta^{b(1 + <M,s>) + <I,s>} at s."""
     m, ypr = profile.m, principal_series(profile, order)
-    zeta = get_cyclotomic_ring(m)._embedding
+    zeta = roots_of_unity(m)
     terms = [(s, complex(c), 1 + dot(profile.m_list, s))
              for s, c in ypr.terms.items()]
-    return [[TruncatedSeries(COMPLEX, profile.n, order, {
-        s: c * zeta[(b * r + dot(rep, s)) % m] for s, c, r in terms})
-        for b in range(m)] for rep in coset_representatives(profile)]
+    return [[{s: c * zeta[(b * r + dot(rep, s)) % m] for s, c, r in terms}
+             for b in range(m)] for rep in coset_representatives(profile)]
 
 
 def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
@@ -349,14 +342,13 @@ def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
     Q(zeta_m): built on a rational f, that sum has f_s w_J at s.
 
     Branch b of the equation twisted by I_k has f_s e^{b r + <I_k, J>} at
-    s, J = s mod m, r = 1 + <M, J> (``scaled_root_series``), so w_J =
+    s, J = s mod m, r = 1 + <M, J>, so w_J =
     chi_J(c) S_power(r) with chi_J(c) = sum_k c_k e^{<I_k, J>} and S_p(r) =
     sum_b b^p e^{b r}.  S_0(r) embeds to m if r = 0 (mod m), else to 0;
     S_1(r) to m(m-1)/2 or m / (zeta^r - 1), never 0.  So J is kept iff
     (power = 1 or r = 0) and chi_J(c) is nonzero mod Phi_m: one test per
     distinct chi and one product per distinct (chi, r)."""
-    m, ring = profile.m, get_cyclotomic_ring(profile.m)
-    reps = coset_representatives(profile)
+    m, reps = profile.m, coset_representatives(profile)
     if len(c) != len(reps):
         raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
     pairs = [(Fraction(ck), rep) for ck, rep in zip(c, reps) if ck]
@@ -365,17 +357,17 @@ def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
         r = (1 + dot(profile.m_list, cls)) % m
         if power == 0 and r:
             continue
-        chi = list(ring.zero)
+        chi = [Fraction(0)] * m
         for ck, rep in pairs:
             chi[dot(rep, cls) % m] += ck
         chi = tuple(chi)
         if chi not in kept:
-            kept[chi] = not ring.is_zero_complex(chi)
+            kept[chi] = not vanishes(chi)
         if kept[chi]:
             if (chi, r) not in formed:
                 s_power = [sum(b**power for b in range(m) if b * r % m == k)
                            for k in range(m)]
-                formed[chi, r] = ring.mul(chi, s_power)
+                formed[chi, r] = mul(chi, s_power)
             weights[cls] = formed[chi, r]
     return weights
 
@@ -384,7 +376,7 @@ def _embedded(f: TruncatedSeries, weights: dict, m: int) -> dict:
     """{s: complex(w_J f_s)} over the terms of a rational f whose class
     J = s mod m the table keeps: float(x f_s) is one correctly rounded int
     division per coordinate x of w_J, with no Fraction built."""
-    zeta, out = get_cyclotomic_ring(m)._embedding, {}
+    zeta, out = roots_of_unity(m), {}
     for s, q in f.terms.items() if weights else ():
         w = weights.get(tuple(v % m for v in s))
         if w is not None:
@@ -424,7 +416,7 @@ def _source(profile: ExponentProfile, order: int, power: int):
         if k and num:
             terms[nu] = Fraction((-1) ** k * num,
                                  m**k * math.prod(map(math.factorial, nu)))
-    return TruncatedSeries(RATIONAL, profile.n, order, terms)
+    return TruncatedSeries(profile.n, order, terms)
 
 
 @lru_cache(maxsize=64)
@@ -486,15 +478,15 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
                default=0.0)
 
 
-def root_sum(profile: ExponentProfile, c, order: int) -> TruncatedSeries:
-    """sum_k c_k (root sum of coset equation k), exact in Q(zeta_m): empty
+def root_sum(profile: ExponentProfile, c, order: int) -> dict:
+    """sum_k c_k (root sum of coset equation k) as {exponent: Q[Z/m]
+    tuple}, with the coefficients that vanish in Q(zeta_m) left out: empty
     for a true relation, the untwisted equation's root sum for c = e_0."""
     m, weights = profile.m, _class_weights(profile, c, 0)
     ypr = _source(profile, order, 1)
     classes = {s: tuple(v % m for v in s) for s in ypr.terms}
-    return TruncatedSeries(get_cyclotomic_ring(m), profile.n, order, {
-        s: tuple(x * q for x in weights[classes[s]])
-        for s, q in ypr.terms.items() if classes[s] in weights})
+    return {s: tuple(x * q for x in weights[classes[s]])
+            for s, q in ypr.terms.items() if classes[s] in weights}
 
 
 def _relation_residual(profile: ExponentProfile, weights: dict,
@@ -513,7 +505,8 @@ def relation_check(profile: ExponentProfile, c, order: int) -> float:
 
 @dataclass(frozen=True)
 class LogSolution:
-    """chi_c = sum_k c_k sum_b y_b^(k) log y_b^(k) as a truncated series.
+    """chi_c = sum_k c_k sum_b y_b^(k) log y_b^(k) through ``order``, as an
+{exponent: complex} map.
 
     constant_offsets records exactly which branch constants enter: entries
     (k, b, q) stand for q * 2*pi*i * zeta^b with q = c_k * b/m, the branch
@@ -526,7 +519,8 @@ class LogSolution:
     """
 
     c: tuple
-    chi: TruncatedSeries
+    chi: dict
+    order: int
     constant_offsets: tuple
     weights: tuple
 
@@ -544,14 +538,18 @@ def log_solution(profile: ExponentProfile, c, order: int) -> LogSolution:
         raise ValueError(
             f"relation residual {residual:.3e} is not zero: the logarithmic "
             "combination would break the homogeneity of the system")
-    m = profile.m
-    part_a, part_b = (TruncatedSeries(COMPLEX, profile.n, order, _embedded(
-        _source(profile, order, power), table, m))
-        for power, table in enumerate(weights))
-    chi = part_a + part_b.scale(2j * cmath.pi / m)
+    m, unit = profile.m, 2j * cmath.pi / profile.m
+    part_a, part_b = (_embedded(_source(profile, order, power), table, m)
+                      for power, table in enumerate(weights))
+    chi = {s: v for s, v in part_a.items() if v}
+    for s, v in part_b.items():
+        w = v * unit
+        if w:
+            chi[s] = chi.get(s, 0j) + w
     offsets = tuple((k, b, Fraction(ck) * Fraction(b, m))
                     for k, ck in enumerate(c) if ck for b in range(1, m))
-    return LogSolution(c=tuple(Fraction(v) for v in c), chi=chi,
+    return LogSolution(c=tuple(Fraction(v) for v in c),
+                       chi={s: v for s, v in chi.items() if v}, order=order,
                        constant_offsets=offsets, weights=weights)
 
 
@@ -559,7 +557,7 @@ def log_residual(profile: ExponentProfile, sol: LogSolution) -> float:
     """The larger relative annihilation residual of the two exact parts,
     read from op_j(y_pr log y_pr) and op_j(y_pr) against the weight tables;
     a part's scale is read only when an image term is kept."""
-    m, order, worst = profile.m, sol.chi.order, 0.0
+    m, order, worst = profile.m, sol.order, 0.0
     for power, weights in enumerate(sol.weights):
         top = max((_weighted_max(im, weights, m)
                    for im in _images(profile, order, power)), default=0.0)

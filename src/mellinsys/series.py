@@ -1,144 +1,68 @@
 """Truncated multivariate power series and the solution bases built on them.
 
 A :class:`TruncatedSeries` stores a sparse map from exponent tuples to
-coefficients in one of the rings of :mod:`mellinsys.rings`, together with
-an inclusive total-degree bound ``order`` below which every coefficient is
-reliable.  Sums and scalings never report terms beyond the common
-reliable order; there is no series product.
+rational coefficients, together with an inclusive total-degree bound
+``order`` below which every coefficient is reliable.  Every exact object
+of the paper is such a series: the principal root y_pr, the convenient
+basis and y_pr log y_pr.  The sums over root branches are Q(zeta_m)-
+weightings of them, which :mod:`mellinsys.roots` reads class by class
+with no series of their own; its complex witnesses are plain
+{exponent: complex} maps.  There is no series arithmetic.
 
-On top of the arithmetic live the solution-space constructions for the
-Mellin system of ``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
+The solution-space constructions for the Mellin system of
+``y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0``:
 
 * the principal root's expansion (explicit coefficient formula),
 * one series per initial exponent I in B = {0..m-1}^n, supported on
   I + m*N^n, each coefficient a closed-form Pochhammer (Gamma) ratio,
-* rotations x_j -> e^{i_j} x_j of exact series over the group ring Q[Z/m],
 * congruence subseries and the generating test,
 * exact ranks of twists of a rational series over a coset of (Z/m)^n,
   counted from its residue classes (:func:`twist_rank`), and numeric
-  ranks of complex series.
+  ranks of complex maps.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import factorial, prod
 
 import numpy as np
 
 from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
-from .rings import COMPLEX, RATIONAL
+from .rings import roots_of_unity
 
 RANK_TOL = 1e-10  # relative pivot tolerance of every numeric rank
 
 
 class TruncatedSeries:
-    """Sparse series sum_s c_s x^s, reliable for |s| <= order."""
+    """Sparse series sum_s c_s x^s with rational c_s, reliable for
+    |s| <= order."""
 
-    __slots__ = ("ring", "n_vars", "order", "terms")
+    __slots__ = ("n_vars", "order", "terms")
 
-    def __init__(self, ring, n_vars, order, terms):
+    def __init__(self, n_vars, order, terms):
         if order < 0:
             raise ValueError("truncation order must be non-negative")
-        self.ring = ring
         self.n_vars = n_vars
         self.order = order
-        self.terms = {s: c for s, c in terms.items()
-                      if sum(s) <= order and not ring.is_zero(c)}
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, n_vars, order):
-        return cls(ring, n_vars, order, {})
-
-    @classmethod
-    def constant(cls, ring, n_vars, order, value):
-        return cls(ring, n_vars, order, {(0,) * n_vars: value})
-
-    @classmethod
-    def variable(cls, ring, n_vars, order, j):
-        exp = tuple(1 if i == j else 0 for i in range(n_vars))
-        return cls(ring, n_vars, order, {exp: ring.one})
-
-    # -- bookkeeping ---------------------------------------------------------
+        self.terms = {s: c for s, c in terms.items() if sum(s) <= order and c}
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.zero)
+        return self.terms.get(tuple(exp), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def max_abs(self) -> float:
-        """Largest coefficient magnitude under the complex embedding.
-
-        A group-ring coefficient whose embedding vanishes exactly in
-        Q(zeta_m) counts as 0, so an exact identity measures exactly 0.0.
-        The exact test runs only for a magnitude that would raise the
-        maximum.
-        """
-        ring = self.ring
-        worst = 0.0
-        for c in self.terms.values():
-            v = abs(ring.to_complex(c))
-            if v > worst and not ring.is_zero_complex(c):
-                worst = v
-        return worst
+        """Largest coefficient magnitude, as a float."""
+        return max((abs(float(c)) for c in self.terms.values()), default=0.0)
 
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
-    def _check_compatible(self, other):
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable-count mismatch")
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch")
-
-    # -- ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            terms[s] = self.ring.add(terms.get(s, self.ring.zero), c)
-        return TruncatedSeries(self.ring, self.n_vars, order, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TruncatedSeries(self.ring, self.n_vars, self.order,
-                               {s: self.ring.neg(c) for s, c in self.terms.items()})
-
-    def scale_rational(self, q):
-        return TruncatedSeries(
-            self.ring, self.n_vars, self.order,
-            {s: self.ring.scale_rational(c, q) for s, c in self.terms.items()})
-
-    def scale(self, coeff):
-        """Multiply by a ring element."""
-        return TruncatedSeries(
-            self.ring, self.n_vars, self.order,
-            {s: self.ring.mul(c, coeff) for s, c in self.terms.items()})
-
-    def truncate(self, order: int):
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.ring, self.n_vars, order, self.terms)
-
-    def to_complex(self):
-        """Embed into the complex-float ring (e -> exp(2*pi*i/m))."""
-        return TruncatedSeries(
-            COMPLEX, self.n_vars, self.order,
-            {s: self.ring.to_complex(c) for s, c in self.terms.items()})
-
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
-                f"ring={self.ring.name}, terms={len(self.terms)})")
+                f"terms={len(self.terms)})")
 
     def __str__(self):
         return format_series(self)
@@ -191,7 +115,7 @@ def principal_series(profile: ExponentProfile, order: int) -> TruncatedSeries:
         c = principal_coefficient(profile, nu)
         if c:
             terms[nu] = c
-    return TruncatedSeries(RATIONAL, profile.n, order, terms)
+    return TruncatedSeries(profile.n, order, terms)
 
 
 def convenient_basis_series(profile: ExponentProfile, index,
@@ -226,47 +150,7 @@ def convenient_basis_series(profile: ExponentProfile, index,
             v = tuple(i + m * pi for i, pi in zip(index, p))
             terms[v] = Fraction((-1) ** k * num * scale,
                                 m**steps * prod(map(factorial, v)))
-    return TruncatedSeries(RATIONAL, n, order, terms)
-
-
-def rotate(series: TruncatedSeries, index, m: int | None = None,
-           shift: int = 0) -> TruncatedSeries:
-    """Substitute x_j -> e^{i_j} x_j in an exact series, over Q[Z/m].
-
-    The coefficient at exponent s picks up the factor e^{<I, s> mod m},
-    times e^shift when a shift is given, from the ring's map (c, k) ->
-    c e^k: a monomial for a rational c, a cyclic shift in Q[Z/m].  A
-    complex series raises ValueError.
-    """
-    if series.ring == COMPLEX:
-        raise ValueError("rotate takes an exact series, not a complex one")
-    index = tuple(index)
-    ring, embed = series.ring.group_ring(m)
-    terms = {s: embed(c, shift + dot(index, s))
-             for s, c in series.terms.items()}
-    return TruncatedSeries(ring, series.n_vars, series.order, terms)
-
-
-def scaled_root_series(profile: ExponentProfile, j: int, order: int,
-                       twist=None, series=None) -> TruncatedSeries:
-    """Branch j of the equation twisted by I: e^j * f(e^{j m_k + i_k} x_k).
-
-    f is the principal root y_pr unless ``series`` is given; callers that
-    need many branches pass a precomputed y_pr.  With the default twist
-    I = 0 the result is the j-th root branch of the untwisted equation,
-    the one taking the value e^j at the origin.  f must be exact.
-
-    The coefficient at s is f_s e^{j + <index, s>}, index_k = j m_k + i_k:
-    one cyclic shift of its coordinates, in a single pass over f.
-    """
-    m = profile.m
-    if not 0 <= j < m:
-        raise ValueError(f"branch index {j} out of range 0..{m - 1}")
-    twist = (0,) * profile.n if twist is None else tuple(twist)
-    if series is None:
-        series = principal_series(profile, order)
-    index = tuple(j * mk + ik for mk, ik in zip(profile.m_list, twist))
-    return rotate(series.truncate(order), index, m, shift=j)
+    return TruncatedSeries(n, order, terms)
 
 
 def subseries(series: TruncatedSeries, index, m: int) -> TruncatedSeries:
@@ -274,24 +158,16 @@ def subseries(series: TruncatedSeries, index, m: int) -> TruncatedSeries:
     index = tuple(v % m for v in index)
     terms = {s: c for s, c in series.terms.items()
              if all(v % m == i for v, i in zip(s, index))}
-    return TruncatedSeries(series.ring, series.n_vars, series.order, terms)
+    return TruncatedSeries(series.n_vars, series.order, terms)
 
 
 def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
-    """Whether every initial exponent I in B carries a nonzero coefficient.
-
-    A coefficient counts as zero when its complex embedding vanishes
-    exactly, as a group-ring coefficient can.
-    """
+    """Whether every initial exponent I in B carries a nonzero coefficient."""
     need = profile.n * (profile.m - 1)
     if series.order < need:
         raise ValueError(f"order {series.order} < n(m-1) = {need}: "
                          "the box is not fully visible")
-    for idx in index_box(profile):
-        c = series.terms.get(idx)
-        if c is None or series.ring.is_zero_complex(c):
-            return False
-    return True
+    return all(idx in series.terms for idx in index_box(profile))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +185,12 @@ def rank_complex(rows) -> int:
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def independence_rank(series_list) -> int:
-    """Numeric rank of the coefficients of complex series at RANK_TOL;
-    exact series raise ValueError (see ``twist_rank``)."""
-    if not series_list:
-        return 0
-    first = series_list[0]
-    if first.ring != COMPLEX:
-        raise ValueError(f"independence_rank is numeric: got {first.ring.name}"
-                         " series")
-    for s in series_list[1:]:
-        first._check_compatible(s)
-        if s.order != first.order:
-            raise ValueError("order mismatch")
-    cols = sorted({e for s in series_list for e in s.terms},
-                  key=lambda e: (sum(e), e))
-    return rank_complex([[s.terms.get(e, 0j) for e in cols]
-                         for s in series_list])
+def independence_rank(maps) -> int:
+    """Numeric rank at RANK_TOL of {exponent: complex} maps, one row each
+    over the exponents of them all sorted by degree (an exact rank is a
+    ``twist_rank``)."""
+    cols = sorted({e for f in maps for e in f}, key=lambda e: (sum(e), e))
+    return rank_complex([[f.get(e, 0j) for e in cols] for f in maps])
 
 
 def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
@@ -339,9 +204,6 @@ def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
     raise ValueError.  The SVD rank of the complex twists is an
     independent witness; a mismatch raises ArithmeticError.
     """
-    if f.ring != RATIONAL:
-        raise ValueError("twist_rank needs a rational series, got "
-                         f"{f.ring.name}")
     twists = [tuple(t) for t in twists]
     group = {tuple((a - b) % m for a, b in zip(t, twists[0])) for t in twists}
     if not group or any(tuple((a + b) % m for a, b in zip(g, h)) not in group
@@ -355,7 +217,7 @@ def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
               for cls in set(classes.values())}
     exact = len({tuple((k - ks[0]) % m for k in ks)
                  for ks in phases.values()})
-    zeta = [cmath.exp(2j * cmath.pi * k / m) for k in range(m)]
+    zeta = roots_of_unity(m)
     terms = [(phases[classes[s]], float(c)) for s, c in f.terms.items()]
     numeric = rank_complex([[c * zeta[ks[i]] for ks, c in terms]
                             for i in range(len(twists))])
@@ -381,6 +243,5 @@ def format_series(series: TruncatedSeries, letter: str = "x") -> str:
     names = var_names(series.n_vars, letter)
     if series.is_zero():
         return "0"
-    coeff_text = series.ring.coeff_text
-    return "\n".join(f"{coeff_text(c)} * {monomial_text(exp, names)}"
+    return "\n".join(f"{c} * {monomial_text(exp, names)}"
                      for exp, c in series.sorted_items())

@@ -182,7 +182,7 @@ class DiffOperator:
     # -- action on series ----------------------------------------------------
 
     def apply(self, series: TruncatedSeries) -> TruncatedSeries:
-        """Apply to a truncated series.
+        """Apply to a rational truncated series.
 
         A coefficient of the result at degree D collects input terms of
         degree D - |a| + |b|, so the reliable output order is
@@ -191,13 +191,11 @@ class DiffOperator:
         if self.n_vars != series.n_vars:
             raise ValueError("variable-count mismatch")
         if not self.terms:
-            return TruncatedSeries.zero(series.ring, series.n_vars,
-                                        series.order)
+            return TruncatedSeries(series.n_vars, series.order, {})
         out_order = min(series.order + sum(a) - sum(b)
                         for (a, b) in self.terms)
         if out_order < 0:
             raise ValueError("series order too low for this operator")
-        ring = series.ring
         out: dict = {}
         for (a, b), c in self.terms.items():
             for s, coeff in series.terms.items():
@@ -209,9 +207,10 @@ class DiffOperator:
                 exp = tuple(si - bi + ai for si, bi, ai in zip(s, b, a))
                 if sum(exp) > out_order:
                     continue
-                val = ring.scale_rational(coeff, c * fall)
-                out[exp] = ring.add(out.get(exp, ring.zero), val)
-        return TruncatedSeries(ring, series.n_vars, out_order, out)
+                val = coeff * (c * fall)
+                prev = out.get(exp)
+                out[exp] = val if prev is None else prev + val
+        return TruncatedSeries(series.n_vars, out_order, out)
 
     # -- division helpers ----------------------------------------------------
 

@@ -17,8 +17,8 @@ nonzero coordinate j, so two different paths can be compared.
 from fractions import Fraction
 from math import prod
 
-from mellinsys.series import TruncatedSeries, exponents_up_to
-from mellinsys.rings import RATIONAL
+from mellinsys.series import exponents_up_to
+from ring_oracle import RATIONAL, RingSeries
 
 
 def indicial_value(profile, j, v) -> int:
@@ -30,7 +30,7 @@ def indicial_value(profile, j, v) -> int:
             * prod(mpv + m * k - 1 for k in range(profile.mprime_list[j])))
 
 
-def basis_by_recurrence(profile, index, order, last=False) -> TruncatedSeries:
+def basis_by_recurrence(profile, index, order, last=False) -> RingSeries:
     """The basis series with initial monomial x^index, filled along
     first-nonzero (or, with ``last``, last-nonzero) predecessors."""
     m, n = profile.m, profile.n
@@ -50,4 +50,4 @@ def basis_by_recurrence(profile, index, order, last=False) -> TruncatedSeries:
         psi[p] = psi[q] * num / den
     terms = {tuple(i + m * v for i, v in zip(index, p)): c
              for p, c in psi.items() if c}
-    return TruncatedSeries(RATIONAL, n, order, terms)
+    return RingSeries(RATIONAL, n, order, terms)

@@ -15,10 +15,11 @@ the reference for the annihilation residuals that the library reads off
 op_j(y_pr) and op_j(y_pr log y_pr).  ``equation_record_by_branches`` is the
 per-equation record measured on the m complex branches, where the library
 takes its residual and rank from y_pr.  ``poly_and_derivative`` evaluates
-p and p' of a twisted equation on one series.  ``lift_jets_by_series`` is
-the precision-doubling Newton lift run branch by branch on sparse series,
-and ``lift_jets_full_order`` the lift with every update at the full jet
-order: the references for the dense batched lift of ``roots.lift_jets``.
+p and p' of a twisted equation on one series.  ``lift_jets`` reads the
+library's dense batched lift (``roots._dense_lift``) as m complex series;
+``lift_jets_by_series`` is the precision-doubling Newton lift run branch
+by branch on sparse series, and ``lift_jets_full_order`` the lift with
+every update at the full jet order: the references for that dense lift.
 
 ``substitution_residual_by_products`` is the residual of y_pr in its
 equation from Fraction series products, where the library convolves
@@ -30,14 +31,15 @@ columns of the dense lift.
 import cmath
 import math
 
+from mellinsys import roots
 from mellinsys.profiles import coset_representatives
-from mellinsys.rings import COMPLEX, RATIONAL, get_cyclotomic_ring
-from mellinsys.roots import (SUBSTITUTION_TOL, RootFindingError, lift_jets,
-                             origin_instance)
-from mellinsys.series import (TruncatedSeries, independence_rank,
-                              principal_series, scaled_root_series)
+from mellinsys.roots import SUBSTITUTION_TOL, RootFindingError, origin_instance
+from mellinsys.series import independence_rank, principal_series
 from mellinsys.weyl import mellin_system
+from ring_oracle import (COMPLEX, RATIONAL, RingSeries, get_cyclotomic_ring,
+                         ring_series, scaled_root_series)
 from series_oracle import inverse, log, naive_product
+from weyl_oracle import apply
 
 
 def mellin_residual(profile, series) -> float:
@@ -47,12 +49,13 @@ def mellin_residual(profile, series) -> float:
     magnitude at reliable order, divided by the largest input magnitude.
     Over Q and Q[Z/m] the operators act exactly, so a solution gives 0.0.
     """
+    series = ring_series(series)
     if series.order < profile.m + 2:
         raise ValueError("series order must be at least m + 2")
     scale = series.max_abs()
     if scale == 0.0:
         return 0.0
-    return max(op.apply(series).max_abs()
+    return max(apply(op, series).max_abs()
                for op in mellin_system(profile)) / scale
 
 
@@ -63,10 +66,10 @@ def equation_record_by_branches(p, twist, order):
     ypr = principal_series(p, order)
     jets = [scaled_root_series(p, j, order, inst.twist, ypr).to_complex()
             for j in range(p.m)]
-    xs = [TruncatedSeries.variable(COMPLEX, p.n, order, j) for j in range(p.n)]
+    xs = [RingSeries.variable(COMPLEX, p.n, order, j) for j in range(p.n)]
     residual = max(poly_and_derivative(inst, y, xs)[0].max_abs()
                    for y in jets)
-    return residual, independence_rank(jets)
+    return residual, independence_rank([y.terms for y in jets])
 
 
 def poly_and_derivative(instance, y, xs):
@@ -76,7 +79,7 @@ def poly_and_derivative(instance, y, xs):
     profile = instance.profile
     m, ring = profile.m, y.ring
     eps = cmath.exp(2j * cmath.pi / m)
-    powers = [TruncatedSeries.constant(ring, y.n_vars, y.order, ring.one), y]
+    powers = [RingSeries.constant(ring, y.n_vars, y.order, ring.one), y]
     for _ in range(m - 1):
         powers.append(naive_product(powers[-1], y))
     p = powers[m] - powers[0]
@@ -88,19 +91,27 @@ def poly_and_derivative(instance, y, xs):
     return p, dp
 
 
+def lift_jets(instance, order):
+    """The dense lift of ``roots._dense_lift`` as m complex series; entry b
+    is branch b."""
+    table, y = roots._dense_lift(instance, order)
+    return [RingSeries(COMPLEX, instance.profile.n, order,
+                       dict(zip(table.exps, row)))
+            for row in y.tolist()]
+
+
 def lift_jets_by_series(instance, order):
     """The m branches at the origin, each lifted on its own sparse series:
     ceil(log2(order + 1)) Newton updates from zeta^b, update k at order
     min(2^{k+1} - 1, order), and a full-order substitution residual."""
     n, m = instance.profile.n, instance.profile.m
     zeta = cmath.exp(2j * cmath.pi / m)
-    xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
+    xs = [RingSeries.variable(COMPLEX, n, order, j) for j in range(n)]
     jets = []
     for b in range(m):
-        y = TruncatedSeries.constant(COMPLEX, n, 0, zeta**b)
+        y = RingSeries.constant(COMPLEX, n, 0, zeta**b)
         for k in range(math.ceil(math.log2(order + 1))):
-            y = TruncatedSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order),
-                                y.terms)
+            y = RingSeries(COMPLEX, n, min(2 ** (k + 1) - 1, order), y.terms)
             p, dp = poly_and_derivative(instance, y, xs)
             y = y - naive_product(p, inverse(dp))
         residual = poly_and_derivative(instance, y, xs)[0].max_abs()
@@ -116,10 +127,10 @@ def lift_jets_full_order(instance, order):
     from zeta^b, each at the full order."""
     n, m = instance.profile.n, instance.profile.m
     zeta = cmath.exp(2j * cmath.pi / m)
-    xs = [TruncatedSeries.variable(COMPLEX, n, order, j) for j in range(n)]
+    xs = [RingSeries.variable(COMPLEX, n, order, j) for j in range(n)]
     jets = []
     for b in range(m):
-        y = TruncatedSeries.constant(COMPLEX, n, order, zeta**b)
+        y = RingSeries.constant(COMPLEX, n, order, zeta**b)
         for _ in range(math.ceil(math.log2(order + 1))):
             p, dp = poly_and_derivative(instance, y, xs)
             y = y - naive_product(p, inverse(dp))
@@ -130,14 +141,14 @@ def lift_jets_full_order(instance, order):
 def nonvanishing(series):
     """The series without the coefficients whose embedding vanishes."""
     ring = series.ring
-    return TruncatedSeries(ring, series.n_vars, series.order, {
+    return RingSeries(ring, series.n_vars, series.order, {
         s: c for s, c in series.terms.items() if not ring.is_zero_complex(c)})
 
 
 def root_sum_by_branches(p, c, order):
     """sum_k c_k (sum of the m branches of coset equation k)."""
     ypr = principal_series(p, order)
-    total = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
+    total = RingSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
     for ck, rep in zip(c, coset_representatives(p)):
         for j in range(p.m):
             total = total + scaled_root_series(
@@ -149,7 +160,7 @@ def log_parts_by_branches(p, c, order):
     """A and B of ``log_solution`` summed branch by branch for one vector."""
     ypr = principal_series(p, order)
     ylog = naive_product(ypr, log(ypr))
-    a = b = TruncatedSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
+    a = b = RingSeries.zero(get_cyclotomic_ring(p.m), p.n, order)
     for ck, rep in zip(c, coset_representatives(p)):
         for j in range(p.m):
             a = a + scaled_root_series(p, j, order, rep, ylog).scale_rational(ck)
@@ -167,7 +178,7 @@ def log_parts_from_weights(p, weights, order):
     parts = []
     for f, table in zip((naive_product(ypr, log(ypr)), ypr), weights):
         classes = {s: tuple(v % p.m for v in s) for s in f.terms}
-        parts.append(TruncatedSeries(ring, p.n, order, {
+        parts.append(RingSeries(ring, p.n, order, {
             s: tuple(x * q for x in table[classes[s]])
             for s, q in f.terms.items() if classes[s] in table}))
     return parts
@@ -177,7 +188,7 @@ def elementary_symmetric(series_list, order: int):
     """e_1, ..., e_k of the given series, via the product expansion."""
     n = series_list[0].n_vars
     ring = series_list[0].ring
-    elems = [TruncatedSeries.constant(ring, n, order, ring.one)]
+    elems = [RingSeries.constant(ring, n, order, ring.one)]
     for s in series_list:
         new = []
         for deg in range(len(elems) + 1):
@@ -198,14 +209,15 @@ def elementary_symmetric(series_list, order: int):
 def substitution_residual_by_products(p, y):
     """max_abs of y^m + sum_j x_j y^{m_j} - 1 for a rational series y,
     from one table of powers y^0..y^m (m - 1 Fraction series products)."""
+    y = ring_series(y)
     n, order = p.n, y.order
-    powers = [TruncatedSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
+    powers = [RingSeries.constant(RATIONAL, n, order, RATIONAL.one), y]
     for _ in range(p.m - 1):
         powers.append(naive_product(powers[-1], y))
     res = powers[-1] - powers[0]
     for j, mj in enumerate(p.m_list):
         res = res + naive_product(
-            TruncatedSeries.variable(RATIONAL, n, order, j), powers[mj])
+            RingSeries.variable(RATIONAL, n, order, j), powers[mj])
     return res.max_abs()
 
 

@@ -1,4 +1,4 @@
-"""Reference kernels for ``TruncatedSeries`` and its documented forms.
+"""Reference kernels for series and their documented forms.
 
 ``naive_product`` walks every pair of terms in dict order and skips, one
 pair at a time, those past the common order; every key gathers its
@@ -15,17 +15,24 @@ Q[Z/m], the units that series carry.
 ``series_to_json`` is the documented JSON form of a series, with one
 {"exp", "coeff"} dict per term; ``mellinsys series --json`` writes the
 same text from term rows without building it.  ``coeff_json`` and
-``json_fields`` are its per-ring parts.
+``json_fields`` are its per-ring parts, and ``series_text`` is the text
+form, one ``coeff * monomial`` line per term with the ring's coefficient
+text.
+
+Each kernel takes a library series (rational) or a ``RingSeries`` and
+returns a ``RingSeries`` (``ring_oracle``).
 """
 
 from fractions import Fraction
 
-from mellinsys.rings import COMPLEX, RATIONAL
-from mellinsys.series import TruncatedSeries, exponents_up_to
+from mellinsys.profiles import var_names
+from mellinsys.series import exponents_up_to, monomial_text
+from ring_oracle import COMPLEX, RATIONAL, RingSeries, ring_series
 
 
 def naive_product(a, b):
     """a * b over all term pairs, without sorting or early exit."""
+    a, b = ring_series(a), ring_series(b)
     ring, order = a.ring, min(a.order, b.order)
     out = {}
     for s, c in a.terms.items():
@@ -34,7 +41,7 @@ def naive_product(a, b):
                 continue
             key = tuple(u + v for u, v in zip(s, t))
             out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, e))
-    return TruncatedSeries(ring, a.n_vars, order, out)
+    return RingSeries(ring, a.n_vars, order, out)
 
 
 def unit_inverse(ring, c):
@@ -57,6 +64,7 @@ def inverse(f):
 
     Filled by increasing total degree: c0 g_e = -sum_{u != 0} f_u g_{e-u}.
     """
+    f = ring_series(f)
     ring, n = f.ring, f.n_vars
     c0 = f.coefficient((0,) * n)
     if ring.is_zero(c0):
@@ -73,7 +81,7 @@ def inverse(f):
                     acc = ring.add(acc, ring.mul(fu, g))
         if not ring.is_zero(acc):
             out[e] = ring.mul(ring.neg(acc), inv0)
-    return TruncatedSeries(ring, n, f.order, out)
+    return RingSeries(ring, n, f.order, out)
 
 
 def log(f):
@@ -83,40 +91,40 @@ def log(f):
     |s|, and E(log f) = E(f) / f, so one inverse and one product give
     every coefficient (Brent-Kung, J. ACM 25, 1978).
     """
+    f = ring_series(f)
     ring, n = f.ring, f.n_vars
     c0 = f.coefficient((0,) * n)
     if ring.is_zero(c0):
         raise ZeroDivisionError("logarithm of a series with zero constant term")
     if c0 != ring.one:
         raise ValueError("series logarithm needs constant term 1")
-    euler = TruncatedSeries(ring, n, f.order,
-                            {s: ring.scale_rational(c, sum(s))
-                             for s, c in f.terms.items()})
+    euler = RingSeries(ring, n, f.order,
+                       {s: ring.scale_rational(c, sum(s))
+                        for s, c in f.terms.items()})
     quotient = naive_product(euler, inverse(f))
-    return TruncatedSeries(ring, n, f.order,
-                           {s: ring.scale_rational(c, Fraction(1, sum(s)))
-                            for s, c in quotient.terms.items()})
+    return RingSeries(ring, n, f.order,
+                      {s: ring.scale_rational(c, Fraction(1, sum(s)))
+                       for s, c in quotient.terms.items()})
 
 
 def coeff_json(ring, c):
-    """A rational as its string, a complex number as [re, im], and a
-    Q[Z/m] element as its coordinate strings, a zero one as "0"."""
+    """A rational as its string and a Q[Z/m] element as its coordinate
+    strings, a zero one as "0"."""
     if ring == RATIONAL:
         return str(c)
-    if ring == COMPLEX:
-        return [c.real, c.imag]
     return [str(q) if q else "0" for q in c]
 
 
 def json_fields(ring) -> dict:
     """The ring fields of a series object: its name, and m for Q[Z/m]."""
-    if ring in (RATIONAL, COMPLEX):
+    if ring == RATIONAL:
         return {"ring": ring.name}
     return {"ring": ring.name, "m": ring.m}
 
 
 def series_to_json(series):
     """The docs/schema.md series object, terms sorted by degree then lex."""
+    series = ring_series(series)
     ring = series.ring
     return {
         "n_vars": series.n_vars,
@@ -125,3 +133,11 @@ def series_to_json(series):
         "terms": [{"exp": list(exp), "coeff": coeff_json(ring, c)}
                   for exp, c in series.sorted_items()],
     }
+
+
+def series_text(series) -> str:
+    """The ``mellinsys series`` text of a series, sorted by degree then lex."""
+    series = ring_series(series)
+    names, text = var_names(series.n_vars), series.ring.coeff_text
+    return "\n".join(f"{text(c)} * {monomial_text(s, names)}"
+                     for s, c in series.sorted_items()) or "0"

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mellinsys import cli, rings, roots, series
+from mellinsys import cli, roots, series
 from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
-                              format_series, is_generating, principal_series,
-                              scaled_root_series)
+                              is_generating, principal_series)
 from mellinsys.weyl import (horn_mellin_multiplier, horn_system,
                             lattice_matrices, mellin_system,
                             mellin_system_theta_form)
-from series_oracle import series_to_json
+from ring_oracle import scaled_root_series
+from series_oracle import series_text, series_to_json
 from test_golden import CASES as GOLDEN_CASES
 from weyl_oracle import operator_to_json
 
@@ -240,7 +240,7 @@ def test_verify_fails_when_a_residue_class_is_dropped(capsys, monkeypatch):
 
     def dropped(profile, order):
         y = real(profile, order)
-        return TruncatedSeries(y.ring, y.n_vars, y.order, {
+        return TruncatedSeries(y.n_vars, y.order, {
             s: c for s, c in y.terms.items() if any(v % profile.m for v in s)})
     monkeypatch.setattr(cli, "principal_series", dropped)
     code, out, _ = run_cli(capsys, "verify", "3", "2", "1")
@@ -505,7 +505,7 @@ def test_term_rows_match_the_dict_form(capsys, m, ms, order, index,
     assert code == 0
     assert out == "".join(
         f"-- root[{j}] (order {order}, ring cyclotomic)\n"
-        f"{format_series(scaled_root_series(p, j, order))}\n"
+        f"{series_text(scaled_root_series(p, j, order))}\n"
         for j in range(m))
 
     code, out, _ = run_cli(capsys, "operators", *args, "--json",
@@ -522,12 +522,14 @@ def test_term_row_cases_cover_every_order():
 
 
 def test_roots_build_no_group_ring_series(capsys, monkeypatch):
+    """``series --roots`` reads every branch off the rows of y_pr, with no
+    Q[Z/m] arithmetic."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a Q[Z/m] series was built")
+        raise AssertionError("Q[Z/m] arithmetic ran")
 
-    for name in ("rotate", "scaled_root_series"):
-        monkeypatch.setattr(series, name, refuse)
-    monkeypatch.setattr(rings, "get_cyclotomic_ring", refuse)
+    for module, name in ((roots, "mul"), (roots, "vanishes"),
+                         (cli, "vanishes"), (cli, "roots_of_unity")):
+        monkeypatch.setattr(module, name, refuse)
     for extra in ([], ["--json"], ["--principal", "--generating-check"]):
         code, out, _ = run_cli(capsys, "series", "4", "3", "1", "--roots",
                                "--order", "6", *extra)

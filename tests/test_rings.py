@@ -1,6 +1,14 @@
-"""Group ring, cyclotomic field, and embedding sanity checks."""
+"""Group ring, cyclotomic field, and embedding sanity checks, and the
+public API.
+
+``mellinsys.rings`` keeps the Q[Z/m] product, the exact vanishing test and
+the roots of unity; the rings of the oracles (``ring_oracle``) build the
+elements they are checked on.
+"""
 
 import cmath
+import contextlib
+import io
 import json
 import re
 from fractions import Fraction
@@ -10,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mellinsys
 from field_oracle import cyclotomic_field
+from ring_oracle import COMPLEX, RATIONAL, CyclotomicRing, get_cyclotomic_ring
 from series_oracle import coeff_json, unit_inverse
-from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
-                             cyclotomic_polynomial, get_cyclotomic_ring)
-from mellinsys.series import TruncatedSeries
+from mellinsys.cli import _max_embedded
+from mellinsys.rings import (cyclotomic_polynomial, mul, roots_of_unity,
+                             vanishes)
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mellinsys"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _poly(*coeffs):
@@ -36,15 +46,18 @@ def test_cyclotomic_polynomials():
 def test_root_embeds_as_root_of_unity(m):
     ring = get_cyclotomic_ring(m)
     for k in range(m):
-        got = ring.to_complex(ring.root(k))
         want = cmath.exp(2j * cmath.pi * k / m)
-        assert abs(got - want) < 1e-12
+        assert abs(roots_of_unity(m)[k] - want) < 1e-12
+        assert ring.to_complex(ring.root(k)) == roots_of_unity(m)[k]
 
 
 def test_group_ring_multiplication_wraps():
     ring = get_cyclotomic_ring(3)
     e = ring.root
-    assert ring.mul(e(2), e(2)) == e(4)  # == e(1)
+    assert mul(e(2), e(2)) == ring.mul(e(2), e(2)) == e(4)  # == e(1)
+    a, b = (Fraction(1), Fraction(-2), Fraction(1, 3)), (0, 5, 1)
+    want = (Fraction(-1, 3), Fraction(16, 3), -9)
+    assert mul(a, b) == ring.mul(a, b) == want
     assert ring.mul_root(e(1), 2) == e(0)
     a = ring.add(e(0), ring.scale_rational(e(1), Fraction(2, 3)))
     z = ring.to_complex(a)
@@ -56,14 +69,14 @@ def test_group_ring_zero_divisor_detected_in_field():
     ring = get_cyclotomic_ring(2)
     a = ring.add(ring.root(0), ring.root(1))
     assert not ring.is_zero(a)
-    assert ring.is_zero_complex(a)
+    assert vanishes(a)
     # the full sum of all m-th roots vanishes for every m
     for m in (3, 4, 6):
         ring = get_cyclotomic_ring(m)
         total = ring.zero
         for k in range(m):
             total = ring.add(total, ring.root(k))
-        assert ring.is_zero_complex(total)
+        assert vanishes(total)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -124,37 +137,38 @@ def group_ring_elements(draw, m=None):
 def test_exact_vanishing_matches_field_oracle(case):
     m, a = case
     fld = cyclotomic_field(m)
-    assert (get_cyclotomic_ring(m).is_zero_complex(a)
-            == fld.is_zero(fld.from_group_ring(a)))
+    assert vanishes(a) == fld.is_zero(fld.from_group_ring(a))
 
 
 def test_exact_vanishing_far_from_zero_and_beyond_double_range():
     ring = get_cyclotomic_ring(12)
     big = Fraction(10**30)
-    assert not ring.is_zero_complex(ring.root(5))
-    assert not ring.is_zero_complex(tuple([big] * 11 + [Fraction(0)]))
+    assert not vanishes(ring.root(5))
+    assert not vanishes(tuple([big] * 11 + [Fraction(0)]))
     # 10^30 (1 + e + ... + e^11) embeds to rounding noise, and is zero
-    assert ring.is_zero_complex(tuple([big] * 12))
+    assert vanishes(tuple([big] * 12))
     huge = Fraction(10**400)
-    assert get_cyclotomic_ring(2).is_zero_complex((huge, huge))
-    assert not get_cyclotomic_ring(2).is_zero_complex((huge, -huge))
+    assert vanishes((huge, huge))
+    assert not vanishes((huge, -huge))
 
 
 @st.composite
-def group_ring_series(draw):
+def group_ring_lists(draw):
     m = draw(st.integers(1, 12))
-    coeffs = draw(st.lists(group_ring_elements(m), max_size=6))
-    return TruncatedSeries(get_cyclotomic_ring(m), 1, len(coeffs),
-                           {(k,): a for k, (_, a) in enumerate(coeffs)})
+    return m, [a for _, a in draw(st.lists(group_ring_elements(m),
+                                           max_size=6))]
 
 
 @settings(deadline=None)
-@given(group_ring_series())
-def test_max_abs_matches_exact_test_on_every_coefficient(series):
-    ring, fld = series.ring, cyclotomic_field(series.ring.m)
-    want = max((abs(ring.to_complex(c)) for c in series.terms.values()
+@given(group_ring_lists())
+def test_max_abs_matches_exact_test_on_every_coefficient(case):
+    """The ``jet-root-sum`` gap: the largest embedding of the elements
+    that do not vanish in the field oracle, bit for bit."""
+    m, values = case
+    ring, fld = get_cyclotomic_ring(m), cyclotomic_field(m)
+    want = max((abs(ring.to_complex(c)) for c in values
                 if not fld.is_zero(fld.from_group_ring(c))), default=0.0)
-    assert series.max_abs() == want
+    assert _max_embedded(values, m) == want
 
 
 def test_ring_equality():
@@ -186,18 +200,15 @@ def test_coefficient_text_and_json_forms():
     a = (Fraction(1), Fraction(0), Fraction(-2, 5))
     assert ring.coeff_text(a) == "[1, 0, -2/5]"
     assert json.dumps(coeff_json(ring, a)) == '["1", "0", "-2/5"]'
-    z = 1.5 - 0.25j
-    assert COMPLEX.coeff_text(z) == "[1.500000000000e+00, -2.500000000000e-01]"
-    assert json.dumps(coeff_json(COMPLEX, z)) == "[1.5, -0.25]"
 
 
-def test_per_ring_decisions_stay_in_rings():
-    """Series code asks the ring, never which ring it holds."""
-    name_test = re.compile(r"ring\.name\s*[!=]=|[!=]=\s*[\w.]*ring\.name")
-    class_test = re.compile(
-        r"isinstance\([^)]*(Rational|Cyclotomic|Complex)Ring")
-    for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        assert not name_test.search(text), path.name
-        if path.name != "rings.py":
-            assert not class_test.search(text), path.name
+def test_public_api_and_readme_example():
+    """Every name in ``mellinsys.__all__`` resolves, and the README's
+    "Library example" block runs as written, down to its last output."""
+    for name in mellinsys.__all__:
+        assert getattr(mellinsys, name) is not None, name
+    block = re.search(r"## Library example\n\n```python\n(.*?)```",
+                      README.read_text(), re.S)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(compile(block.group(1), str(README), "exec"), {})
+    assert out.getvalue().splitlines()[-1] == "0.0"

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -19,34 +20,46 @@ from mellinsys import cli, roots, series
 from mellinsys.profiles import (coset_representatives, index_box,
                                 make_profile, relation_basis)
 from mellinsys.cli import main
-from mellinsys.rings import (COMPLEX, RATIONAL, CyclotomicRing,
-                             get_cyclotomic_ring)
 from mellinsys.roots import (SUBSTITUTION_TOL,
                              EquationInstance, RootFindingError,
                              coset_equation_jets, invariant_subspace_witness,
-                             lift_jets, log_residual, log_solution,
+                             log_residual, log_solution,
                              origin_instance, relation_check, root_sum,
                              roots_at_point, scaled_root_max_deviation)
 from mellinsys.weyl import DiffOperator
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
-                              independence_rank, principal_series,
-                              scaled_root_series, twist_rank)
+                              independence_rank, principal_series, twist_rank)
 from mellinsys.profiles import ProfileError
 import branch_oracle
 from branch_oracle import (elementary_symmetric, equation_record_by_branches,
-                           lift_jets_by_series, lift_jets_full_order,
+                           lift_jets, lift_jets_by_series,
+                           lift_jets_full_order,
                            log_parts_by_branches, log_parts_from_weights,
                            mellin_residual, nonvanishing,
                            poly_and_derivative, root_sum_by_branches,
                            scaled_root_deviation_by_series,
                            substitution_residual_by_products)
 from profile_oracle import profile_suite
+from ring_oracle import (COMPLEX, RingSeries, get_cyclotomic_ring,
+                         scaled_root_series)
 from series_oracle import log, naive_product
 
 F = Fraction
 
 # relative residual allowed for double-precision series under the operators
 ANNIHILATION_TOL = 1e-8
+
+
+def _complex_series(p, order, terms):
+    """A complex map of the library as a series for the oracles."""
+    return RingSeries(COMPLEX, p.n, order, terms)
+
+
+def _bumped(y, nu):
+    """The rational series y with 1/7 added at the exponent nu."""
+    terms = dict(y.terms)
+    terms[nu] = terms.get(nu, 0) + F(1, 7)
+    return TruncatedSeries(y.n_vars, y.order, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +133,7 @@ def test_jet_sum_is_minus_subleading_coefficient(m, ms):
         total = sum(jets[1:], jets[0])
         if p.m_list[0] == m - 1:
             eps = cmath.exp(2j * cmath.pi / m)
-            x1 = TruncatedSeries.variable(COMPLEX, p.n, 8, 0)
+            x1 = RingSeries.variable(COMPLEX, p.n, 8, 0)
             gap = (total + x1.scale(eps ** rep[0])).max_abs()
         else:
             gap = total.max_abs()
@@ -132,12 +145,12 @@ def test_full_vieta_at_series_level(m, ms):
     p = make_profile(m, ms)
     jets = lift_jets(origin_instance(p), 6)
     elems = elementary_symmetric(jets, 6)
-    coeffs = {mj: TruncatedSeries.variable(COMPLEX, p.n, 6, j)
+    coeffs = {mj: RingSeries.variable(COMPLEX, p.n, 6, j)
               for j, mj in enumerate(p.m_list)}
     for k in range(1, m + 1):
-        want = coeffs.get(m - k, TruncatedSeries.zero(COMPLEX, p.n, 6))
+        want = coeffs.get(m - k, RingSeries.zero(COMPLEX, p.n, 6))
         if k == m:
-            want = want - TruncatedSeries.constant(COMPLEX, p.n, 6, 1.0)
+            want = want - RingSeries.constant(COMPLEX, p.n, 6, 1.0)
         gap = (elems[k - 1] - want.scale_rational((-1) ** k)).max_abs()
         assert gap < SUBSTITUTION_TOL
 
@@ -159,7 +172,7 @@ def test_general_cubic_root_combinations_match_closed_forms():
 
     def combine(target_low):
         c = np.linalg.solve(mat, np.array(target_low, dtype=complex))
-        total = TruncatedSeries.zero(COMPLEX, 2, 6)
+        total = RingSeries.zero(COMPLEX, 2, 6)
         for ck, jet in zip(c, jets):
             total = total + jet.scale(complex(ck))
         return total
@@ -271,9 +284,9 @@ def test_scaled_root_gap_of_the_univariate_sweep(p):
 def test_substitution_residual_measures_a_small_perturbation():
     p = make_profile(3, [2, 1])
     inst = origin_instance(p)
-    xs = [TruncatedSeries.variable(COMPLEX, 2, 6, j) for j in range(2)]
+    xs = [RingSeries.variable(COMPLEX, 2, 6, j) for j in range(2)]
     jet = scaled_root_series(p, 1, 6).to_complex()
-    bumped = jet + TruncatedSeries(COMPLEX, 2, 6, {(2, 1): 1e-13})
+    bumped = jet + RingSeries(COMPLEX, 2, 6, {(2, 1): 1e-13})
     exact = poly_and_derivative(inst, jet, xs)[0].max_abs()
     residual = poly_and_derivative(inst, bumped, xs)[0].max_abs()
     assert exact < residual
@@ -331,7 +344,7 @@ def test_log_solution_matches_branch_by_branch_assembly(m, ms, order):
         assert [(s.order, s.terms) for s in parts] == [
             (a.order, a.terms), (b.order, b.terms)]
         chi = a.to_complex() + b.to_complex().scale(2j * cmath.pi / m)
-        assert sol.chi.terms == chi.terms
+        assert (sol.order, sol.chi) == (order, chi.terms)
         assert sol.constant_offsets == tuple(
             (k, j, F(ck) * F(j, m)) for k, ck in enumerate(c) if ck
             for j in range(1, m))
@@ -350,17 +363,17 @@ def test_weights_are_decided_in_the_field_not_the_group_ring():
             for rep in coset_representatives(p)] == [0, 1, 2, 3]
     for c in ([1, 0, 1, 0], [1, -1, 1, -1]):
         chi = tuple(F(v) for v in c)
-        assert any(chi) and ring.is_zero_complex(chi)
+        assert any(chi) and ring.is_zero_complex(chi) and roots.vanishes(chi)
         weights = tuple(roots._class_weights(p, c, power) for power in (0, 1))
         assert (0, 1) not in weights[1]
         a, b = map(nonvanishing, log_parts_by_branches(p, c, order))
         parts = log_parts_from_weights(p, weights, order)
         assert [s.terms for s in parts] == [a.terms, b.terms]
         want = root_sum_by_branches(p, c, order)
-        assert root_sum(p, c, order).terms == nonvanishing(want).terms
+        assert root_sum(p, c, order) == nonvanishing(want).terms
         assert relation_check(p, c, order) == want.max_abs()
     sol = log_solution(p, [1, -1, 1, -1], order)
-    assert sol.chi.terms == (
+    assert sol.chi == (
         a.to_complex() + b.to_complex().scale(2j * cmath.pi / 4)).terms
 
 
@@ -370,7 +383,7 @@ def test_root_sums_match_branch_by_branch_oracle(m, ms, order):
     e0 = [1] + [0] * (len(coset_representatives(p)) - 1)
     for c in _relation_vectors(p) + [e0]:
         want = root_sum_by_branches(p, c, order)
-        assert root_sum(p, c, order).terms == nonvanishing(want).terms
+        assert root_sum(p, c, order) == nonvanishing(want).terms
         assert relation_check(p, c, order) == want.max_abs()
 
 
@@ -437,6 +450,42 @@ def test_verify_fails_on_a_nonzero_relation_residual(monkeypatch, capsys,
         assert "not zero" in next(ln for ln in lines if "log-solutions" in ln)
 
 
+def _root_sum_gap(out):
+    """ok and the gap of the ``jet-root-sum`` line of ``verify`` text."""
+    line = next(ln for ln in out.splitlines() if " jet-root-sum " in ln)
+    return line.startswith("ok"), float(re.search(r"\(([^)]*)\)$",
+                                                  line).group(1))
+
+
+@pytest.mark.parametrize("argv", [["3", "2", "1"], ["5", "2"]])
+def test_verify_fails_on_a_wrong_root_sum(monkeypatch, capsys, argv):
+    """1/7 added to one coordinate of one term of the root sum (at x_1
+    when the sum is empty, as for (5;2)) fails ``jet-root-sum`` with a
+    nonzero gap and exit 2."""
+    real = roots.root_sum
+
+    def bumped(profile, c, order):
+        total = real(profile, c, order)
+        s = min(total, default=(1,) + (0,) * (profile.n - 1))
+        q = list(total.get(s, (0,) * profile.m))
+        q[1] += F(1, 7)
+        return {**total, s: tuple(q)}
+    assert main(["verify", *argv]) == 0
+    assert _root_sum_gap(capsys.readouterr().out) == (True, 0.0)
+    monkeypatch.setattr(roots, "root_sum", bumped)
+    assert main(["verify", *argv]) == 2
+    ok, gap = _root_sum_gap(capsys.readouterr().out)
+    assert not ok and gap > 0
+
+
+def test_verify_fails_on_an_empty_root_sum(monkeypatch, capsys):
+    """The root sum of y^3 + x y^2 - 1 is -x_1: with the sum emptied, the
+    target x_1 alone is left, a gap of 1."""
+    monkeypatch.setattr(roots, "root_sum", lambda *args: {})
+    assert main(["verify", "3", "2"]) == 2
+    assert _root_sum_gap(capsys.readouterr().out) == (False, 1.0)
+
+
 def _stack_names():
     """The function names on the calling stack."""
     frame, names = sys._getframe(1), set()
@@ -453,12 +502,12 @@ RELATION_PATHS = {"relation_check", "log_solution", "log_residual"}
 def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
     """A relation basis vector's weight tables keep no class of y_pr (for
     its root sum) and no class of any image; each table makes at most one
-    Phi_m test per distinct character sum, and max_abs makes none."""
+    Phi_m test per distinct character sum, and nothing else makes one."""
     p = make_profile(m, ms)
-    real, tested = CyclotomicRing.is_zero_complex, []
-    monkeypatch.setattr(CyclotomicRing, "is_zero_complex", lambda ring, a: (
+    real, tested = roots.vanishes, []
+    monkeypatch.setattr(roots, "vanishes", lambda a: (
         tested.append((sys._getframe(1).f_code.co_name, tuple(a)))
-        or real(ring, a)))
+        or real(a)))
 
     def classes(f):
         return {tuple(v % m for v in s) for s in f.terms}
@@ -473,7 +522,7 @@ def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
             for image in roots._images(p, 12, power):
                 assert not classes(image) & table.keys()
         tested.clear()
-        assert root_sum(p, vec, 12).is_zero()
+        assert root_sum(p, vec, 12) == {}
         assert relation_check(p, vec, 12) == 0.0
         assert log_residual(p, log_solution(p, vec, 12)) == 0.0
         assert {name for name, _ in tested} <= {"_class_weights"}
@@ -481,24 +530,25 @@ def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
 
 def test_verify_tests_each_character_sum_once(monkeypatch, capsys):
     """On ``verify 5 4 3 2`` (24 relation vectors) each weight table makes
-    one Phi_m test per distinct character sum, and no test runs in max_abs
-    on the relation and log paths."""
+    one Phi_m test per distinct character sum, and no other test runs on
+    the relation and log paths."""
     tables, outside = [], []
     real_weights = roots._class_weights
-    real_test = CyclotomicRing.is_zero_complex
+    real_test = roots.vanishes
 
     def weights(*args):
         tables.append([])
         return real_weights(*args)
 
-    def test(ring, a):
+    def test(a):
         if sys._getframe(1).f_code.co_name == "_class_weights":
             tables[-1].append(tuple(a))
         else:
             outside.append(_stack_names())
-        return real_test(ring, a)
+        return real_test(a)
     monkeypatch.setattr(roots, "_class_weights", weights)
-    monkeypatch.setattr(CyclotomicRing, "is_zero_complex", test)
+    for module in (roots, cli):
+        monkeypatch.setattr(module, "vanishes", test)
     assert main(["verify", "5", "4", "3", "2"]) == 0
     capsys.readouterr()
     assert len(tables) == 1 + 24 * 3
@@ -511,18 +561,20 @@ def test_verify_tests_each_character_sum_once(monkeypatch, capsys):
 def test_relation_and_log_paths_build_no_group_ring_series(monkeypatch,
                                                             capsys, argv):
     """relation_check, log_solution and log_residual read rational terms
-    against weight tables: no Q[Z/m] series is built under them."""
+    against weight tables: every series that ``verify`` builds, under them
+    or anywhere, holds Fractions only."""
     real, seen = TruncatedSeries.__init__, []
 
-    def spy(series, ring, *args):
-        if isinstance(ring, CyclotomicRing):
-            seen.append(_stack_names())
-        real(series, ring, *args)
+    def spy(series, *args):
+        real(series, *args)
+        seen.append((_stack_names(), set(map(type, series.terms.values()))))
     monkeypatch.setattr(TruncatedSeries, "__init__", spy)
+    roots._source.cache_clear()
+    roots._images.cache_clear()
     assert main(["verify", *argv]) == 0
     capsys.readouterr()
-    assert seen
-    assert not any(RELATION_PATHS & names for names in seen)
+    assert any(RELATION_PATHS & names for names, _ in seen)
+    assert set().union(*(kinds for _, kinds in seen)) == {Fraction}
 
 
 @pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (9, [2], 12),
@@ -602,18 +654,18 @@ def test_verify_fails_when_an_operator_breaks_the_congruence(
 
 
 def test_verify_applies_operators_to_rational_series_only(monkeypatch, capsys):
-    """Root sums, log parts and branch residuals come from y_pr: no Mellin
-    operator runs on a group-ring or complex series."""
+    """Root sums, log parts and branch residuals come from y_pr: every
+    Mellin operator runs on Fraction coefficients."""
     roots._images.cache_clear()
-    rings = set()
+    kinds = set()
     real = DiffOperator.apply
-    monkeypatch.setattr(DiffOperator, "apply",
-                        lambda op, f: rings.add(f.ring) or real(op, f))
+    monkeypatch.setattr(DiffOperator, "apply", lambda op, f: kinds.update(
+        map(type, f.terms.values())) or real(op, f))
     for argv in (["verify", "3", "2", "1", "--json"], ["verify", "4", "2"],
                  ["verify", "5", "4", "1", "--order", "8"]):
         assert main(argv) == 0
     capsys.readouterr()
-    assert rings == {RATIONAL}
+    assert kinds == {Fraction}
 
 
 def test_relation_check_depressed_cubic():
@@ -631,7 +683,7 @@ def test_relation_check_errors():
 def test_log_solution_zero_vector():
     p = make_profile(3, [1])
     sol = log_solution(p, [F(0)], 8)
-    assert sol.chi.is_zero()
+    assert sol.chi == {}
     assert sol.constant_offsets == ()
 
 
@@ -655,7 +707,7 @@ def test_log_solution_matches_pointwise_evaluation():
         logy = cmath.log(y * cmath.exp(-2j * cmath.pi * b / 3)) \
             + 2j * cmath.pi * b / 3
         direct += y * logy
-    chi = sum(complex(c) * x0 ** s[0] for s, c in sol.chi.terms.items())
+    chi = sum(complex(c) * x0 ** s[0] for s, c in sol.chi.items())
     assert abs(chi - direct) < 1e-10
 
 
@@ -668,7 +720,8 @@ def test_log_solution_offsets_are_exact():
 def test_chi_annihilated_depressed_cubic():
     p = make_profile(3, [1])
     sol = log_solution(p, [F(1)], 12)
-    assert mellin_residual(p, sol.chi) < ANNIHILATION_TOL
+    assert mellin_residual(p, _complex_series(p, 12, sol.chi)) \
+        < ANNIHILATION_TOL
 
 
 def test_chi_annihilated_general_cubic_and_direct_sum():
@@ -678,7 +731,8 @@ def test_chi_annihilated_general_cubic_and_direct_sum():
     chis = []
     for c in ([F(1), F(-1), F(0)], [F(1), F(0), F(-1)]):
         sol = log_solution(p, c, 12)
-        assert mellin_residual(p, sol.chi) < ANNIHILATION_TOL
+        assert mellin_residual(p, _complex_series(p, 12, sol.chi)) \
+            < ANNIHILATION_TOL
         chis.append(sol.chi)
     assert independence_rank(yjets + chis) == 9
 
@@ -688,11 +742,9 @@ def test_complex_jets_are_the_embedded_exact_branches(m, ms, order):
     """Rotating the complex y_pr gives the complex embedding of every exact
     branch (a signed zero compares equal to its opposite)."""
     p = make_profile(m, ms)
-    want = [[scaled_root_series(p, j, order, rep).to_complex()
+    want = [[scaled_root_series(p, j, order, rep).to_complex().terms
              for j in range(m)] for rep in coset_representatives(p)]
-    assert [[(s.ring, s.order, s.terms) for s in block]
-            for block in coset_equation_jets(p, order)] == [
-        [(s.ring, s.order, s.terms) for s in block] for block in want]
+    assert coset_equation_jets(p, order) == want
 
 
 def test_rank_tolerance_is_one_constant():
@@ -704,7 +756,8 @@ def test_root_jets_are_annihilated():
     p = make_profile(3, [2, 1])
     for block in coset_equation_jets(p, 12):
         for jet in block:
-            assert mellin_residual(p, jet) < ANNIHILATION_TOL
+            assert mellin_residual(p, _complex_series(p, 12, jet)) \
+                < ANNIHILATION_TOL
 
 
 def test_random_series_not_annihilated():
@@ -712,13 +765,13 @@ def test_random_series_not_annihilated():
     p = make_profile(3, [2, 1])
     terms = {e: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
              for e in exponents_up_to(2, 12)}
-    junk = TruncatedSeries(COMPLEX, 2, 12, terms)
+    junk = RingSeries(COMPLEX, 2, 12, terms)
     assert mellin_residual(p, junk) > 1e-3
 
 
 def test_mellin_residual_requires_headroom():
     p = make_profile(3, [1])
-    tiny = TruncatedSeries(COMPLEX, 1, 4, {(0,): 1.0})
+    tiny = RingSeries(COMPLEX, 1, 4, {(0,): 1.0})
     with pytest.raises(ValueError):
         mellin_residual(p, tiny)
 
@@ -823,9 +876,7 @@ def test_equation_records_see_a_changed_principal_coefficient(monkeypatch,
 
     def bumped(profile, order):
         y = real(profile, order)
-        nu = max(y.terms, key=lambda s: (sum(s), s))
-        return y + TruncatedSeries(RATIONAL, y.n_vars, y.order,
-                                   {nu: F(1, 7)})
+        return _bumped(y, max(y.terms, key=lambda s: (sum(s), s)))
     caches = (roots._source, roots._images, roots._substitution_residual)
     for cache in caches:
         cache.cache_clear()
@@ -855,7 +906,7 @@ def test_exact_sources_equal_the_series_product_oracles(monkeypatch, p, order):
     assert (roots._source(p, order, 0).terms
             == naive_product(ypr, log(ypr)).terms)
     nu = random.Random(order).choice(sorted(exponents_up_to(p.n, order)))
-    bumped = ypr + TruncatedSeries(RATIONAL, p.n, order, {nu: F(1, 7)})
+    bumped = _bumped(ypr, nu)
     try:
         for y in (ypr, bumped):
             roots._substitution_residual.cache_clear()
@@ -868,10 +919,12 @@ def test_exact_sources_equal_the_series_product_oracles(monkeypatch, p, order):
 
 
 def test_exact_sources_take_no_series_product():
-    """The library has no series product: the substitution residual is an
-    integer convolution, y_pr log y_pr a closed form, and the series
-    logarithm and inverse have left the library."""
-    for name in ("__mul__", "__rmul__", "log", "inverse"):
+    """The library has no series arithmetic: the substitution residual is
+    an integer convolution, y_pr log y_pr a closed form, and sums,
+    scalings, the series product, logarithm and inverse have left the
+    library."""
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                 "scale", "log", "inverse"):
         assert not hasattr(TruncatedSeries, name)
 
 
@@ -898,27 +951,27 @@ def test_verify_passes_at_the_order_floor(p):
 
 def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
         monkeypatch, capsys):
-    """Only the complex jets of ``algebraic-span`` and the logarithmic
-    solutions are complex series, and no exact branch is rotated; the
-    ``scaled-roots`` gap reads the dense lift column by column."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("an exact branch was built")
-    builders, real = set(), TruncatedSeries.__init__
-
-    def spy(series, ring, *args):
-        if ring == COMPLEX:
-            frame = sys._getframe(1)
-            while frame.f_code.co_filename != roots.__file__:
-                frame = frame.f_back
-            builders.add(frame.f_code.co_qualname.split(".")[0])
-        real(series, ring, *args)
-    monkeypatch.setattr(series, "rotate", refuse)
-    monkeypatch.setattr(TruncatedSeries, "__init__", spy)
+    """The only complex values that reach a numeric rank are the jets of
+    ``coset_equation_jets`` (``algebraic-span``) and, with them, the chi
+    of every ``log_solution`` (``direct-sum``), for d = 1 only; the
+    ``scaled-roots`` gap reads the dense lift column by column, with no
+    branch built."""
+    ranked, real = [], cli.independence_rank
+    monkeypatch.setattr(cli, "independence_rank",
+                        lambda maps: ranked.append(maps) or real(maps))
+    assert not hasattr(roots, "lift_jets")
     for argv in (["verify", "3", "2", "1", "--json"],
                  ["verify", "6", "4", "2", "--json"]):
+        ranked.clear()
         assert main(argv) == 0
-    capsys.readouterr()
-    assert builders == {"coset_equation_jets", "log_solution"}
+        capsys.readouterr()
+        p = make_profile(int(argv[1]), list(map(int, argv[2:-1])))
+        if p.d > 1:
+            assert ranked == []
+            continue
+        jets = [jet for block in coset_equation_jets(p, 12) for jet in block]
+        chis = [log_solution(p, vec, 12).chi for vec in relation_basis(p)]
+        assert ranked == [jets, jets + chis]
 
 
 def test_aberth_rejects_degenerate_polynomial():

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from mellinsys.profiles import make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
-                              principal_series)
-from mellinsys.rings import RATIONAL
+                              exponents_up_to, principal_series)
 from mellinsys import weyl
 from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             discriminant_poly,
@@ -28,7 +27,8 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             theta_factorization)
 from mellinsys.weyl import _int_product, _stirling_row, _theta_terms
 from basis_oracle import basis_by_recurrence
-from weyl_oracle import (compose_by_fractions, equals_up_to_rational_scale,
+from weyl_oracle import (apply, compose_by_fractions,
+                         equals_up_to_rational_scale,
                          euler_product_identity, factorization_check,
                          from_univariate, horn_w_by_own_factors,
                          horn_x_by_own_factors, least_theta_multiplier, linear,
@@ -336,7 +336,7 @@ def test_horn_w_operators_annihilate_translated_solution(m, ms):
         q = tuple(v // m for v in s)
         sign = (-1) ** sum(mp * qi for mp, qi in zip(p.mprime_list, q))
         psi_terms[q] = c * sign
-    psi = TruncatedSeries(RATIONAL, p.n, 4, psi_terms)
+    psi = TruncatedSeries(p.n, 4, psi_terms)
     horn_w, _ = horn_system(p)
     for op in horn_w:
         assert op.apply(psi).is_zero()
@@ -492,7 +492,7 @@ def test_theta_factorization_cubic_left_factor_is_displayed_one():
 
 
 def test_right_factor_annihilates_x():
-    x_series = TruncatedSeries(RATIONAL, 1, 6, {(1,): Fraction(1)})
+    x_series = TruncatedSeries(1, 6, {(1,): Fraction(1)})
     right = THETA() - DiffOperator.identity(1)
     assert right.apply(x_series).is_zero()
 
@@ -520,13 +520,13 @@ def test_derivative_factorization_cubic_right_factor():
 # ---------------------------------------------------------------------------
 
 def test_apply_derivative_to_constant():
-    one = TruncatedSeries(RATIONAL, 1, 5, {(0,): Fraction(1)})
+    one = TruncatedSeries(1, 5, {(0,): Fraction(1)})
     assert D().apply(one).is_zero()
 
 
 def test_apply_quadratic_operator_kills_both_solutions():
     op = mellin_operator_1d(2, 1)
-    x_series = TruncatedSeries(RATIONAL, 1, 9, {(1,): Fraction(1)})
+    x_series = TruncatedSeries(1, 9, {(1,): Fraction(1)})
     assert op.apply(x_series).is_zero()
     ypr = principal_series(make_profile(2, [1]), 9)
     out = op.apply(ypr)
@@ -534,9 +534,28 @@ def test_apply_quadratic_operator_kills_both_solutions():
     assert out.order == 7  # pure D^2 term costs two orders
 
 
+@pytest.mark.parametrize("m,ms", [(2, [1]), (3, [2, 1]), (5, [3]),
+                                  (4, [3, 2, 1])])
+def test_apply_matches_the_pair_by_pair_oracle(m, ms):
+    """On y_pr, the convenient basis and a seeded random rational series,
+    every Mellin and cleared operator acts as the ring-generic oracle."""
+    p, order = make_profile(m, ms), 2 * m + 2
+    rng = random.Random(m)
+    noise = TruncatedSeries(p.n, order, {
+        s: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for s in exponents_up_to(p.n, order)})
+    inputs = [principal_series(p, order), noise] + [
+        convenient_basis_series(p, idx, order)
+        for idx in [(0,) * p.n, (m - 1,) + (0,) * (p.n - 1)]]
+    for op in mellin_system(p) + tuple(mellin_system_theta_form(p)):
+        for f in inputs:
+            got, want = op.apply(f), apply(op, f)
+            assert (got.order, got.terms) == (want.order, want.terms)
+
+
 def test_apply_variable_count_mismatch():
     op = mellin_operator_1d(2, 1)
-    s = TruncatedSeries(RATIONAL, 2, 5, {(0, 0): Fraction(1)})
+    s = TruncatedSeries(2, 5, {(0, 0): Fraction(1)})
     with pytest.raises(ValueError):
         op.apply(s)
 

@@ -36,6 +36,11 @@ ascending coefficient lists, the form the displayed factorizations take.
 ``operator_to_json`` is the documented JSON form of an operator as a list
 of term dicts; ``mellinsys operators --json`` writes the same text from
 term rows without building it.
+
+The library applies operators to rational series only; ``apply`` is the
+pair-by-pair action on a series over any ring of ``ring_oracle``, one
+(operator term, series term) pair at a time, which the branch oracles
+run on branches over Q[Z/m] and on complex jets.
 """
 
 from fractions import Fraction
@@ -46,6 +51,7 @@ from math import comb, perm, prod
 from field_oracle import _poly_sub
 from mellinsys import weyl
 from mellinsys.weyl import DiffOperator, mellin_operator_1d
+from ring_oracle import RingSeries, ring_series
 
 
 def from_univariate(coeff_polys) -> DiffOperator:
@@ -264,6 +270,36 @@ def least_theta_multiplier(m: int):
         if quotient is not None:
             return e, quotient
     return None
+
+
+def apply(op: DiffOperator, series) -> RingSeries:
+    """op applied to a series over any ring.
+
+    A coefficient of the result at degree D collects input terms of
+    degree D - |a| + |b|, so the reliable output order is
+    min over terms of (series.order + |a| - |b|).
+    """
+    series = ring_series(series)
+    if op.n_vars != series.n_vars:
+        raise ValueError("variable-count mismatch")
+    ring = series.ring
+    if not op.terms:
+        return RingSeries.zero(ring, series.n_vars, series.order)
+    out_order = min(series.order + sum(a) - sum(b) for (a, b) in op.terms)
+    if out_order < 0:
+        raise ValueError("series order too low for this operator")
+    out: dict = {}
+    for (a, b), c in op.terms.items():
+        for s, coeff in series.terms.items():
+            if any(si < bi for si, bi in zip(s, b)):
+                continue
+            fall = prod(perm(si, bi) for si, bi in zip(s, b))
+            exp = tuple(si - bi + ai for si, bi, ai in zip(s, b, a))
+            if sum(exp) > out_order:
+                continue
+            val = ring.scale_rational(coeff, c * fall)
+            out[exp] = ring.add(out.get(exp, ring.zero), val)
+    return RingSeries(ring, series.n_vars, out_order, out)
 
 
 def operator_to_json(op):
