@@ -11,6 +11,11 @@ which reduces to the defining relation D x = x D + 1.  Composition puts
 each operand over the lcm of its denominators, accumulates integer
 numerators, and builds one Fraction per output term.
 
+An operator acts on a series shift by shift: the terms x^a D^b that share
+delta = a - b send x^s to w(s) x^{s + delta} with one integer weight w(s),
+so an application costs one Fraction per shift and series term.  A Mellin
+operator has two shifts, 0 for P_j(theta) and -m e_j for its D_j^m term.
+
 Polynomials in the Euler operators theta_j = x_j D_j have one form: an
 integer map {k: c} for sum c theta^k.  Every one built here is a product
 of affine forms sum w_j theta_j + c with integer w_j and c, multiplied out
@@ -44,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, lcm, perm, prod
-from operator import add, getitem
+from operator import add, getitem, sub
 
 from .profiles import ExponentProfile, make_profile, var_names
 from .series import TruncatedSeries
@@ -71,9 +76,14 @@ def _fractions(ints, den):
 
 
 class DiffOperator:
-    """Canonical-form element sum c_{a,b} x^a D^b of the Weyl algebra."""
+    """Canonical-form element sum c_{a,b} x^a D^b of the Weyl algebra.
 
-    __slots__ = ("n_vars", "terms")
+    An operator is never mutated in place: every operation builds a new
+    one.  ``apply`` relies on that, since it keeps the shift table it
+    builds from ``terms`` on the operator.
+    """
+
+    __slots__ = ("n_vars", "terms", "_shifts")
 
     def __init__(self, n_vars: int, terms=None):
         self.n_vars = n_vars
@@ -84,6 +94,7 @@ class DiffOperator:
             if c:
                 clean[(tuple(a), tuple(b))] = c
         self.terms = clean
+        self._shifts = None
 
     # -- constructors --------------------------------------------------------
 
@@ -187,29 +198,49 @@ class DiffOperator:
         A coefficient of the result at degree D collects input terms of
         degree D - |a| + |b|, so the reliable output order is
         min over terms of (series.order + |a| - |b|).
+
+        x^a D^b sends x^s to s!/(s - b)! x^{s + a - b}, so the terms that
+        share a shift delta = a - b send f_s x^s to f_s w(s) / den
+        x^{s + delta}: den is the operator's common denominator and w(s) =
+        sum c prod_i s_i!/(s_i - b_i)! sums their integer numerators c.
+        Each (shift, term) pair costs one Fraction.  The table (den, the
+        largest b_i, and per shift in order of first appearance delta,
+        |delta| and the (b, c) pairs) is built on the first call and kept.
         """
         if self.n_vars != series.n_vars:
             raise ValueError("variable-count mismatch")
         if not self.terms:
             return TruncatedSeries(series.n_vars, series.order, {})
-        out_order = min(series.order + sum(a) - sum(b)
-                        for (a, b) in self.terms)
+        if self._shifts is None:
+            den, ints = _over_common_denominator(self.terms)
+            groups: dict = {}
+            for (a, b), c in ints.items():
+                groups.setdefault(tuple(map(sub, a, b)), []).append((b, c))
+            self._shifts = (den, max(max(b) for _, b in self.terms), tuple(
+                (delta, sum(delta), tuple(weights))
+                for delta, weights in groups.items()))
+        den, top, shifts = self._shifts
+        out_order = series.order + min(size for _, size, _ in shifts)
         if out_order < 0:
             raise ValueError("series order too low for this operator")
+        # falling[v][k] = v!/(v - k)!, which is 0 for k > v
+        falling = [tuple(perm(v, k) for k in range(top + 1))
+                   for v in range(series.order + 1)]
         out: dict = {}
-        for (a, b), c in self.terms.items():
-            for s, coeff in series.terms.items():
-                if any(si < bi for si, bi in zip(s, b)):
+        for delta, size, weights in shifts:
+            reach = out_order - size
+            for s, f in series.terms.items():
+                if sum(s) > reach:
                     continue
-                fall = 1
-                for si, bi in zip(s, b):
-                    fall *= perm(si, bi)
-                exp = tuple(si - bi + ai for si, bi, ai in zip(s, b, a))
-                if sum(exp) > out_order:
-                    continue
-                val = coeff * (c * fall)
-                prev = out.get(exp)
-                out[exp] = val if prev is None else prev + val
+                rows = [falling[v] for v in s]
+                w = 0
+                for b, c in weights:
+                    w += c * prod(map(getitem, rows, b))
+                if w:
+                    exp = tuple(map(add, s, delta))
+                    val = Fraction(f.numerator * w, f.denominator * den)
+                    prev = out.get(exp)
+                    out[exp] = val if prev is None else prev + val
         return TruncatedSeries(series.n_vars, out_order, out)
 
     # -- division helpers ----------------------------------------------------

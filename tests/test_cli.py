@@ -14,8 +14,8 @@ from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
 from mellinsys.profiles import make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               is_generating, principal_series)
-from mellinsys.weyl import (horn_mellin_multiplier, horn_system,
-                            lattice_matrices, mellin_system,
+from mellinsys.weyl import (DiffOperator, horn_mellin_multiplier,
+                            horn_system, lattice_matrices, mellin_system,
                             mellin_system_theta_form)
 from ring_oracle import scaled_root_series
 from series_oracle import series_text, series_to_json
@@ -266,6 +266,32 @@ def test_verify_reports_a_twist_rank_mismatch(capsys, monkeypatch):
     check = next(c for c in payload["checks"] if c["name"] == "rotation-rank")
     assert not check["ok"] and message in check["detail"]
     assert all(e["rank"] is None for e in payload["equations"])
+
+
+@pytest.mark.parametrize("profile", [["3", "2", "1"], ["4", "2"]])
+def test_verify_fails_on_a_wrong_mellin_coefficient(capsys, monkeypatch,
+                                                    profile):
+    """One coefficient of the first Mellin operator off by 1 leaves the
+    convenient basis unannihilated: basis-annihilation fails, alone, in
+    text and --json, and verify exits 2."""
+    real = cli.mellin_system
+
+    def bumped(p):
+        ops = real(p)
+        (key, c), *_ = ops[0].sorted_terms()
+        return (DiffOperator(p.n, {**ops[0].terms, key: c + 1}), *ops[1:])
+    roots._images.cache_clear()
+    monkeypatch.setattr(cli, "mellin_system", bumped)
+    code, out, _ = run_cli(capsys, "verify", *profile)
+    assert code == 2
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert [ln.split()[1] for ln in failed] == ["basis-annihilation"]
+    code, out, _ = run_cli(capsys, "verify", *profile, "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] \
+        == ["basis-annihilation"]
+    roots._images.cache_clear()
 
 
 def test_parser_is_built_once(capsys):

@@ -80,6 +80,8 @@ CASES = [
     ("verify-5-1", ["verify", "5", "1"], 0),
     ("verify-7-6-json", ["verify", "7", "6", "--json"], 0),
     ("verify-5-4-3-2", ["verify", "5", "4", "3", "2"], 0),
+    ("verify-6-5-3-1-order-15",
+     ["verify", "6", "5", "3", "1", "--order", "15"], 0),
 ]
 
 

@@ -9,15 +9,16 @@ equality, never numeric.
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mellinsys.profiles import make_profile
+from mellinsys.profiles import index_box, make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, principal_series)
-from mellinsys import weyl
+from mellinsys import roots, weyl
 from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             discriminant_poly,
                             horn_mellin_multiplier, horn_system,
@@ -548,6 +549,45 @@ def test_apply_matches_the_pair_by_pair_oracle(m, ms):
         convenient_basis_series(p, idx, order)
         for idx in [(0,) * p.n, (m - 1,) + (0,) * (p.n - 1)]]
     for op in mellin_system(p) + tuple(mellin_system_theta_form(p)):
+        for f in inputs:
+            got, want = op.apply(f), apply(op, f)
+            assert (got.order, got.terms) == (want.order, want.terms)
+
+
+def _rational_noise(rng, n, order):
+    """A seeded rational series with terms of every degree up to order."""
+    by_degree: dict = {}
+    for s in exponents_up_to(n, order):
+        by_degree.setdefault(sum(s), []).append(s)
+    keys = {rng.choice(row) for row in by_degree.values()}
+    keys.update(s for row in by_degree.values() for s in row
+                if rng.random() < 0.3)
+    return TruncatedSeries(n, order, {
+        s: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for s in sorted(keys)})
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(st.sampled_from(_profiles_up_to(7, 3)), st.integers(0, 99))
+def test_apply_sweep_matches_the_pair_by_pair_oracle(profile, seed):
+    """Over the profiles with m <= 7, n <= 3: the Mellin, cleared and Horn
+    x-form operators, and a Mellin operator with a term that opens a third
+    shift, act as the oracle on y_pr, y_pr log y_pr, one basis series and
+    a random series whose low-degree terms meet every D^b with some
+    s_i < b_i."""
+    m, ms = profile
+    p, order, rng = make_profile(m, ms), m + 2, random.Random(seed)
+    n, j = p.n, rng.randrange(p.n)
+    e_j = tuple(int(i == j) for i in range(n))
+    extra = mellin_system(p)[0] + DiffOperator(n, {(e_j, (0,) * n): 1})
+    ops = (*mellin_system(p), *mellin_system_theta_form(p),
+           *horn_system(p)[1], extra)
+    assert len({tuple(map(sub, a, b)) for a, b in extra.terms}) == 3
+    idx = rng.choice([i for i in index_box(p) if sum(i) <= order])
+    inputs = [roots._source(p, order, 0), roots._source(p, order, 1),
+              convenient_basis_series(p, idx, order),
+              _rational_noise(rng, n, order)]
+    for op in ops:
         for f in inputs:
             got, want = op.apply(f), apply(op, f)
             assert (got.order, got.terms) == (want.order, want.terms)
