@@ -18,7 +18,7 @@ from .roots import (EquationInstance, LogSolution, RootFindingError,
                     origin_instance, relation_check, roots_at_point)
 from .series import (TruncatedSeries, convenient_basis_series,
                      independence_rank, is_generating, principal_coefficient,
-                     principal_series, subseries, twist_rank)
+                     principal_series, twist_rank)
 from .weyl import (DiffOperator, LatticeData, ThetaFactorization,
                    derivative_factorization, discriminant_poly,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
@@ -43,5 +43,5 @@ __all__ = [
     "mellin_system_theta_form", "missing_index_set",
     "modular_counts", "origin_instance", "principal_coefficient",
     "principal_series", "relation_basis", "relation_check", "roots_at_point",
-    "subseries", "twist_rank",
+    "twist_rank",
 ]

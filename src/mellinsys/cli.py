@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import roots as roots_mod
-from .profiles import (ExponentProfile, ProfileError, algebraic_index_set,
-                       coset_representatives, dims, dot, index_box,
-                       make_profile, missing_index_set, modular_counts,
+from .profiles import (ExponentProfile, ProfileError, coset_representatives,
+                       dims, dot, index_box, make_profile, modular_counts,
                        relation_basis, var_names)
 from .rings import roots_of_unity, vanishes
 from .series import (convenient_basis_series, independence_rank,
@@ -209,8 +208,7 @@ def _write_rows(terms: _TermRows, out: list, nl: str) -> None:
 def cmd_dims(config: RunConfig) -> int:
     p = config.profile
     report = dims(p)
-    bprime = algebraic_index_set(p)
-    missing = missing_index_set(p)
+    bprime, missing = report.Bprime, report.missing
     gamma = coset_representatives(p)
     if config.as_json:
         payload = {

@@ -102,14 +102,12 @@ def principal_coefficient_vanishes(profile: ExponentProfile, nu) -> bool:
 
 def algebraic_index_set(profile: ExponentProfile) -> list[tuple[int, ...]]:
     """The indices of B that occur in the principal root's expansion (B')."""
-    return [nu for nu in index_box(profile)
-            if not principal_coefficient_vanishes(profile, nu)]
+    return list(dims(profile).Bprime)
 
 
 def missing_index_set(profile: ExponentProfile) -> list[tuple[int, ...]]:
     """The complement B'' = B \\ B' of vanishing initial exponents."""
-    return [nu for nu in index_box(profile)
-            if principal_coefficient_vanishes(profile, nu)]
+    return list(dims(profile).missing)
 
 
 @dataclass(frozen=True)
@@ -119,6 +117,8 @@ class DimensionReport:
     dim_R: int
     dim_S: int
     card_Bprime: int
+    Bprime: tuple[tuple[int, ...], ...]
+    missing: tuple[tuple[int, ...], ...]
 
 
 def dims(profile: ExponentProfile) -> DimensionReport:
@@ -126,12 +126,17 @@ def dims(profile: ExponentProfile) -> DimensionReport:
 
     For d > 1 every solution is algebraic, so dim Y = m^n and R = S = 0.
     For d = 1, dim Y = #B' follows the closed form m^n - m^{n-1} (+1 when
-    m_1 = m - 1); the brute-force count of B' must agree, and a mismatch is
-    a hard error rather than a tolerance issue.
+    m_1 = m - 1); the brute-force count of B', from the same walk of the
+    box that splits off B'', must agree, and a mismatch is a hard error
+    rather than a tolerance issue.
     """
     m, n = profile.m, profile.n
     rank = m**n
-    card = len(algebraic_index_set(profile))
+    split = ([], [])  # B' and B'', in one walk of the box
+    for nu in index_box(profile):
+        split[principal_coefficient_vanishes(profile, nu)].append(nu)
+    bprime, missing = map(tuple, split)
+    card = len(bprime)
     if profile.d > 1:
         dim_y, dim_r = rank, 0
     else:
@@ -142,7 +147,7 @@ def dims(profile: ExponentProfile) -> DimensionReport:
             f"index-set count {card} disagrees with dimension formula {dim_y} "
             f"for profile ({m}, {list(profile.m_list)})")
     return DimensionReport(rank=rank, dim_Y=dim_y, dim_R=dim_r, dim_S=dim_r,
-                           card_Bprime=card)
+                           card_Bprime=card, Bprime=bprime, missing=missing)
 
 
 def coset_representatives(profile: ExponentProfile) -> list[tuple[int, ...]]:

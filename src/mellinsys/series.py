@@ -15,7 +15,7 @@ The solution-space constructions for the Mellin system of
 * the principal root's expansion (explicit coefficient formula),
 * one series per initial exponent I in B = {0..m-1}^n, supported on
   I + m*N^n, each coefficient a closed-form Pochhammer (Gamma) ratio,
-* congruence subseries and the generating test,
+* the generating test,
 * exact ranks of twists of a rational series over a coset of (Z/m)^n,
   counted from its residue classes (:func:`twist_rank`), and numeric
   ranks of complex maps.
@@ -28,7 +28,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .profiles import ExponentProfile, ProfileError, dot, index_box, var_names
+from .profiles import ExponentProfile, ProfileError, dot, index_box
 from .rings import roots_of_unity
 
 RANK_TOL = 1e-10  # relative pivot tolerance of every numeric rank
@@ -63,9 +63,6 @@ class TruncatedSeries:
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
                 f"terms={len(self.terms)})")
-
-    def __str__(self):
-        return format_series(self)
 
 
 def exponents_up_to(n_vars: int, order: int):
@@ -107,15 +104,38 @@ def principal_coefficient(profile: ExponentProfile, nu) -> Fraction:
 
 
 def principal_series(profile: ExponentProfile, order: int) -> TruncatedSeries:
-    """Expansion of the root taking the value 1 at the origin."""
+    """Expansion of the root taking the value 1 at the origin.
+
+    The walk keeps |nu|, <M,nu> and nu! running, in the order of
+    ``exponents_up_to``, and the numerator of ``principal_coefficient``
+    by (<M,nu>, |nu|), on which alone it depends: one Fraction per term.
+    """
     if order < 0:
         raise ValueError("order must be non-negative")
+    m, n, weights = profile.m, profile.n, profile.m_list
+    facts = [factorial(v) for v in range(order + 1)]
+    scale = [(-m) ** total for total in range(order + 1)]
+    numerators: dict = {}
     terms = {}
-    for nu in exponents_up_to(profile.n, order):
-        c = principal_coefficient(profile, nu)
-        if c:
-            terms[nu] = c
-    return TruncatedSeries(profile.n, order, terms)
+    # (prefix, |prefix|, <M,prefix>, prefix!) over the first n - 1
+    # coordinates; expanding each level in order keeps the walk lexicographic
+    heads = [((), 0, 0, 1)]
+    for w in weights[:-1]:
+        heads = [(prefix + (v,), total + v, u + w * v, fact * facts[v])
+                 for prefix, total, u, fact in heads
+                 for v in range(order - total + 1)]
+    w = weights[-1]
+    for prefix, total, u, fact in heads:
+        for v in range(order - total + 1):
+            key = (u + w * v, total + v)
+            num = numerators.get(key)
+            if num is None:
+                num = numerators[key] = _step_product(
+                    key[0] + 1 - m, -m, key[1] - 1)
+            if num:
+                terms[prefix + (v,)] = Fraction(
+                    num, scale[key[1]] * fact * facts[v])
+    return TruncatedSeries(n, order, terms)
 
 
 def convenient_basis_series(profile: ExponentProfile, index,
@@ -151,14 +171,6 @@ def convenient_basis_series(profile: ExponentProfile, index,
             terms[v] = Fraction((-1) ** k * num * scale,
                                 m**steps * prod(map(factorial, v)))
     return TruncatedSeries(n, order, terms)
-
-
-def subseries(series: TruncatedSeries, index, m: int) -> TruncatedSeries:
-    """Terms with exponent congruent to the index mod m, componentwise."""
-    index = tuple(v % m for v in index)
-    terms = {s: c for s, c in series.terms.items()
-             if all(v % m == i for v, i in zip(s, index))}
-    return TruncatedSeries(series.n_vars, series.order, terms)
 
 
 def is_generating(series: TruncatedSeries, profile: ExponentProfile) -> bool:
@@ -236,12 +248,3 @@ def monomial_text(exp, names) -> str:
     """``x1^2 x3`` for the exponent (2, 0, 1); "1" for the zero exponent."""
     return " ".join(f"{nm}^{e}" if e > 1 else nm
                     for nm, e in zip(names, exp) if e) or "1"
-
-
-def format_series(series: TruncatedSeries, letter: str = "x") -> str:
-    """Canonical one-term-per-line rendering, sorted by degree then lex."""
-    names = var_names(series.n_vars, letter)
-    if series.is_zero():
-        return "0"
-    return "\n".join(f"{c} * {monomial_text(exp, names)}"
-                     for exp, c in series.sorted_items())

@@ -16,27 +16,29 @@ delta = a - b send x^s to w(s) x^{s + delta} with one integer weight w(s),
 so an application costs one Fraction per shift and series term.  A Mellin
 operator has two shifts, 0 for P_j(theta) and -m e_j for its D_j^m term.
 
-Polynomials in the Euler operators theta_j = x_j D_j have one form: an
-integer map {k: c} for sum c theta^k.  Every one built here is a product
-of affine forms sum w_j theta_j + c with integer w_j and c, multiplied out
-in integers and expanded in closed form, not by composition: theta^e =
-sum_i S(e, i) x^i D^i with S the Stirling numbers of the second kind, and
-the theta_j commute, so every monomial theta^k lands directly in canonical
-form.  Left multiplication by x_j^e only raises the x_j exponent of each
-term, so the Mellin operators and both Horn forms are assembled as integer
-maps by key shifts, over one denominator, with no operator composition,
-sum or negation.  Composition remains only where a check compares against
-that assembly: the x_j^m clearing that the Horn/Mellin identity is checked
-against, and the two univariate factorizations.
+Polynomials in the Euler operators theta_j = x_j D_j are built from
+their values, not multiplied out: P(theta) sends x^s to P(s) x^s and
+x^i D^i sends it to s!/(s - i)! x^s, so the canonical form of P is
+sum_i c_i x^i D^i with c_i = Delta^i P(0) / i!, the Newton forward
+differences of P's integer values on the grid |l| <= deg P (the classical
+basis change between theta^k and x^i D^i).  One kernel takes these
+differences, one pass per variable.  Left multiplication by x_j^e only
+raises the x_j exponent of each term, so the Mellin operators, their
+x_j^m-cleared forms and both Horn forms are assembled as integer maps by
+key shifts, over one denominator, with no operator composition, sum or
+negation.  The Horn forms are evaluated from Horn's own factors, not
+from the Mellin values, so the Horn/Mellin identity still compares two
+independent transcriptions.  Composition remains only in the two
+univariate factorization checks.
 
 Built on top of the arithmetic:
 
 * the Mellin system of y^m + x_1 y^{m_1} + ... + x_n y^{m_n} - 1 = 0 and
   its x_j^m-cleared form expressible in Euler operators,
 * the Horn companions in the torus variables w_j = (-1)^{m'_j} x_j^m,
-  multiplied out once from Horn's own factors, and their translation back
-  to x by theta -> theta / m, with the exact multiplier that recovers the
-  cleared Mellin operators,
+  evaluated from Horn's own factors, and their translation back to x by
+  theta -> theta / m, with the exact multiplier that recovers the cleared
+  Mellin operators,
 * the univariate trinomial operator, its discriminant/leading-coefficient
   coincidence, and the two closed-form factorizations (right factor
   theta - 1 for m_1 = m - 1, left factor d/dx for m_1 = 1).
@@ -47,12 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import comb, lcm, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import add, getitem, sub
 
-from .profiles import ExponentProfile, make_profile, var_names
-from .series import TruncatedSeries
+from .profiles import ExponentProfile, dot, make_profile, var_names
+from .series import TruncatedSeries, exponents_up_to
 
 
 def _zeros(n):
@@ -340,71 +341,48 @@ def _poly_str(poly, letter):
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-_STIRLING_ROWS = [(1,)]
+@lru_cache(maxsize=32)
+def _grid(n_vars: int, degree: int):
+    """The points l of N^n with |l| <= degree, lexicographic; per variable j
+    and k = 1 .. degree, the step (indices of the l with l_j >= k, indices
+    of l - e_j); and l! per point."""
+    points = list(exponents_up_to(n_vars, degree))
+    index = {l: t for t, l in enumerate(points)}
+    steps = [tuple(zip(*[(t, index[l[:j] + (l[j] - 1,) + l[j + 1:]])
+                         for t, l in enumerate(points) if l[j] >= k]))
+             for j in range(n_vars) for k in range(1, degree + 1)]
+    return points, steps, [prod(map(factorial, l)) for l in points]
 
 
-def _stirling_row(e: int) -> tuple[int, ...]:
-    """S(e, 0), ..., S(e, e), Stirling numbers of the second kind.
+def _falling_form(n_vars: int, degree: int, values) -> dict:
+    """{i: c_i}, the nonzero c_i with P(theta) = sum_i c_i x^i D^i, from
+    values[t] = P(l) at the points l of ``_grid(n_vars, degree)``.
 
-    Rows come from S(e, i) = i S(e-1, i) + S(e-1, i-1), built on first
-    use and kept for every later call.
+    P has integer coefficients and total degree at most ``degree``.
+    P(theta) x^s = P(s) x^s and x^i D^i x^s = i! C(s, i) x^s, so Newton's
+    formula P(s) = sum_i Delta^i P(0) C(s, i) gives c_i = Delta^i P(0) / i!,
+    an exact division.  Step (j, k) takes the k-th difference in l_j in
+    place: each entry at l with l_j >= k less the one at l - e_j.
     """
-    while len(_STIRLING_ROWS) <= e:
-        prev = _STIRLING_ROWS[-1]
-        top = len(prev)
-        _STIRLING_ROWS.append(tuple(
-            (i * prev[i] if i < top else 0) + (prev[i - 1] if i else 0)
-            for i in range(top + 1)))
-    return _STIRLING_ROWS[e]
+    points, steps, facts = _grid(n_vars, degree)
+    diff = list(values)
+    for targets, sources in steps:
+        new = [diff[t] - diff[s] for t, s in zip(targets, sources)]
+        for t, v in zip(targets, new):
+            diff[t] = v
+    return {i: v // f for i, v, f in zip(points, diff, facts) if v}
 
 
-def _expand_theta(k, targets, j=0):
-    """Add c * x_j^shift theta^k in canonical form to each (out, c, shift).
-
-    theta_j^e = sum_i S(e, i) x_j^i D_j^i with S the Stirling numbers of the
-    second kind, and the theta_j commute, so theta^k is
-    sum_i prod_j S(k_j, i_j) x^i D^i: already canonical, no composition.
-    Left multiplication by x_j^shift only raises the x_j exponent, so every
-    target shares the one expansion; the out maps hold integer numerators.
-    """
-    rows = [_stirling_row(e) for e in k]
-    for i in product(*(range(1 if e else 0, e + 1) for e in k)):
-        f = prod(map(getitem, rows, i))
-        for out, c, shift in targets:
-            key = (i[:j] + (i[j] + shift,) + i[j + 1:] if shift else i, i)
-            out[key] = out.get(key, 0) + c * f
+def _raise_x(a, j, e):
+    """a + e e_j: x_j^e o x^a D^b = x^{a + e e_j} D^b."""
+    return a[:j] + (a[j] + e,) + a[j + 1:]
 
 
-def _linear_map(weights, const):
-    """{theta-monomial: coefficient} of the affine form sum w_j theta_j + const."""
-    n = len(weights)
-    terms = [(_zeros(n), const)]
-    terms += [(tuple(1 if i == j else 0 for i in range(n)), w)
-              for j, w in enumerate(weights)]
-    return {k: c for k, c in terms if c}
-
-
-def _int_product(n_vars, factors):
-    """The product of integer theta maps, with its zero coefficients dropped
-    after every factor."""
-    out = {_zeros(n_vars): 1}
-    for f in factors:
-        nxt: dict = {}
-        for k1, c1 in out.items():
-            for k2, c2 in f.items():
-                key = tuple(map(add, k1, k2))
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        out = {k: c for k, c in nxt.items() if c}
-    return out
-
-
-def _theta_terms(n_vars, factors):
-    """{(a, b): int}, the canonical form of the product of integer theta
-    maps: multiplied out once, each monomial expanded once."""
-    terms: dict = {}
-    for k, c in _int_product(n_vars, factors).items():
-        _expand_theta(k, [(terms, c, 0)])
-    return terms
+def _theta_poly(degree, value) -> DiffOperator:
+    """The integer theta-polynomial of the given degree with values
+    value(l) at l = 0, ..., degree."""
+    falling = _falling_form(1, degree, [value(l) for l in range(degree + 1)])
+    return DiffOperator(1, {(i, i): c for i, c in falling.items()})
 
 
 def _pass_through(b, a):
@@ -428,22 +406,37 @@ def _pass_through(b, a):
 # The Mellin system and its companions
 # ---------------------------------------------------------------------------
 
+def _grid_weights(profile: ExponentProfile):
+    """The points l of ``_grid(n, m)``, (<M,l>, <M',l> = m|l| - <M,l>) per
+    point, and the sets of first and second entries."""
+    m = profile.m
+    points = _grid(profile.n, m)[0]
+    uv = [(u, m * sum(l) - u) for l in points
+          for u in (dot(profile.m_list, l),)]
+    return points, uv, {u for u, _ in uv}, {v for _, v in uv}
+
+
 @lru_cache(maxsize=32)
 def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
-    """The n operators P_j(theta) - (-1)^{m_j} m^m D_j^m in canonical form.
+    """The n operators P_j(theta) - (-1)^{m_j} m^m D_j^m in canonical form,
 
-    P_j has integer coefficients; its Stirling expansion has a = b in every
-    term, so the D_j^m term is one more key of the same integer map.
+        P_j = prod_{k<m_j}(<M,theta> + mk + 1)
+              prod_{k<m'_j}(<M',theta> + mk - 1).
+
+    P_j(l) depends on l only through <M,l> and <M',l>: a product of two
+    table lookups, which ``_falling_form`` turns into the terms x^i D^i.
     Built once per recently used profile; callers share the returned tuple.
     """
     m, n = profile.m, profile.n
+    _, uv, us, vs = _grid_weights(profile)
     ops = []
     for j in range(n):
-        terms = _theta_terms(
-            n, [_linear_map(profile.m_list, m * k + 1)
-                for k in range(profile.m_list[j])]
-            + [_linear_map(profile.mprime_list, m * k - 1)
-               for k in range(profile.mprime_list[j])])
+        lead = {u: prod(range(u + 1, u + 1 + m * profile.m_list[j], m))
+                for u in us}
+        tail = {v: prod(range(v - 1, v - 1 + m * profile.mprime_list[j], m))
+                for v in vs}
+        falling = _falling_form(n, m, [lead[u] * tail[v] for u, v in uv])
+        terms = {(i, i): c for i, c in falling.items()}
         d_j = tuple(m if i == j else 0 for i in range(n))
         terms[(_zeros(n), d_j)] = -((-1) ** profile.m_list[j]) * m**m
         ops.append(DiffOperator(n, terms))
@@ -453,12 +446,14 @@ def mellin_system(profile: ExponentProfile) -> tuple[DiffOperator, ...]:
 def mellin_system_theta_form(profile: ExponentProfile) -> list[DiffOperator]:
     """The x_j^m-cleared operators x_j^m o M_j.
 
-    Clearing turns the pure derivative term into the Euler product
-    x_j^m D_j^m = theta_j (theta_j - 1) ... (theta_j - m + 1), so the whole
-    operator is polynomial in theta after multiplication.
+    x_j^m commutes past nothing on the left: every key of M_j gains
+    a_j += m.  The D_j^m term becomes the Euler product x_j^m D_j^m =
+    theta_j (theta_j - 1) ... (theta_j - m + 1), so the whole operator is
+    polynomial in theta.
     """
-    n = profile.n
-    return [DiffOperator.x_power(n, j, profile.m) * op
+    m = profile.m
+    return [DiffOperator(profile.n, {(_raise_x(a, j, m), b): c
+                                     for (a, b), c in op.terms.items()})
             for j, op in enumerate(mellin_system(profile))]
 
 
@@ -470,37 +465,34 @@ def horn_system(profile: ExponentProfile):
     and H'_j is the same after w_j = (-1)^{m'_j} x_j^m, under which the
     Euler operator in w_j becomes theta_j / m.
 
-    Both forms are assembled by key shifts, with no composition: each tail
-    factor times m is integral, so L_j and m^m T_j are multiplied out once
-    in integers, and each of their theta-monomials is expanded once for
-    both forms.  Left multiplication by x_j^e raises a_j by e, so L-terms
-    keep a = b and tail terms get a = b + e e_j; they never collide.  The
-    w-form lies over m^m (tail weight -1, shift 1), the x-form over m^{2m}
-    (theta^k gains m^{-|k|}; tail weight -(-1)^{m'_j} m^{m-|k|}, shift m).
+    L_j and m^m T_j have integer coefficients; ``_falling_form`` takes
+    them from their values at theta = l for the w-form and at theta = l/m
+    for the x-form, never from the Mellin operators.  Both forms lie over
+    m^m; x_j^e on the left gives tail terms a = b + e e_j, with e = 1 and
+    weight -1 in w, e = m and weight -(-1)^{m'_j} in x.
     """
     m, n = profile.m, profile.n
-    horn_w, horn_x = [], []
-    for j in range(n):
-        lead = _int_product(n, [
-            _linear_map([m if i == j else 0 for i in range(n)], -k)
-            for k in range(m)])
-        tail = _int_product(
-            n,
-            [_linear_map([-m * v for v in profile.m_list], -1 - m * k)
-             for k in range(profile.m_list[j])]
-            + [_linear_map([-m * v for v in profile.mprime_list], 1 - m * k)
-               for k in range(profile.mprime_list[j])])
-        sign = (-1) ** profile.mprime_list[j]
-        w_terms: dict = {}
-        x_terms: dict = {}
-        for k, c in lead.items():
-            _expand_theta(k, [(w_terms, m**m * c, 0),
-                              (x_terms, m ** (2 * m - sum(k)) * c, 0)])
-        for k, c in tail.items():
-            _expand_theta(k, [(w_terms, -c, 1),
-                              (x_terms, -sign * m ** (m - sum(k)) * c, m)], j)
-        horn_w.append(DiffOperator(n, _fractions(w_terms, m**m)))
-        horn_x.append(DiffOperator(n, _fractions(x_terms, m ** (2 * m))))
+    points, uv, us, vs = _grid_weights(profile)
+
+    def form(j, scale, shift, weight):
+        # L_j and m^m T_j at theta = scale l / m: scale l_j, scale <M,l>
+        # and scale <M',l> stand for m theta_j, m <M,theta> and m <M',theta>
+        lead = [prod(range(scale * t, scale * t - m, -1))
+                for t in range(m + 1)]
+        first = {u: prod(range(-scale * u - 1, -scale * u - 1
+                               - m * profile.m_list[j], -m)) for u in us}
+        second = {v: prod(range(1 - scale * v, 1 - scale * v
+                                - m * profile.mprime_list[j], -m))
+                  for v in vs}
+        terms = {(i, i): m**m * c for i, c in _falling_form(
+            n, m, [lead[l[j]] for l in points]).items()}
+        terms.update(((_raise_x(i, j, shift), i), -weight * c)
+                     for i, c in _falling_form(
+                         n, m, [first[u] * second[v] for u, v in uv]).items())
+        return DiffOperator(n, _fractions(terms, m**m))
+
+    horn_w = [form(j, m, 1, 1) for j in range(n)]
+    horn_x = [form(j, 1, m, (-1) ** profile.mprime_list[j]) for j in range(n)]
     return horn_w, horn_x
 
 
@@ -640,10 +632,10 @@ def theta_factorization(m: int) -> ThetaFactorization:
     if m < 2:
         raise ValueError("m must be at least 2")
     mel = mellin_operator_1d(m, m - 1)
-    first = DiffOperator(1, _theta_terms(
-        1, [_linear_map([m - 1], m * k + 1) for k in range(m - 1)]))
-    second = DiffOperator(1, _theta_terms(
-        1, [_linear_map([1], -k) for k in (0, *range(2, m))]))
+    first = _theta_poly(m - 1, lambda l: prod(
+        (m - 1) * l + m * k + 1 for k in range(m - 1)))
+    second = _theta_poly(m - 1, lambda l: prod(
+        l - k for k in (0, *range(2, m))))
     displayed = (DiffOperator.x_power(1, 0, m) * first
                  + second.scale((-m) ** m))
     right = DiffOperator.theta(1, 0) - DiffOperator.identity(1)
@@ -667,8 +659,8 @@ def derivative_factorization(m: int) -> tuple[DiffOperator, DiffOperator]:
     if m < 2:
         raise ValueError("m must be at least 2")
     mel = mellin_operator_1d(m, 1)
-    inner = DiffOperator(1, _theta_terms(
-        1, [_linear_map([m - 1], m * k - 1) for k in range(m - 1)]))
+    inner = _theta_poly(m - 1, lambda l: prod(
+        (m - 1) * l + m * k - 1 for k in range(m - 1)))
     right = (DiffOperator.x_power(1, 0, 1) * inner
              + DiffOperator.partial(1, 0, m - 1, coeff=m**m))
     left = DiffOperator.partial(1, 0, 1)

@@ -12,6 +12,9 @@ closed form, and they serve as its oracle.  ``unit_inverse`` inverts the
 constant term: a rational, a complex number, or a monomial unit q e^k of
 Q[Z/m], the units that series carry.
 
+``subseries`` keeps the terms of one congruence class of exponents mod m,
+which the tests read classes of y_pr with.
+
 ``series_to_json`` is the documented JSON form of a series, with one
 {"exp", "coeff"} dict per term; ``mellinsys series --json`` writes the
 same text from term rows without building it.  ``coeff_json`` and
@@ -26,7 +29,7 @@ returns a ``RingSeries`` (``ring_oracle``).
 from fractions import Fraction
 
 from mellinsys.profiles import var_names
-from mellinsys.series import exponents_up_to, monomial_text
+from mellinsys.series import TruncatedSeries, exponents_up_to, monomial_text
 from ring_oracle import COMPLEX, RATIONAL, RingSeries, ring_series
 
 
@@ -141,3 +144,11 @@ def series_text(series) -> str:
     names, text = var_names(series.n_vars), series.ring.coeff_text
     return "\n".join(f"{text(c)} * {monomial_text(s, names)}"
                      for s, c in series.sorted_items()) or "0"
+
+
+def subseries(series, index, m: int):
+    """Terms with exponent congruent to the index mod m, componentwise."""
+    index = tuple(v % m for v in index)
+    terms = {s: c for s, c in series.terms.items()
+             if all(v % m == i for v, i in zip(s, index))}
+    return TruncatedSeries(series.n_vars, series.order, terms)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,7 +21,8 @@ from mellinsys.weyl import (DiffOperator, horn_mellin_multiplier,
 from ring_oracle import scaled_root_series
 from series_oracle import series_text, series_to_json
 from test_golden import CASES as GOLDEN_CASES
-from weyl_oracle import operator_to_json
+from weyl_oracle import (linear, operator_to_json,
+                         theta_product_by_composition)
 
 
 def run_cli(capsys, *args):
@@ -292,6 +294,45 @@ def test_verify_fails_on_a_wrong_mellin_coefficient(capsys, monkeypatch,
     assert [c["name"] for c in payload["checks"] if not c["ok"]] \
         == ["basis-annihilation"]
     roots._images.cache_clear()
+
+
+def _horn_x_by_own_factors(p, j, first):
+    """H'_j from its own factors by composition, with the constant of the
+    first tail factor -<M,theta>/m - 1/m replaced by ``first``."""
+    m, n, s = p.m, p.n, Fraction(1, p.m)
+    lead = theta_product_by_composition(
+        n, [linear([int(i == j) for i in range(n)], -k) for k in range(m)])
+    tail = ([linear([-s * v for v in p.m_list], -s - k)
+             for k in range(p.m_list[j])]
+            + [linear([-s * v for v in p.mprime_list], s - k)
+               for k in range(p.mprime_list[j])])
+    tail[0] = linear([-s * v for v in p.m_list], first)
+    x_m = DiffOperator.x_power(n, j, m, coeff=(-1) ** p.mprime_list[j])
+    return lead - x_m * theta_product_by_composition(n, tail)
+
+
+@pytest.mark.parametrize("profile,j", [(("3", "2", "1"), 1), (("4", "3"), 0),
+                                       (("5", "3", "2", "1"), 2)])
+def test_check_horn_fails_on_a_wrong_tail_factor(capsys, monkeypatch,
+                                                 profile, j):
+    """One Horn tail factor of the x-form H'_j changed from
+    -<M,theta>/m - 1/m to -<M,theta>/m + 1/m: --check-horn prints MISMATCH
+    for that operator alone and exits 2."""
+    real = cli.horn_system
+    p = make_profile(int(profile[0]), [int(v) for v in profile[1:]])
+    assert _horn_x_by_own_factors(p, j, Fraction(-1, p.m)) == real(p)[1][j]
+
+    def wrong(p):
+        horn_w, horn_x = real(p)
+        horn_x[j] = _horn_x_by_own_factors(p, j, Fraction(1, p.m))
+        return horn_w, horn_x
+    monkeypatch.setattr(cli, "horn_system", wrong)
+    code, out, _ = run_cli(capsys, "operators", *profile, "--check-horn")
+    assert code == 2
+    verdicts = [ln.rsplit(" ", 1)[1] for ln in out.splitlines()
+                if ln.startswith("horn->mellin[")]
+    assert verdicts == ["MISMATCH" if k == j else "OK" for k in range(p.n)]
+    assert "horn->mellin identity: OK" not in out
 
 
 def test_parser_is_built_once(capsys):

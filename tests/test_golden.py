@@ -82,6 +82,8 @@ CASES = [
     ("verify-5-4-3-2", ["verify", "5", "4", "3", "2"], 0),
     ("verify-6-5-3-1-order-15",
      ["verify", "6", "5", "3", "1", "--order", "15"], 0),
+    ("operators-7-6-5-4-horn",
+     ["operators", "7", "6", "5", "4", "--check-horn"], 0),
 ]
 
 

@@ -20,12 +20,12 @@ from field_oracle import cyclotomic_field
 from profile_oracle import profile_suite
 from ring_oracle import (COMPLEX, RATIONAL, RingSeries, get_cyclotomic_ring,
                          ring_series, rotate, scaled_root_series)
-from series_oracle import inverse, log, naive_product, series_to_json
+from series_oracle import (inverse, log, naive_product, series_text,
+                           series_to_json, subseries)
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
-                              exponents_up_to, format_series,
-                              independence_rank, is_generating,
-                              principal_coefficient, principal_series,
-                              rank_complex, subseries, twist_rank)
+                              exponents_up_to, independence_rank,
+                              is_generating, principal_coefficient,
+                              principal_series, rank_complex, twist_rank)
 from mellinsys.weyl import mellin_system
 from weyl_oracle import apply
 
@@ -69,6 +69,21 @@ def test_principal_series_quadratic_against_oracle():
     assert got.coefficient((2,)) == Fraction(1, 8)
     assert got.coefficient((3,)) == 0
     assert got.coefficient((4,)) == Fraction(-1, 128)
+
+
+@pytest.mark.parametrize("p", profile_suite(7, 3, d_one_only=False),
+                         ids=lambda p: "-".join(map(str, (p.m, *p.m_list))))
+def test_principal_series_is_the_coefficient_formula_term_by_term(p):
+    """The running Pochhammer walk gives principal_coefficient at every
+    nonzero exponent, in the lexicographic order of exponents_up_to."""
+    for order in (0, 1, max(12, p.n * (p.m - 1))):
+        want = {}
+        for nu in exponents_up_to(p.n, order):
+            c = principal_coefficient(p, nu)
+            if c:
+                want[nu] = c
+        got = principal_series(p, order).terms
+        assert list(got.items()) == list(want.items())
 
 
 def test_principal_constant_term_always_one():
@@ -739,7 +754,7 @@ def test_series_json_and_text_are_deterministic():
     assert j1 == j2
     assert j1["ring"] == "rational"
     assert j1["terms"][0] == {"exp": [0, 0], "coeff": "1"}
-    assert format_series(y) == format_series(principal_series(p, 4))
+    assert series_text(y) == series_text(principal_series(p, 4))
     cy = series_to_json(rotate(y, (0, 0), 3))
     assert cy["m"] == 3
     assert cy["terms"][0]["coeff"] == ["1", "0", "0"]

@@ -9,6 +9,7 @@ equality, never numeric.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from operator import sub
 
 import pytest
@@ -26,7 +27,7 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
                             theta_factorization)
-from mellinsys.weyl import _int_product, _stirling_row, _theta_terms
+from mellinsys.weyl import _falling_form, _grid
 from basis_oracle import basis_by_recurrence
 from weyl_oracle import (apply, compose_by_fractions,
                          equals_up_to_rational_scale,
@@ -35,7 +36,7 @@ from weyl_oracle import (apply, compose_by_fractions,
                          horn_x_by_own_factors, least_theta_multiplier, linear,
                          mellin_by_composition, operator_to_json,
                          right_divide_theta_minus_one,
-                         theta_mul_by_fractions, theta_poly_by_composition,
+                         theta_poly_by_composition,
                          theta_product_by_composition)
 
 X = lambda n=1, j=0, k=1: DiffOperator.x_power(n, j, k)
@@ -93,17 +94,6 @@ def test_composition_associative():
         assert p * (q + r) == p * q + p * r
 
 
-def test_stirling_rows_match_repeated_theta_composition():
-    power = DiffOperator.identity(1)
-    for e in range(9):
-        want = DiffOperator(1, {((i,), (i,)): s
-                                for i, s in enumerate(_stirling_row(e))})
-        assert power == want
-        power = power * THETA()
-    assert _stirling_row(4) == (0, 1, 7, 6, 1)
-    assert _stirling_row(8)[3] == 966
-
-
 @st.composite
 def theta_polys(draw):
     """An integer theta map in n <= 3 Euler operators, total degree <= 7."""
@@ -118,17 +108,19 @@ def theta_polys(draw):
     return n, coeffs
 
 
-def _integer_terms(terms):
-    return all(type(c) is int for c in terms.values())
-
-
 @settings(deadline=None)
-@given(theta_polys())
-def test_theta_expansion_matches_composition_oracle(poly):
+@given(theta_polys(), st.integers(0, 7))
+def test_falling_form_matches_composition_oracle(poly, extra):
+    """The forward-difference kernel, on the values of P on the grid of a
+    degree from deg P up to 7, against theta^k composed term by term."""
     n, coeffs = poly
-    terms = _theta_terms(n, [coeffs])
-    assert _integer_terms(terms)
-    assert DiffOperator(n, terms) == theta_poly_by_composition(n, coeffs)
+    degree = max([sum(k) for k in coeffs] + [extra])
+    values = [sum(c * prod(map(pow, l, k)) for k, c in coeffs.items())
+              for l in _grid(n, degree)[0]]
+    falling = _falling_form(n, degree, values)
+    assert all(type(c) is int and c for c in falling.values())
+    assert (DiffOperator(n, {(i, i): c for i, c in falling.items()})
+            == theta_poly_by_composition(n, coeffs))
 
 
 @st.composite
@@ -149,16 +141,6 @@ def _exponents(n, top):
 
 
 @st.composite
-def theta_poly_pairs(draw):
-    """Two integer theta maps in the same n <= 3 Euler operators, degree <= 3
-    each, over a small value set so that products cancel to 0."""
-    n = draw(st.integers(1, 3))
-    return (n, *(draw(st.dictionaries(_exponents(n, 3), st.integers(-3, 3),
-                                      max_size=5))
-                 for _ in range(2)))
-
-
-@st.composite
 def operator_pairs(draw):
     """Two operators sum c x^a D^b in the same n <= 3 variables."""
     n = draw(st.integers(1, 3))
@@ -168,26 +150,6 @@ def operator_pairs(draw):
 
 def _normalized_fractions(values):
     return all(type(c) is Fraction and c for c in values)
-
-
-@settings(deadline=None)
-@given(theta_poly_pairs())
-@example((1, {(0,): 1, (1,): 1}, {(0,): -1, (1,): 1}))  # theta^2 - 1
-def test_theta_product_kernel_matches_fraction_oracle(pair):
-    n, p, q = pair
-    got = _int_product(n, [p, q])
-    assert got == theta_mul_by_fractions(p, q)
-    assert all(type(c) is int and c for c in got.values())
-
-
-@settings(deadline=None)
-@given(theta_poly_pairs())
-def test_theta_expansion_kernel_matches_composition_oracle(pair):
-    n, p, q = pair
-    for factors in ([p], [q], [p, q]):
-        terms = _theta_terms(n, factors)
-        assert _integer_terms(terms)
-        assert DiffOperator(n, terms) == theta_product_by_composition(n, factors)
 
 
 @settings(deadline=None)
@@ -207,7 +169,7 @@ def _profiles_up_to(top_m, top_n):
             for ms in combinations(range(m - 1, 0, -1), n)]
 
 
-@pytest.mark.parametrize("m,ms", _profiles_up_to(6, 3))
+@pytest.mark.parametrize("m,ms", _profiles_up_to(7, 3))
 def test_horn_x_form_equals_one_built_from_its_own_factors(m, ms):
     """Both Horn forms, the w-form and the x-form, against the ones
     multiplied out Fraction by Fraction from their own factors."""
@@ -217,15 +179,16 @@ def test_horn_x_form_equals_one_built_from_its_own_factors(m, ms):
     assert horn_x == horn_x_by_own_factors(p)
 
 
-@pytest.mark.parametrize("m,ms", _profiles_up_to(6, 3))
+@pytest.mark.parametrize("m,ms", _profiles_up_to(7, 3))
 def test_mellin_system_equals_the_composed_indicial_product(m, ms):
     p = make_profile(m, ms)
     assert list(mellin_system(p)) == mellin_by_composition(p)
 
 
 def test_systems_are_assembled_without_operator_arithmetic(monkeypatch):
-    """horn_system and mellin_system build integer maps by key shifts: no
-    operator composition, sum, difference or negation runs inside them."""
+    """horn_system, mellin_system and its cleared form build integer maps
+    by key shifts: no operator composition, sum, difference or negation
+    runs inside them."""
     def forbidden(*args):
         raise AssertionError("operator arithmetic in a system construction")
 
@@ -236,20 +199,20 @@ def test_systems_are_assembled_without_operator_arithmetic(monkeypatch):
         p = make_profile(m, ms)
         horn_system(p)
         mellin_system(p)
+        mellin_system_theta_form(p)
 
 
 def test_references_are_built_without_the_theta_kernels(monkeypatch):
     """The Horn, Mellin and basis references expand by composition and
-    evaluate in integers: with the library's theta product and Stirling
-    expansion patched to raise, they still build, and equal the library."""
+    evaluate in integers: with the library's forward-difference kernel
+    patched to raise, they still build, and equal the library."""
     def forbidden(*args):
         raise AssertionError("a reference ran a library theta kernel")
 
     cases = [(2, [1]), (3, [2, 1]), (4, [3]), (6, [4, 2]), (5, [3, 2, 1])]
     refs = []
     with monkeypatch.context() as patch:
-        patch.setattr(weyl, "_expand_theta", forbidden)
-        patch.setattr(weyl, "_int_product", forbidden)
+        patch.setattr(weyl, "_falling_form", forbidden)
         for m, ms in cases:
             p = make_profile(m, ms)
             refs.append((p, horn_w_by_own_factors(p), horn_x_by_own_factors(p),

@@ -4,26 +4,26 @@ A theta-polynomial here is a plain map {theta-monomial: Fraction}; the
 oracles build every one from its affine factors (``linear``) and import no
 theta kernel of the library, so they stay independent of what they check.
 
-The library expands theta^k in closed form through Stirling numbers of the
-second kind; ``theta_poly_by_composition`` is the direct expansion it is
-checked against, composing theta_j = x_j D_j with itself in the
-canonical-form Weyl algebra.
+The library turns a theta-polynomial into the terms x^i D^i by forward
+differences of its values on a grid; ``theta_poly_by_composition`` is the
+direct expansion it is checked against, composing theta_j = x_j D_j with
+itself in the canonical-form Weyl algebra.
 
-The library multiplies integer theta maps and composes operators over a
-common denominator, in integers; ``theta_mul_by_fractions`` and
-``compose_by_fractions`` accumulate the same sums one Fraction at a time,
-and ``theta_product_by_composition`` expands a Fraction product of
-factors by composition.  ``horn_w_by_own_factors`` and
-``horn_x_by_own_factors`` build the two Horn forms from their own factors
-that way, with a composed left factor x_j^e, where the library multiplies
-m^m T_j out in integers once and assembles both forms by key shifts;
-``mellin_by_composition`` does the same for the indicial factors.
+The library composes operators over a common denominator, in integers;
+``compose_by_fractions`` accumulates the same sums one Fraction at a time,
+``theta_mul_by_fractions`` multiplies theta maps that way, and
+``theta_product_by_composition`` expands a Fraction product of factors by
+composition.  ``horn_w_by_own_factors`` and ``horn_x_by_own_factors``
+build the two Horn forms from their own factors that way, with a composed
+left factor x_j^e, where the library evaluates L_j and m^m T_j on a grid
+and assembles both forms by key shifts; ``mellin_by_composition`` does
+the same for the indicial factors.
 
 ``equals_up_to_rational_scale`` and ``factorization_check`` compare
 operators for the factorization and Horn/Mellin tests;
 ``euler_product_identity`` gives both sides of x^m D^m = theta (theta - 1)
 ... (theta - m + 1), the left by composition and the right by the
-library's closed-form expansion.
+library's forward-difference kernel.
 
 The library reads the least multiplier x^e with x^e M(m, m-1) = L o
 (theta - 1) off the x-valuation of the displayed left factor;
@@ -220,9 +220,9 @@ def factorization_check(left: DiffOperator, right: DiffOperator,
 def euler_product_identity(n_vars: int, j: int, m: int) -> tuple[DiffOperator, DiffOperator]:
     """Both sides of x_j^m D_j^m = prod_{k=0}^{m-1} (theta_j - k)."""
     lhs = DiffOperator.x_power(n_vars, j, m) * DiffOperator.partial(n_vars, j, m)
-    theta_j = [1 if i == j else 0 for i in range(n_vars)]
-    rhs = DiffOperator(n_vars, weyl._theta_terms(
-        n_vars, [weyl._linear_map(theta_j, -k) for k in range(m)]))
+    falling = weyl._falling_form(n_vars, m, [
+        prod(l[j] - k for k in range(m)) for l in weyl._grid(n_vars, m)[0]])
+    rhs = DiffOperator(n_vars, {(i, i): c for i, c in falling.items()})
     return lhs, rhs
 
 
