@@ -11,7 +11,9 @@ embedding vanishes (:func:`vanishes`) and the embedding table of e
 The group ring embeds into C via e -> exp(2*pi*i/m).  Because Q[Z/m] has
 zero divisors, a nonzero element can embed to 0.  The embedding factors
 through Q[t]/Phi_m(t) (Phi_m the m-th cyclotomic polynomial), so it
-vanishes exactly when sum_k a_k t^k is divisible by Phi_m.  Exact ranks
+vanishes exactly when sum_k a_k t^k is divisible by Phi_m.  Phi_m is monic
+with integer coefficients, so once an element's denominators are cleared
+that remainder is taken in ints, with no Fraction built.  Exact ranks
 over that field need no field arithmetic: they are counted from residue
 classes (:func:`mellinsys.series.twist_rank`).
 """
@@ -19,14 +21,16 @@ classes (:func:`mellinsys.series.twist_rank`).
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 
 def mul(a, b) -> tuple:
-    """The product in Q[Z/m] of two length-m tuples."""
+    """The product in Q[Z/m] of two length-m tuples; integer tuples give an
+    integer tuple."""
     m = len(a)
-    out = [Fraction(0)] * m
+    out = [0] * m
     for i, x in enumerate(a):
         if not x:
             continue
@@ -38,8 +42,12 @@ def mul(a, b) -> tuple:
 
 def vanishes(a) -> bool:
     """Whether the complex embedding of ``a`` in Q[Z/m], m = len(a), is
-    exactly 0: the remainder of sum_k a_k t^k by Phi_m."""
-    return not _poly_divmod(a, cyclotomic_polynomial(len(a)))[1]
+    exactly 0: the remainder of sum_k a_k t^k by Phi_m.  The rationals are
+    cleared over their common denominator first, so the remainder by the
+    monic integer Phi_m is taken in ints."""
+    den = math.lcm(*(x.denominator for x in a))
+    cleared = [x.numerator * (den // x.denominator) for x in a]
+    return not any(_monic_divmod(cleared, _phi(len(a)))[1])
 
 
 @lru_cache(maxsize=None)
@@ -49,56 +57,35 @@ def roots_of_unity(m: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Rational polynomial arithmetic and the cyclotomic polynomials
+# The cyclotomic polynomials, in integers
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _monic_divmod(num, den):
+    """Quotient and remainder of integer coefficient lists (ascending) by
+    a monic ``den``; the remainder has len(den) - 1 entries or fewer."""
+    r, deg = list(num), len(den) - 1
+    q = [0] * max(0, len(r) - deg)
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = q[i - deg] = r[i]
+        if c:
+            for j, dc in enumerate(den):
+                r[i - deg + j] -= c * dc
+    return q, r[:deg]
 
 
-def _poly_divmod(num, den):
-    """Exact division with remainder of rational coefficient lists."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    _poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = num[:]
-    _poly_trim(r)
-    dlead = den[-1]
-    while len(r) >= len(den):
-        shift = len(r) - len(den)
-        c = r[-1] / dlead
-        q[shift] = c
-        for i, dc in enumerate(den):
-            r[shift + i] -= c * dc
-        _poly_trim(r)
-    return q, r
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
+@lru_cache(maxsize=None)
+def _phi(m: int) -> tuple:
+    """Integer coefficients (ascending) of Phi_m: t^m - 1 divided by every
+    Phi_d, d | m, d < m, each monic."""
+    q = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            q, r = _monic_divmod(q, _phi(d))
+            assert not any(r), "cyclotomic division must be exact"
+    return tuple(q)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    if m == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # t^m - 1
-    den = [Fraction(1)]
-    for d in range(1, m):
-        if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r, "cyclotomic division must be exact"
-    return tuple(q)
+    return tuple(map(Fraction, _phi(m)))

@@ -17,6 +17,15 @@ or logarithm.  The ranks of the branches of one equation and of the
 invariant-subspace splitting (univariate, d > 1) are twist ranks of
 y_pr, counted from its classes.
 
+Branch b of coset equation k carries the phase e^{b r_J + E_J[k]} at
+every exponent of class J, with r_J = 1 + <M, J> and E_J[k] = <I_k, J>
+mod m.  These integers come from one cached table per profile
+(``_phase_table``), which the class weights, the complex branch jets and
+the scaled-root gap all read.  The class weights are built in integers:
+the denominators of the relation vector are cleared once, each distinct
+character sum is tested against Phi_m in ints, and a kept product is
+divided by the common denominator only at the end.
+
 Two numeric witnesses stay independent of the closed form: an Aberth-style
 simultaneous root finder (no companion matrix) for scalar roots at a base
 point, and Newton lifting of all m Taylor branches at the origin, where the
@@ -310,30 +319,48 @@ def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
 
     Branch b of the untwisted equation must match
     e^b * y_pr(e^{b m_1} x_1, ..., e^{b m_n} x_n), whose coefficient at s
-    is y_s zeta^{b(1 + <M, s>)}: each column of the dense lift is compared
-    with complex(y_s) times these units from the Q[Z/m] embedding table.
+    is y_s zeta^{b r_J}, J = s mod m (``_phase_table``): each column of the
+    dense lift is compared with complex(y_s) times these units from the
+    Q[Z/m] embedding table.
     """
     table, y = _dense_lift(origin_instance(profile), order)
     m, ypr = profile.m, principal_series(profile, order)
-    zeta = roots_of_unity(m)
+    zeta, phases = roots_of_unity(m), _phase_table(profile)
     targets = []
     for s in table.exps:
-        c, r = complex(ypr.coefficient(s)), 1 + dot(profile.m_list, s)
+        c, r = complex(ypr.coefficient(s)), phases[tuple(v % m for v in s)][0]
         targets.append([c * zeta[b * r % m] for b in range(m)])
     # Python's complex abs: numpy's can differ from it in the last bit
     return max(map(abs, (y - np.array(targets).T).ravel().tolist()))
 
 
+@lru_cache(maxsize=16)
+def _phase_table(profile: ExponentProfile) -> dict:
+    """{J: (r_J, E_J)} over the box classes J in ``index_box`` order, with
+    r_J = 1 + <M, J> mod m and E_J = (<I_k, J> mod m)_k over the coset
+    representatives I_k: branch b of coset equation k carries the phase
+    e^{b r_J + E_J[k]} at every exponent s = J mod m."""
+    m, reps = profile.m, coset_representatives(profile)
+    return {cls: ((1 + dot(profile.m_list, cls)) % m,
+                  tuple(dot(rep, cls) % m for rep in reps))
+            for cls in index_box(profile)}
+
+
 def coset_equation_jets(profile: ExponentProfile, order: int):
     """Complex jets of every branch of every coset-representative equation,
-    one {exponent: complex} map per branch b of each I: complex(y_s)
-    zeta^{b(1 + <M,s>) + <I,s>} at s."""
-    m, ypr = profile.m, principal_series(profile, order)
+    one {exponent: complex} map per branch b of each I_k: complex(y_s)
+    zeta^{b r_J + E_J[k]} at s, J = s mod m (``_phase_table``)."""
+    m, table = profile.m, _phase_table(profile)
     zeta = roots_of_unity(m)
-    terms = [(s, complex(c), 1 + dot(profile.m_list, s))
-             for s, c in ypr.terms.items()]
-    return [[{s: c * zeta[(b * r + dot(rep, s)) % m] for s, c, r in terms}
-             for b in range(m)] for rep in coset_representatives(profile)]
+    terms = [(s, complex(c), *table[tuple(v % m for v in s)])
+             for s, c in principal_series(profile, order).terms.items()]
+    return [[{s: c * zeta[(b * r + row[k]) % m] for s, c, r, row in terms}
+             for b in range(m)] for k in range(_width(table, profile))]
+
+
+def _width(table: dict, profile: ExponentProfile) -> int:
+    """The number of coset representatives: the length of a row."""
+    return len(table[(0,) * profile.n][1])
 
 
 def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
@@ -341,25 +368,30 @@ def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
     sum_k c_k sum_b b^power (branch b of coset equation k) is nonzero in
     Q(zeta_m): built on a rational f, that sum has f_s w_J at s.
 
-    Branch b of the equation twisted by I_k has f_s e^{b r + <I_k, J>} at
-    s, J = s mod m, r = 1 + <M, J>, so w_J =
-    chi_J(c) S_power(r) with chi_J(c) = sum_k c_k e^{<I_k, J>} and S_p(r) =
-    sum_b b^p e^{b r}.  S_0(r) embeds to m if r = 0 (mod m), else to 0;
-    S_1(r) to m(m-1)/2 or m / (zeta^r - 1), never 0.  So J is kept iff
-    (power = 1 or r = 0) and chi_J(c) is nonzero mod Phi_m: one test per
-    distinct chi and one product per distinct (chi, r)."""
-    m, reps = profile.m, coset_representatives(profile)
-    if len(c) != len(reps):
-        raise ValueError(f"relation vector length {len(c)} != {len(reps)}")
-    pairs = [(Fraction(ck), rep) for ck, rep in zip(c, reps) if ck]
+    Branch b of the equation twisted by I_k has f_s e^{b r_J + E_J[k]} at
+    s, J = s mod m (``_phase_table``), so w_J = chi_J(c) S_power(r_J) with
+    chi_J(c) = sum_k c_k e^{E_J[k]} and S_p(r) = sum_b b^p e^{b r}.  S_0(r)
+    embeds to m if r = 0 (mod m), else to 0; S_1(r) to m(m-1)/2 or
+    m / (zeta^r - 1), never 0.  So J is kept iff (power = 1 or r_J = 0)
+    and chi_J(c) is nonzero mod Phi_m: one test per distinct chi and one
+    product per distinct (chi, r).  The denominators of c are cleared
+    once, so chi and chi S_p are integer tuples; each kept product is
+    divided by the common denominator at the end."""
+    m, table = profile.m, _phase_table(profile)
+    if len(c) != _width(table, profile):
+        raise ValueError(f"relation vector length {len(c)} != "
+                         f"{_width(table, profile)}")
+    c = [Fraction(ck) for ck in c]
+    den = math.lcm(*(ck.denominator for ck in c))
+    pairs = [(k, ck.numerator * (den // ck.denominator))
+             for k, ck in enumerate(c) if ck]
     kept, formed, weights = {}, {}, {}
-    for cls in index_box(profile):
-        r = (1 + dot(profile.m_list, cls)) % m
+    for cls, (r, row) in table.items():
         if power == 0 and r:
             continue
-        chi = [Fraction(0)] * m
-        for ck, rep in pairs:
-            chi[dot(rep, cls) % m] += ck
+        chi = [0] * m
+        for k, ck in pairs:
+            chi[row[k]] += ck
         chi = tuple(chi)
         if chi not in kept:
             kept[chi] = not vanishes(chi)
@@ -367,7 +399,8 @@ def _class_weights(profile: ExponentProfile, c, power: int) -> dict:
             if (chi, r) not in formed:
                 s_power = [sum(b**power for b in range(m) if b * r % m == k)
                            for k in range(m)]
-                formed[chi, r] = mul(chi, s_power)
+                formed[chi, r] = tuple(Fraction(x, den)
+                                       for x in mul(chi, s_power))
             weights[cls] = formed[chi, r]
     return weights
 
@@ -482,11 +515,12 @@ def root_sum(profile: ExponentProfile, c, order: int) -> dict:
     """sum_k c_k (root sum of coset equation k) as {exponent: Q[Z/m]
     tuple}, with the coefficients that vanish in Q(zeta_m) left out: empty
     for a true relation, the untwisted equation's root sum for c = e_0."""
-    m, weights = profile.m, _class_weights(profile, c, 0)
-    ypr = _source(profile, order, 1)
-    classes = {s: tuple(v % m for v in s) for s in ypr.terms}
-    return {s: tuple(x * q for x in weights[classes[s]])
-            for s, q in ypr.terms.items() if classes[s] in weights}
+    m, weights, out = profile.m, _class_weights(profile, c, 0), {}
+    for s, q in _source(profile, order, 1).terms.items() if weights else ():
+        w = weights.get(tuple(v % m for v in s))
+        if w is not None:
+            out[s] = tuple(x * q for x in w)
+    return out
 
 
 def _relation_residual(profile: ExponentProfile, weights: dict,

@@ -205,6 +205,32 @@ def independence_rank(maps) -> int:
     return rank_complex([[f.get(e, 0j) for e in cols] for f in maps])
 
 
+def _is_subgroup(group: set, m: int) -> bool:
+    """Whether a set of vectors mod m is a subgroup of (Z/m)^n.
+
+    The span of its elements grows one generator g at a time, as the union
+    of the cosets span + k g up to the first k g in the span.  A generator
+    outside the span at least doubles it, and the growth stops as soon as
+    the span outgrows the set, so the work is O(|group| log |group|).  The
+    set is a subgroup iff it holds its whole span.
+    """
+    if not group:
+        return False
+    span = {(0,) * len(next(iter(group)))}
+    for g in group:
+        if g in span:
+            continue
+        grown, shift = set(span), g
+        while shift not in span:
+            grown.update(tuple((a + b) % m for a, b in zip(h, shift))
+                         for h in span)
+            if len(grown) > len(group):
+                return False
+            shift = tuple((a + b) % m for a, b in zip(shift, g))
+        span = grown
+    return True
+
+
 def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
     """Exact rank over Q(zeta_m) of the twists f(zeta^{t_1} x_1, ...,
     zeta^{t_n} x_n) of a rational f over a coset t0 + H of (Z/m)^n.
@@ -212,14 +238,14 @@ def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
     Dividing column s of the rows f_s zeta^{<t, s>} by f_s zeta^{<t0, s>}
     leaves the character h -> zeta^{<h, s>} of H, fixed by s mod m.
     Distinct characters are linearly independent, so the rank is their
-    number on the residue classes of supp f.  Twists that are not a coset
-    raise ValueError.  The SVD rank of the complex twists is an
-    independent witness; a mismatch raises ArithmeticError.
+    number on the residue classes of supp f.  Twists whose translates are
+    not a subgroup (``_is_subgroup``) raise ValueError.  The SVD rank of
+    the complex twists is an independent witness; a mismatch raises
+    ArithmeticError.
     """
     twists = [tuple(t) for t in twists]
     group = {tuple((a - b) % m for a, b in zip(t, twists[0])) for t in twists}
-    if not group or any(tuple((a + b) % m for a, b in zip(g, h)) not in group
-                        for g in group for h in group):
+    if not _is_subgroup(group, m):
         raise ValueError("the twists are not a coset of a subgroup of "
                          f"(Z/{m})^{f.n_vars}")
     classes = {s: tuple(v % m for v in s) for s in f.terms}

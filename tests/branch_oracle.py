@@ -8,7 +8,9 @@ branches over Q[Z/m] with ``scaled_root_series`` and add them up;
 ``nonvanishing`` drops from such a sum the coefficients whose embedding
 vanishes, each tested on its own.  ``log_parts_from_weights`` writes the
 two exact parts of a logarithmic solution from its class-weight tables,
-for comparison with these sums.
+for comparison with these sums.  ``class_weights_by_fractions`` builds
+those tables in Fractions, one ``dot`` per class and representative,
+where the library reads integer phases off one table per profile.
 
 ``mellin_residual`` runs every Mellin operator on the series it is given,
 the reference for the annihilation residuals that the library reads off
@@ -30,9 +32,11 @@ columns of the dense lift.
 
 import cmath
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 from mellinsys import roots
-from mellinsys.profiles import coset_representatives
+from mellinsys.profiles import coset_representatives, dot, index_box
 from mellinsys.roots import SUBSTITUTION_TOL, RootFindingError, origin_instance
 from mellinsys.series import independence_rank, principal_series
 from mellinsys.weyl import mellin_system
@@ -182,6 +186,45 @@ def log_parts_from_weights(p, weights, order):
             s: tuple(x * q for x in table[classes[s]])
             for s, q in f.terms.items() if classes[s] in table}))
     return parts
+
+
+def class_weights_by_fractions(p, c, power, vanishes):
+    """{J: w_J} of ``roots._class_weights`` in Fractions: chi_J(c) = sum_k
+    c_k e^{<I_k, J>} from one ``dot`` per class and representative, kept
+    iff (power = 1 or r_J = 0) and ``vanishes(chi_J)`` is false, tested
+    once per distinct chi, and w_J = chi_J S_power(r_J) by the ring
+    oracle's Q[Z/m] product.  chi_J is summed once per distinct tuple of
+    phases <I_k, J> mod m, which fixes it."""
+    m, ring = p.m, get_cyclotomic_ring(p.m)
+    pairs = [(Fraction(ck), rep)
+             for ck, rep in zip(c, _representatives(p)) if ck]
+    kept, chis, formed, weights = {}, {}, {}, {}
+    for cls in index_box(p):
+        r = (1 + dot(p.m_list, cls)) % m
+        if power == 0 and r:
+            continue
+        phases = tuple(dot(rep, cls) % m for _, rep in pairs)
+        if phases not in chis:
+            chi = [Fraction(0)] * m
+            for (ck, _), phase in zip(pairs, phases):
+                chi[phase] += ck
+            chi = tuple(chi)
+            if chi not in kept:
+                kept[chi] = not vanishes(chi)
+            chis[phases] = chi, kept[chi]
+        chi, keep = chis[phases]
+        if keep:
+            if (phases, r) not in formed:
+                s_power = [sum(b**power for b in range(m) if b * r % m == k)
+                           for k in range(m)]
+                formed[phases, r] = ring.mul(chi, s_power)
+            weights[cls] = formed[phases, r]
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _representatives(p):
+    return tuple(coset_representatives(p))
 
 
 def elementary_symmetric(series_list, order: int):

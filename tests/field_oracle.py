@@ -1,16 +1,52 @@
 """Test oracle: exact arithmetic in the cyclotomic field Q[t]/Phi_m(t).
 
-The library decides exact vanishing in Q(zeta_m) by one polynomial
+The library decides exact vanishing in Q(zeta_m) by one integer polynomial
 remainder and counts exact ranks from residue classes; this is the direct
-field arithmetic that both are checked against.
+field arithmetic, on rational polynomials, that both are checked against.
 """
 
 import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-from mellinsys.rings import (_poly_divmod, _poly_mul, _poly_trim,
-                             cyclotomic_polynomial)
+from mellinsys.rings import cyclotomic_polynomial
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(num, den):
+    """Exact division with remainder of rational coefficient lists."""
+    num = [Fraction(c) for c in num]
+    den = [Fraction(c) for c in den]
+    _poly_trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    r = num[:]
+    _poly_trim(r)
+    dlead = den[-1]
+    while len(r) >= len(den):
+        shift = len(r) - len(den)
+        c = r[-1] / dlead
+        q[shift] = c
+        for i, dc in enumerate(den):
+            r[shift + i] -= c * dc
+        _poly_trim(r)
+    return q, r
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _poly_trim(out)
 
 
 def _poly_sub(a, b):

@@ -296,6 +296,31 @@ def test_verify_fails_on_a_wrong_mellin_coefficient(capsys, monkeypatch,
     roots._images.cache_clear()
 
 
+def test_verify_fails_on_a_wrong_phase(capsys, monkeypatch):
+    """One phase E_J[k] of the per-profile table off by 1 (J = (1, 0), k =
+    1, where every coset equation of (3;2,1) has phase 0) breaks the
+    relation e_0 - e_1: relation-residuals, log-solutions and direct-sum
+    fail, in text and --json, and verify exits 2."""
+    real = roots._phase_table
+
+    def bumped(p):
+        table = dict(real(p))
+        r, row = table[1, 0]
+        table[1, 0] = (r, (row[0], (row[1] + 1) % p.m, *row[2:]))
+        return table
+    assert real(make_profile(3, [2, 1]))[1, 0][1] == (0, 0, 0)
+    monkeypatch.setattr(roots, "_phase_table", bumped)
+    failing = ["relation-residuals", "log-solutions", "direct-sum"]
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1")
+    assert code == 2
+    failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+    assert [ln.split()[1] for ln in failed] == failing
+    code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == failing
+
+
 def _horn_x_by_own_factors(p, j, first):
     """H'_j from its own factors by composition, with the constant of the
     first tail factor -<M,theta>/m - 1/m replaced by ``first``."""

@@ -104,15 +104,22 @@ def test_field_embedding_consistent():
                    - ring.to_complex(a)) < 1e-12
 
 
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# numerators up to 10^40 and denominators up to 10^30, which the exact test
+# must clear to integers without losing a digit
+LARGE = st.builds(Fraction, st.integers(-10**40, 10**40),
+                  st.integers(1, 10**30))
+
+
 @st.composite
-def group_ring_elements(draw, m=None):
+def group_ring_elements(draw, m=None, rational=SMALL):
     """Q[Z/m] elements, m = 1..12 unless given, many of them vanishing in
-    Q(zeta_m): rational combinations of coset sums sum_{j<d} e^(k + j m/d),
-    d | m, d > 1, sometimes perturbed by one more term and scaled by 10^30."""
+    Q(zeta_m): combinations of coset sums sum_{j<d} e^(k + j m/d), d | m,
+    d > 1, with coefficients drawn from ``rational``, sometimes perturbed
+    by one more term and scaled by 10^30."""
     if m is None:
         m = draw(st.integers(1, 12))
     ring = get_cyclotomic_ring(m)
-    rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
     divisors = [d for d in range(2, m + 1) if m % d == 0]
     total = ring.zero
     for _ in range(draw(st.integers(0, 3)) if divisors else 0):
@@ -129,8 +136,16 @@ def group_ring_elements(draw, m=None):
     return m, total
 
 
+@st.composite
+def large_fraction_tuples(draw):
+    """Random Q[Z/m] elements, m = 1..12, with LARGE coordinates."""
+    m = draw(st.integers(1, 12))
+    return m, tuple(draw(st.lists(LARGE, min_size=m, max_size=m)))
+
+
 @settings(deadline=None)
-@given(group_ring_elements())
+@given(st.one_of(group_ring_elements(), group_ring_elements(rational=LARGE),
+                 large_fraction_tuples()))
 @example((1, (Fraction(10**30),)))
 @example((12, tuple([Fraction(10**30)] * 12)))
 @example((2, (Fraction(1), Fraction(1))))

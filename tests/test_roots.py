@@ -528,6 +528,34 @@ def test_relations_leave_empty_coset_sums(monkeypatch, m, ms):
         assert {name for name, _ in tested} <= {"_class_weights"}
 
 
+def test_class_weights_match_the_fraction_oracle(monkeypatch):
+    """On every d = 1 profile with m <= 7, n <= 3, for each relation basis
+    vector, e_0 and a combination with the entries 1/2 and -3/4, at powers
+    0 and 1, the integer tables equal the Fraction oracle's in values,
+    type and key order, with as many Phi_m tests, one per distinct chi."""
+    real, tested = roots.vanishes, []
+    monkeypatch.setattr(roots, "vanishes",
+                        lambda a: tested.append(tuple(a)) or real(a))
+    profiles = profile_suite(7, 3)
+    assert len(profiles) == 86
+    for p in profiles:
+        e0 = [F(1)] + [F(0)] * (len(coset_representatives(p)) - 1)
+        mixed = [F(0)] * len(e0)
+        mixed[0] += F(1, 2)
+        mixed[-1] -= F(3, 4)
+        oracle = get_cyclotomic_ring(p.m).is_zero_complex
+        for c in [*relation_basis(p), e0, mixed]:
+            for power in (0, 1):
+                chis = []
+                want = branch_oracle.class_weights_by_fractions(
+                    p, c, power, lambda a: chis.append(a) or oracle(a))
+                tested.clear()
+                got = roots._class_weights(p, c, power)
+                assert got == want and list(got) == list(want)
+                assert all(type(x) is F for w in got.values() for x in w)
+                assert len(tested) == len(set(tested)) == len(chis)
+
+
 def test_verify_tests_each_character_sum_once(monkeypatch, capsys):
     """On ``verify 5 4 3 2`` (24 relation vectors) each weight table makes
     one Phi_m test per distinct character sum, and no other test runs on

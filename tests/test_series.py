@@ -7,12 +7,14 @@ are frozen from that expansion.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mellinsys import series
 from mellinsys.profiles import (algebraic_index_set, dims, index_box,
                                 make_profile, principal_coefficient_vanishes)
 from basis_oracle import basis_by_recurrence
@@ -618,6 +620,62 @@ def test_twist_rank_matches_field_elimination():
             e1 = (1,) + (0,) * (p.n - 1)
             with pytest.raises(ValueError, match="not a coset"):
                 twist_rank(y, [(0,) * p.n, e1], p.m)
+
+
+def _closed_by_pairs(group, m):
+    """The pairwise-closure subgroup test: nonempty and closed under +."""
+    return bool(group) and all(
+        tuple((a + b) % m for a, b in zip(g, h)) in group
+        for g in group for h in group)
+
+
+def _span_by_pairs(gens, m, n):
+    """The subgroup of (Z/m)^n generated by ``gens``, by pairwise closure."""
+    span = {(0,) * n, *gens}
+    while not _closed_by_pairs(span, m):
+        span |= {tuple((a + b) % m for a, b in zip(g, h))
+                 for g in span for h in span}
+    return span
+
+
+@st.composite
+def twist_lists(draw):
+    """(m, n, twists) in (Z/m)^n, m <= 6, n <= 3: a shuffled coset of the
+    subgroup that up to three random vectors span, or a random list; both
+    with up to three repeated entries."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, m - 1)] * n)
+    if draw(st.booleans()):
+        t0, span = draw(vec), _span_by_pairs(draw(st.lists(vec, max_size=3)),
+                                             m, n)
+        twists = draw(st.permutations(
+            [tuple((a + b) % m for a, b in zip(t0, h)) for h in sorted(span)]))
+    else:
+        twists = draw(st.lists(vec, min_size=1, max_size=12))
+    return m, n, twists + draw(st.lists(st.sampled_from(twists), max_size=3))
+
+
+@settings(derandomize=True, deadline=None)
+@given(twist_lists())
+def test_subgroup_test_matches_pairwise_closure(case):
+    """The span growth of ``twist_rank`` accepts exactly the twist lists
+    whose translates pairwise closure accepts.  A coset gets the number of
+    distinct characters of H on the classes of the series as its rank; any
+    other list raises the ValueError that names (Z/m)^n."""
+    m, n, twists = case
+    group = {tuple((a - b) % m for a, b in zip(t, twists[0])) for t in twists}
+    closed = _closed_by_pairs(group, m)
+    assert series._is_subgroup(group, m) == closed
+    f = TruncatedSeries(n, m, {s: Fraction(1, 1 + sum(s))
+                               for s in exponents_up_to(n, m)})
+    if closed:
+        characters = {tuple(sum(a * b for a, b in zip(h, s)) % m
+                            for h in sorted(group)) for s in f.terms}
+        assert twist_rank(f, twists, m) == len(characters)
+    else:
+        message = f"the twists are not a coset of a subgroup of (Z/{m})^{n}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            twist_rank(f, twists, m)
 
 
 def test_principal_support_is_the_algebraic_index_set():
