@@ -31,9 +31,9 @@ from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dims, dot, index_box, make_profile, modular_counts,
                        relation_basis, var_names)
 from .rings import roots_of_unity, vanishes
-from .series import (convenient_basis_series, independence_rank,
-                     is_generating, monomial_text, principal_series,
-                     twist_rank)
+from .series import (TruncatedSeries, convenient_basis_series,
+                     independence_rank, is_generating, monomial_text,
+                     principal_series, twist_rank)
 from .weyl import (DiffOperator, discriminant_poly, derivative_factorization,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
                    leading_coefficient, mellin_system,
@@ -401,6 +401,24 @@ def _max_embedded(values, m: int) -> float:
                 for c in values if not vanishes(c)), default=0.0)
 
 
+def _basis_annihilated(p: ExponentProfile, ops, order: int) -> bool:
+    """Whether every operator annihilates every convenient basis series f_I
+    and f_I(I) = 1, for I in the box.
+
+    f_I is built on the class I + mN^n, and an operator whose terms x^a
+    D^b all have a = b (mod m) keeps each class, so one ``apply`` to the
+    union of the f_I decides every f_I, and f_I(I) is read from the union.
+    An operator that breaks the congruence fails."""
+    if not roots_mod.keeps_classes(ops, p.m):
+        return False
+    union, box = {}, index_box(p)
+    for idx in box:
+        union.update(convenient_basis_series(p, idx, order).terms)
+    union = TruncatedSeries(p.n, order, union)
+    return (all(union.coefficient(idx) == 1 for idx in box)
+            and all(op.apply(union).is_zero() for op in ops))
+
+
 @dataclass
 class Check:
     name: str
@@ -431,16 +449,10 @@ def run_verification(config: RunConfig) -> list[Check]:
 
     mellin = mellin_system(p)
     box = index_box(p)
-    initial_ok = True
-    annihilated = True
-    for idx in box:
-        f = convenient_basis_series(p, idx, order)
-        initial_ok = initial_ok and f.coefficient(idx) == 1
-        for op in mellin:
-            if not op.apply(f).is_zero():
-                annihilated = False
-    add("basis-annihilation", annihilated and initial_ok,
-        f"{len(box)} series, exact rational annihilation at order {order}")
+    detail = f"{len(box)} series, exact rational annihilation at order {order}"
+    if not roots_mod.keeps_classes(mellin, p.m):
+        detail = f"a Mellin operator term x^a D^b breaks a = b (mod {p.m})"
+    add("basis-annihilation", _basis_annihilated(p, mellin, order), detail)
 
     ypr = principal_series(p, order)
     gen = is_generating(ypr, p)
@@ -482,13 +494,10 @@ def run_verification(config: RunConfig) -> list[Check]:
                 "skipped: coincidence holds only for d = 1 "
                 f"(proportionality here: {ratio})")
 
-    jet_order = min(order, 8)
-    try:
-        dev = roots_mod.scaled_root_max_deviation(p, jet_order)
-        detail = f"max jet/rotation gap {dev:.3e} at order {jet_order}"
-    except roots_mod.RootFindingError as exc:
-        dev, detail = math.inf, f"Newton lift at order {jet_order}: {exc}"
-    add("scaled-roots", dev < roots_mod.SUBSTITUTION_TOL, detail)
+    sub, ann = roots_mod.root_identities(p, order)
+    add("root-identities", sub == 0 and ann == 0,
+        f"y_pr solves the equation ({sub:.3e}), every branch annihilated "
+        f"({ann:.3e}), exact at order {order}")
 
     base = tuple(0.2 * cmath.exp(0.7j * (j + 1)) for j in range(p.n))
     inst = roots_mod.EquationInstance(p, (0,) * p.n, base)
@@ -498,6 +507,10 @@ def run_verification(config: RunConfig) -> list[Check]:
     add("point-roots", len(vals) == p.m and abs(vieta) < 1e-9,
         f"{len(vals)} distinct roots at a fixed base point; "
         f"degree-1 symmetric residual {abs(vieta):.3e}")
+    gap, tol = roots_mod.point_branch_gap(p, order, base, vals)
+    add("point-branches", gap <= tol,
+        f"{p.m} rotations of y_pr there, one to one with those roots: "
+        f"largest gap {gap:.3e} (tol {tol:.3e})")
 
     total = roots_mod.root_sum(p, [1] + [0] * (len(gamma) - 1), order)
     if p.m_list[0] == p.m - 1:  # add x_1, e^0 in Q[Z/m]
@@ -595,7 +608,7 @@ def cmd_verify(config: RunConfig) -> int:
             "order": config.order,
             "seed": config.seed,
             "tolerances": {
-                "substitution": roots_mod.SUBSTITUTION_TOL,
+                "point": roots_mod.POINT_TOL,
                 "rank": roots_mod.RANK_TOL,
             },
             "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}

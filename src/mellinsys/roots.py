@@ -21,29 +21,26 @@ Branch b of coset equation k carries the phase e^{b r_J + E_J[k]} at
 every exponent of class J, with r_J = 1 + <M, J> and E_J[k] = <I_k, J>
 mod m.  These integers come from one cached table per profile
 (``_phase_table``), which the class weights, the complex branch jets and
-the scaled-root gap all read.  The class weights are built in integers:
-the denominators of the relation vector are cleared once, each distinct
-character sum is tested against Phi_m in ints, and a kept product is
-divided by the common denominator only at the end.
+the branches at a point all read.  The class weights are built in
+integers: the denominators of the relation vector are cleared once, each
+distinct character sum is tested against Phi_m in ints, and a kept
+product is divided by the common denominator only at the end.
 
-Two numeric witnesses stay independent of the closed form: an Aberth-style
-simultaneous root finder (no companion matrix) for scalar roots at a base
-point, and Newton lifting of all m Taylor branches at the origin, where the
-roots are the distinct m-th roots of unity and the Jacobian never
-degenerates.  The lift starts from zeta^b and never reads y_pr.  It
-carries the m branches as the rows of one dense complex array over the
-exponents sorted by degree, multiplies through a cached table of exponent
-pairs with elementwise products and fixed-order segment sums (no BLAS, so
-the digits do not depend on the build or the thread count), and runs
-Newton update k at order min(2^{k+1} - 1, order), the degree through
-which it is correct.  Their tolerances (also surfaced by the CLI) are
-1e-10 for the substitution residual of the lifted jets and 1e-10 relative
-for rank pivots.  Complex values are never dropped for being small, so a
-reported gap is the measured rounding error, about 1e-15 on order-12
-jets.  The scaled-root gap compares the dense rows of the lift with the
-rotations of y_pr column by column.  The complex witnesses are plain
-{exponent: complex} maps: the branch jets of ``coset_equation_jets``, y_pr
-times embedded phases, and the ``chi`` of each :class:`LogSolution`.
+The root identities are exact (:func:`root_identities`): y_pr solves the
+equation through the order, and every branch is annihilated.  The m
+rotations of y_pr have the distinct constant terms zeta^b, where the
+y-derivative m zeta^{b(m-1)} does not vanish, so by Hensel's lemma each
+is the unique branch with its constant term; no Newton lift is needed.
+One numeric witness stays independent of the closed form: an Aberth-style
+simultaneous root finder (no companion matrix) for the scalar roots at a
+base point.  :func:`point_branch_gap` matches them one to one with the m
+rotations of y_pr summed at that point, within POINT_TOL plus the size
+sum_{|s| = t} |y_s x^s| of the top-degree terms (t the highest degree
+through the order with a term): an estimate of the truncation error, not
+a bound.  Numeric ranks keep a relative pivot tolerance of 1e-10.  The
+complex witnesses are plain {exponent: complex} maps: the branch jets of
+``coset_equation_jets``, y_pr times embedded phases, and the ``chi`` of
+each :class:`LogSolution`.
 """
 
 from __future__ import annotations
@@ -55,10 +52,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import NamedTuple
-
-import numpy as np
+from itertools import islice, product
 
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
                        dot, index_box, make_profile)
@@ -67,9 +61,12 @@ from .series import (RANK_TOL, TruncatedSeries, exponents_up_to,
                      principal_series, twist_rank)
 from .weyl import mellin_system
 
-SUBSTITUTION_TOL = 1e-10
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_SEPARATION_TOL = 1e-8
+POINT_TOL = 1e-12  # floor of the point-branches tolerance
+# A pair table with more pairs is built for its residual and not kept: kept,
+# it would add to the peak memory of ``verify`` (1.5 MB at n = 4, order 16).
+MAX_SHARED_PAIRS = 2**18
 
 
 class RootFindingError(ArithmeticError):
@@ -171,167 +168,43 @@ def roots_at_point(instance: EquationInstance, seed: int = 0) -> list[complex]:
                                         round(abs(y), 9)))
 
 
-MAX_LIFT_VALUES = 2**21  # complex values in one gathered product of the lift
+def branches_at_point(profile: ExponentProfile, order: int, point):
+    """The m branches e^b y_pr(e^{b m_1} x_1, ..., e^{b m_n} x_n) of the
+    untwisted equation, summed through ``order`` at ``point``, and the size
+    sum_{|s| = t} |y_s x^s| of their top-degree terms, t the highest degree
+    through ``order`` at which y_pr has a term.
+
+    Branch b has y_s zeta^{b r_J} at s, J = s mod m (``_phase_table``), so
+    the terms y_s x^s are summed once per value of r_J and each branch
+    weights the m sums by zeta^{b r}.  Mellin's coefficients vanish on
+    whole degrees for some profiles ((3;1) has none of degree 2, 5, 8,
+    ...), so t can fall below ``order``."""
+    m, table, zeta = profile.m, _phase_table(profile), roots_of_unity(profile.m)
+    powers = [[x**k for k in range(order + 1)] for x in point]
+    sums, sizes = [0j] * m, [0.0] * (order + 1)
+    for s, c in _source(profile, order, 1).terms.items():
+        v = complex(c) * math.prod(map(operator.getitem, powers, s))
+        sums[table[tuple(k % m for k in s)][0]] += v
+        sizes[sum(s)] += abs(v)
+    return [sum(a * zeta[b * r % m] for r, a in enumerate(sums))
+            for b in range(m)], next((v for v in reversed(sizes) if v), 0.0)
 
 
-class _LiftTable(NamedTuple):
-    """Dense layout of the jets of n variables through one order.
-
-    Column k holds exps[k]; the exponents are sorted by total degree, so
-    the truncation to degree d is the first cols[d] columns.  Pair p says
-    exps[left[p]] + exps[right[p]] is the exponent of its column; pairs are
-    sorted by column and those of column k start at starts[k], so the
-    columns of degree <= d own the first starts[cols[d]] pairs (starts has
-    one entry past the last column).  shifts[j][k] is the column of
-    exps[k] + e_j, for the columns below the top degree.
-    """
-
-    exps: tuple
-    cols: tuple
-    left: np.ndarray
-    right: np.ndarray
-    starts: np.ndarray
-    shifts: tuple
-
-
-@lru_cache(maxsize=16)
-def _lift_table(n: int, order: int) -> _LiftTable:
-    """The layout of the jets of n variables through ``order``, built on
-    the first lift that needs it and cached, as ``mellin_system`` is."""
-    exps = sorted(exponents_up_to(n, order), key=sum)
-    index = {e: k for k, e in enumerate(exps)}
-    left, right, starts = [], [], []
-    for e in exps:
-        starts.append(len(left))
-        for u in product(*(range(v + 1) for v in e)):
-            left.append(index[u])
-            right.append(index[tuple(map(operator.sub, e, u))])
-    starts.append(len(left))
-    cols = tuple(math.comb(d + n, n) for d in range(order + 1))
-    below = exps[:cols[order - 1]]
-    shifts = tuple(_read_only([index[e[:j] + (e[j] + 1,) + e[j + 1:]]
-                               for e in below]) for j in range(n))
-    return _LiftTable(exps=tuple(exps), cols=cols, left=_read_only(left),
-                      right=_read_only(right), starts=_read_only(starts),
-                      shifts=shifts)
-
-
-def _read_only(values) -> np.ndarray:
-    """An index array that every caller of the cached table shares."""
-    out = np.array(values)
-    out.flags.writeable = False
-    return out
-
-
-def _mul(table: _LiftTable, a, b, order: int):
-    """Row-wise product of a and b through degree ``order``."""
-    top = table.cols[order]
-    end = table.starts[top]
-    return np.add.reduceat(a[:, table.left[:end]] * b[:, table.right[:end]],
-                           table.starts[:top], axis=1)
-
-
-def _inverse(table: _LiftTable, f, order: int):
-    """Row-wise reciprocal of f through degree ``order``, filled degree by
-    degree: f_0 g_e = -sum_{u + v = e, v != e} f_u g_v.  The pair (0, e)
-    meets g_e while it is still 0."""
-    cols, starts = table.cols, table.starts
-    g = np.zeros_like(f[:, :cols[order]])
-    g[:, 0] = 1 / f[:, 0]
-    for d in range(1, order + 1):
-        lo, hi = starts[cols[d - 1]], starts[cols[d]]
-        acc = np.add.reduceat(
-            f[:, table.left[lo:hi]] * g[:, table.right[lo:hi]],
-            starts[cols[d - 1]:cols[d]] - lo, axis=1)
-        g[:, cols[d - 1]:cols[d]] = -acc * g[:, :1]
-    return g
-
-
-def _dense_p_and_dp(y, order: int, table: _LiftTable,
-                    profile: ExponentProfile, units):
-    """p(y) and p'(y) through degree ``order`` for every row of y, from one
-    table of powers y^0..y^m (m - 1 products); x_j shifts columns, and
-    units[j] is the twist unit of x_j."""
-    m, top, low = profile.m, table.cols[order], table.cols[order - 1]
-    one = np.zeros_like(y[:, :top])
-    one[:, 0] = 1
-    powers = [one, y[:, :top]]
-    for _ in range(m - 1):
-        powers.append(_mul(table, powers[-1], y, order))
-    p = powers[m] - one
-    dp = m * powers[m - 1]
-    for shift, unit, mj in zip(table.shifts, units, profile.m_list):
-        at = shift[:low]
-        p[:, at] += unit * powers[mj][:, :low]
-        dp[:, at] += (unit * mj) * powers[mj - 1][:, :low]
-    return p, dp
-
-
-def _dense_lift(instance: EquationInstance, order: int):
-    """Newton-lift all m branches at the origin: the lift's table and its
-    (m, K) complex array, whose row b is branch b over the K columns
-    ``table.exps``.
-
-    Branch b starts from the exact simple root zeta^b of y^m = 1, where
-    the y-derivative m zeta^{b(m-1)} cannot vanish.  Each Newton update
-    doubles the number of correct degrees (Brent-Kung, J. ACM 25, 1978),
-    so exactly ceil(log2(order + 1)) updates reach the order, and update
-    k = 0, 1, ... runs at order min(2^{k+1} - 1, order): y is correct
-    through degree 2^k - 1 and its terms above are zero.  The columns are
-    the exponents sorted by degree (``_LiftTable``): a product is a gather
-    over the cached pair table and one fixed-order segment sum, so no
-    library summation order enters the digits.  The final substitution
-    residual of each branch, taken at the full order, must stay below
-    SUBSTITUTION_TOL.  A lift whose products would hold more than
-    MAX_LIFT_VALUES complex values is refused before any table is built.
-    """
-    if any(abs(v) != 0 for v in instance.base_point):
-        raise ProfileError("jets are lifted at the origin only")
-    if order < 1:
-        raise ValueError("jet order must be at least 1")
-    profile = instance.profile
-    m, n = profile.m, profile.n
-    values = m * math.comb(order + 2 * n, 2 * n)
-    if values > MAX_LIFT_VALUES:
-        raise ValueError(
-            f"lifting {m} branches in {n} variables at order {order} "
-            f"multiplies {values} complex values, above MAX_LIFT_VALUES = "
-            f"{MAX_LIFT_VALUES}")
-    table = _lift_table(n, order)
-    zeta = cmath.exp(2j * cmath.pi / m)
-    units = [zeta**ij if ij else 1 for ij in instance.twist]
-    y = np.zeros((m, table.cols[order]), dtype=complex)
-    y[:, 0] = [zeta**b for b in range(m)]
-    for k in range(math.ceil(math.log2(order + 1))):
-        d = min(2 ** (k + 1) - 1, order)
-        p, dp = _dense_p_and_dp(y, d, table, profile, units)
-        y[:, :table.cols[d]] -= _mul(table, p, _inverse(table, dp, d), d)
-    p = _dense_p_and_dp(y, order, table, profile, units)[0]
-    for b, residual in enumerate(np.abs(p).max(axis=1)):
-        if residual >= SUBSTITUTION_TOL:
-            raise RootFindingError(
-                f"branch {b} substitution residual {residual:.3e}")
-    return table, y
-
-
-def scaled_root_max_deviation(profile: ExponentProfile, order: int) -> float:
-    """Max coefficient gap between origin jets and the rotated principal root.
-
-    Branch b of the untwisted equation must match
-    e^b * y_pr(e^{b m_1} x_1, ..., e^{b m_n} x_n), whose coefficient at s
-    is y_s zeta^{b r_J}, J = s mod m (``_phase_table``): each column of the
-    dense lift is compared with complex(y_s) times these units from the
-    Q[Z/m] embedding table.
-    """
-    table, y = _dense_lift(origin_instance(profile), order)
-    m, ypr = profile.m, principal_series(profile, order)
-    zeta, phases = roots_of_unity(m), _phase_table(profile)
-    targets = []
-    for s in table.exps:
-        c, r = complex(ypr.coefficient(s)), phases[tuple(v % m for v in s)][0]
-        targets.append([c * zeta[b * r % m] for b in range(m)])
-    # Python's complex abs: numpy's can differ from it in the last bit
-    return max(map(abs, (y - np.array(targets).T).ravel().tolist()))
+def point_branch_gap(profile: ExponentProfile, order: int, point,
+                     values) -> tuple[float, float]:
+    """(gap, tol) between the branches at ``point`` and the m root
+    ``values`` there: each branch is matched to its nearest value, the gap
+    is the largest distance (inf unless the matching is one to one), and
+    tol = POINT_TOL + the size of the top-degree terms of the branches
+    (``branches_at_point``), an estimate of the truncation error, not a
+    bound."""
+    branches, tail = branches_at_point(profile, order, point)
+    nearest = [min(range(len(values)), key=lambda i: abs(values[i] - y))
+               for y in branches]
+    gap = math.inf
+    if sorted(nearest) == list(range(len(values))):
+        gap = max(abs(values[i] - y) for i, y in zip(nearest, branches))
+    return gap, POINT_TOL + tail
 
 
 @lru_cache(maxsize=16)
@@ -452,6 +325,14 @@ def _source(profile: ExponentProfile, order: int, power: int):
     return TruncatedSeries(profile.n, order, terms)
 
 
+def keeps_classes(ops, m: int) -> bool:
+    """Whether every term x^a D^b of every operator has a = b (mod m), so
+    that each operator maps a series on one class of s mod m into that
+    class."""
+    return not any((ai - bi) % m for op in ops for a, b in op.terms
+                   for ai, bi in zip(a, b))
+
+
 @lru_cache(maxsize=64)
 def _images(profile: ExponentProfile, order: int, power: int) -> tuple:
     """op_j(_source(power)) for every Mellin operator.
@@ -461,18 +342,43 @@ def _images(profile: ExponentProfile, order: int, power: int) -> tuple:
     Any other term raises: nothing is decided branch by branch.
     """
     m, ops = profile.m, mellin_system(profile)
-    if any((ai - bi) % m for op in ops for a, b in op.terms
-           for ai, bi in zip(a, b)):
+    if not keeps_classes(ops, m):
         raise ArithmeticError("a Mellin operator term x^a D^b breaks "
                               f"a = b (mod {m})")
     return tuple(op.apply(_source(profile, order, power)) for op in ops)
 
 
+@lru_cache(maxsize=64)
 def _branch_residual(profile: ExponentProfile, order: int) -> float:
     """Relative annihilation residual of every root branch of every twisted
     equation, which weights y_pr by units e^k with k fixed by s mod m."""
     worst = max(im.max_abs() for im in _images(profile, order, 1))
     return worst / _source(profile, order, 1).max_abs()
+
+
+@lru_cache(maxsize=8)
+def _pair_table(n: int, order: int) -> tuple:
+    """(exps, index, counts, left): the exponents of n variables through
+    ``order`` in the order of ``exponents_up_to``, their positions, and
+    the C(order + 2n, 2n) pairs (a, s - a) of the product columns s.
+
+    Column k owns the next counts[k] entries of ``left``, the positions of
+    the a <= s in lexicographic order.  s - a runs through the same box in
+    reverse order, so the positions of s - a are that run reversed, and
+    C(s, a) = prod_i C(s_i, a_i) comes from rows of binomials in the same
+    order.  ``left`` takes 2 bytes a pair while the positions fit.  The
+    table is built on the first residual that needs it and shared,
+    read-only, by every profile with n variables.
+    """
+    from array import array  # here, so that no other subcommand loads it
+    exps = tuple(exponents_up_to(n, order))
+    index = {s: k for k, s in enumerate(exps)}
+    counts = [math.prod(v + 1 for v in s) for s in exps]
+    left = array("H" if len(exps) <= 1 << 16 else "i")
+    for s in exps:
+        left.extend(map(index.__getitem__,
+                        product(*(range(v + 1) for v in s))))
+    return exps, index, counts, left
 
 
 @lru_cache(maxsize=64)
@@ -482,25 +388,32 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
 
     Scaled as f~_s = m^|s| s! f_s, y_pr is integral by its closed form (a
     coefficient that is not stays an exact Fraction), a product is the
-    binomial convolution (fg)~_s = sum_{a <= s} C(s, a) f~_a g~_{s-a}, and
+    binomial convolution (fg)~_s = sum_{a <= s} C(s, a) f~_a g~_{s-a} over
+    the pairs of ``_pair_table`` (shared up to MAX_SHARED_PAIRS pairs), and
     x_j f is m s_j f~_{s-e_j}.  One table of powers y^0..y^m takes m - 1
     products; each residual coefficient is unscaled once, for its float.
     """
     m, y = profile.m, _source(profile, order, 1).terms
-    exps = list(exponents_up_to(profile.n, order))
-    index = {s: k for k, s in enumerate(exps)}
+    n = profile.n
+    build = (_pair_table if math.comb(order + 2 * n, 2 * n) <= MAX_SHARED_PAIRS
+             else _pair_table.__wrapped__)
+    exps, index, counts, left = build(n, order)
     scales = [m**sum(s) * math.prod(map(math.factorial, s)) for s in exps]
     u = [y.get(s, 0) * w for s, w in zip(exps, scales)]
     u = [q.numerator if q.denominator == 1 else q for q in u]
-    # the pairs (a, s - a) of column s, each weighted by C(s, a) u_{s-a}
-    rows = [[(index[a], math.prod(map(math.comb, s, a))
-              * u[index[tuple(map(operator.sub, s, a))]])
-             for a in product(*(range(v + 1) for v in s))] for s in exps]
+    # pair p of a product with f weighs f~_{left[p]} by C(s, a) u~_{s-a}
+    rows = [[math.comb(v, k) for k in range(v + 1)] for v in range(order + 1)]
+    weights, at = [], 0
+    for s, count in zip(exps, counts):
+        weights += map(operator.mul,
+                       map(math.prod, product(*(rows[v] for v in s))),
+                       map(u.__getitem__, reversed(left[at:at + count])))
+        at += count
     one = [1] + [0] * (len(exps) - 1)
     powers = [one, u]
     for _ in range(m - 1):
-        f = powers[-1]
-        powers.append([sum(f[k] * w for k, w in row) for row in rows])
+        terms = map(operator.mul, map(powers[-1].__getitem__, left), weights)
+        powers.append([sum(islice(terms, k)) for k in counts])
     r = list(map(operator.sub, powers[m], one))
     for j, mj in enumerate(profile.m_list):
         f = powers[mj]
@@ -509,6 +422,18 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
                 r[k] += m * s[j] * f[index[s[:j] + (s[j] - 1,) + s[j + 1:]]]
     return max((abs(float(Fraction(v, w))) for v, w in zip(r, scales) if v),
                default=0.0)
+
+
+def root_identities(profile: ExponentProfile, order: int) -> tuple:
+    """(substitution, annihilation): the exact residual of y_pr in its
+    equation and the relative annihilation residual of every branch, both
+    0.0 iff the identities hold through ``order`` (the annihilation is inf
+    if an operator term breaks a = b mod m)."""
+    try:
+        annihilation = _branch_residual(profile, order)
+    except ArithmeticError:  # an operator breaks the congruence
+        annihilation = math.inf
+    return _substitution_residual(profile, order), annihilation
 
 
 def root_sum(profile: ExponentProfile, c, order: int) -> dict:
@@ -646,15 +571,13 @@ def equation_report(profile: ExponentProfile, twist, order: int,
     Branch b of the equation twisted by I is e^b y_pr(u) with u_j =
     e^{b m_j + i_j} x_j, and P_I(e^b y_pr(u))(x) = P_0(y_pr)(u), so every
     branch has the exact substitution residual of y_pr.  The annihilation
-    residual is exact too (inf if an operator breaks a = b mod m), and the
-    rank is the ``twist_rank`` of y_pr over the twists b M + I (None if its
-    SVD witness disagrees).  The seed keeps reports self-describing beside
+    residual is exact too (inf if an operator breaks a = b mod m); both are
+    the cached :func:`root_identities` that ``verify`` gates.  The rank is
+    the ``twist_rank`` of y_pr over the twists b M + I (None if its SVD
+    witness disagrees).  The seed keeps reports self-describing beside
     seeded root finds.
     """
-    try:
-        annihilation = _branch_residual(profile, order)
-    except ArithmeticError:  # an operator breaks the congruence
-        annihilation = math.inf
+    substitution, annihilation = root_identities(profile, order)
     inst, m = origin_instance(profile, twist), profile.m
     twists = [[(b * mk + ik) % m for mk, ik in zip(profile.m_list, inst.twist)]
               for b in range(m)]
@@ -667,7 +590,7 @@ def equation_report(profile: ExponentProfile, twist, order: int,
         "twist": list(inst.twist),
         "order": order,
         "seed": seed,
-        "substitution_residual": _substitution_residual(profile, order),
+        "substitution_residual": substitution,
         "annihilation_residual": annihilation,
         "rank": rank,
     }

@@ -6,15 +6,17 @@ for annihilation of the closed-form bases, 1e-10 for jet coefficient
 matches and rank pivots, 1e-8 relative for numeric annihilation residuals.
 """
 
+import cmath
 import random
 from fractions import Fraction
 
 from mellinsys.profiles import (algebraic_index_set, dims, index_box,
                                 make_profile, missing_index_set,
                                 modular_counts)
-from mellinsys.roots import (coset_equation_jets, invariant_subspace_witness,
-                             log_solution, relation_check,
-                             scaled_root_max_deviation)
+from mellinsys.roots import (EquationInstance, coset_equation_jets,
+                             invariant_subspace_witness, log_solution,
+                             point_branch_gap, relation_check,
+                             root_identities, roots_at_point)
 from mellinsys.series import (convenient_basis_series, exponents_up_to,
                               independence_rank, principal_series, twist_rank)
 from mellinsys.weyl import (DiffOperator, derivative_factorization,
@@ -22,7 +24,7 @@ from mellinsys.weyl import (DiffOperator, derivative_factorization,
                             horn_system, mellin_operator_1d, mellin_system,
                             mellin_system_theta_form, poly_scale_ratio,
                             theta_factorization)
-from branch_oracle import mellin_residual
+from branch_oracle import mellin_residual, scaled_root_max_deviation
 from profile_oracle import beukers_heckman_reducible, profile_suite
 from ring_oracle import COMPLEX, RingSeries
 from weyl_oracle import (equals_up_to_rational_scale, factorization_check,
@@ -205,13 +207,26 @@ def test_criterion_08_rotation_basis():
 
 
 def test_criterion_09_scaled_root_identity():
-    worst = 0.0
+    """The branches are the rotations of y_pr: exactly (y_pr solves the
+    equation and every branch is annihilated, so by Hensel's lemma each
+    rotation is the branch with its constant term), at the base point of
+    ``verify`` against the Aberth roots, and against the Newton-lifted jets
+    of the branch oracle."""
+    worst = ratio = 0.0
     for m, ms in SUITE:
-        dev = scaled_root_max_deviation(make_profile(m, ms), 8)
+        p = make_profile(m, ms)
+        assert root_identities(p, ORDER) == (0.0, 0.0)
+        base = tuple(0.2 * cmath.exp(0.7j * (j + 1)) for j in range(p.n))
+        vals = roots_at_point(EquationInstance(p, (0,) * p.n, base))
+        gap, tol = point_branch_gap(p, ORDER, base, vals)
+        assert gap <= tol
+        ratio = max(ratio, gap / tol)
+        dev = scaled_root_max_deviation(p, 8)
         assert dev < 1e-10
         worst = max(worst, dev)
     _report(9, "scaled-root identity",
-            f"jets match rotated principal roots at order 8, "
+            f"exact at order {ORDER}; point gaps at most {ratio:.2f} tol; "
+            f"lifted jets match rotated principal roots at order 8, "
             f"worst gap {worst:.3e} (tolerance 1e-10)")
 
 

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from mellinsys import cli, roots, series
 from mellinsys.cli import _dumps, check_verify_order, main, parse_basis
-from mellinsys.profiles import make_profile
+from mellinsys.profiles import index_box, make_profile
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               is_generating, principal_series)
 from mellinsys.weyl import (DiffOperator, horn_mellin_multiplier,
                             horn_system, lattice_matrices, mellin_system,
                             mellin_system_theta_form)
+from profile_oracle import profile_suite
 from ring_oracle import scaled_root_series
 from series_oracle import series_text, series_to_json
 from test_golden import CASES as GOLDEN_CASES
@@ -228,11 +229,152 @@ def test_verify_quadratic(capsys):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    # a zero substitution tolerance makes the numeric scaled-roots witness fail
-    monkeypatch.setattr(roots, "SUBSTITUTION_TOL", 0.0)
+    # the smallest nonzero substitution residual fails the exact gate
+    monkeypatch.setattr(roots, "_substitution_residual", lambda p, order: 5e-324)
     code, out, _ = run_cli(capsys, "verify", "3", "2", "1", "--order", "10")
     assert code == 2
     assert "FAIL" in out
+
+
+ROOT_CACHES = (roots._source, roots._images, roots._substitution_residual,
+               roots._branch_residual)
+
+
+@pytest.fixture
+def fresh_root_caches():
+    """Clear the per-(profile, order) caches of ``roots`` around a test
+    that patches what they are built from."""
+    for cache in ROOT_CACHES:
+        cache.cache_clear()
+    yield
+    for cache in ROOT_CACHES:
+        cache.cache_clear()
+
+
+def _failed_checks(capsys, argv):
+    """(exit code, failing check names) of ``verify`` in text, the same
+    from --json, and the --json ``ok``."""
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    text = [ln.split()[1] for ln in out.splitlines() if ln.startswith("FAIL")]
+    json_code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+    payload = json.loads(out)
+    return (code, text, json_code,
+            [c["name"] for c in payload["checks"] if not c["ok"]],
+            payload["ok"])
+
+
+def _with_term_off_the_congruence(real):
+    """``real`` (a ``mellin_system``) with x_1 added to the first operator:
+    a term x^a D^b with a - b = e_1, which breaks a = b (mod m)."""
+    def extra(p):
+        ops = real(p)
+        one = (1,) + (0,) * (p.n - 1)
+        return (DiffOperator(p.n, {**ops[0].terms,
+                                   (one, (0,) * p.n): Fraction(1)}),
+                *ops[1:])
+    return extra
+
+
+@pytest.mark.parametrize("profile,exp", [
+    (["3", "2", "1"], (2, 6)), (["3", "2", "1"], (1, 0)),
+    (["5", "2"], (8,)), (["6", "4", "2"], (0, 3)), (["4", "2", "1"], (5, 3))])
+def test_verify_fails_on_a_principal_coefficient_off_by_one(
+        capsys, monkeypatch, fresh_root_caches, profile, exp):
+    """y_pr with one coefficient of degree <= 8 off by 1: the exact
+    root-identities gate and the point-branches witness both fail, in text
+    and --json, and verify exits 2.  At the base point the change moves a
+    branch by 0.2^|s| >= 2.6e-6, above every tolerance at order 12."""
+    real = roots.principal_series
+
+    def bumped(p, order):
+        y = real(p, order)
+        return TruncatedSeries(y.n_vars, y.order,
+                               {**y.terms, exp: y.coefficient(exp) + 1})
+    monkeypatch.setattr(roots, "principal_series", bumped)
+    code, text, json_code, failed, ok = _failed_checks(capsys, profile)
+    assert code == json_code == 2 and ok is False
+    for names in (text, failed):
+        assert {"root-identities", "point-branches"} <= set(names)
+
+
+@pytest.mark.parametrize("name", ["_substitution_residual", "_branch_residual"])
+def test_verify_gates_each_root_identity(capsys, monkeypatch, name):
+    """Either exact residual patched to 1.0 fails root-identities, alone,
+    and --json reports "ok": false with exit 2."""
+    monkeypatch.setattr(roots, name, lambda p, order: 1.0)
+    code, text, json_code, failed, ok = _failed_checks(capsys,
+                                                       ["3", "2", "1"])
+    assert code == json_code == 2 and ok is False
+    assert text == failed == ["root-identities"]
+
+
+def test_verify_root_identities_fail_on_a_broken_congruence(
+        capsys, monkeypatch, fresh_root_caches):
+    """An operator term that breaks a = b (mod m) makes the branch
+    residual infinite: root-identities fails."""
+    monkeypatch.setattr(roots, "mellin_system",
+                        _with_term_off_the_congruence(roots.mellin_system))
+    code, text, *_ = _failed_checks(capsys, ["3", "2", "1", "--order", "8"])
+    assert code == 2 and "root-identities" in text
+    assert roots.root_identities(make_profile(3, [2, 1]), 8) == (0.0,
+                                                                 math.inf)
+
+
+def test_basis_annihilation_fails_on_a_term_off_the_congruence(capsys,
+                                                               monkeypatch):
+    """A Mellin operator term x^a D^b with a != b (mod m), patched into
+    the operators that basis-annihilation applies, fails that check alone,
+    with a detail that names the congruence."""
+    monkeypatch.setattr(cli, "mellin_system",
+                        _with_term_off_the_congruence(cli.mellin_system))
+    code, text, json_code, failed, _ = _failed_checks(capsys, ["3", "2", "1"])
+    assert code == json_code == 2
+    assert text == failed == ["basis-annihilation"]
+    _, out, _ = run_cli(capsys, "verify", "3", "2", "1")
+    line = next(ln for ln in out.splitlines() if "basis-annihilation" in ln)
+    assert "breaks a = b (mod 3)" in line
+
+
+def test_union_annihilation_refuses_a_silent_term_off_the_congruence():
+    """A term x^a D^b with a != b (mod m) and b_1 above the order sends
+    every series to 0, so one apply per f_I still passes; the union
+    verdict would be unsound under such a term, and fails."""
+    p, order = make_profile(3, [2, 1]), 12
+    ops = mellin_system(p)
+    b = (order + 1, 0)
+    silent = DiffOperator(p.n, {**ops[0].terms, ((order + 2, 0), b): 1})
+    ops = (silent, *ops[1:])
+    assert _annihilated_index_by_index(p, ops, order)
+    assert not cli._basis_annihilated(p, ops, order)
+
+
+def _annihilated_index_by_index(p, ops, order):
+    """The verdict of basis-annihilation taken one f_I at a time."""
+    for idx in index_box(p):
+        f = convenient_basis_series(p, idx, order)
+        if f.coefficient(idx) != 1 or any(not op.apply(f).is_zero()
+                                          for op in ops):
+            return False
+    return True
+
+
+@settings(deadline=None, max_examples=12, derandomize=True)
+@given(st.sampled_from(profile_suite(7, 3, d_one_only=False)),
+       st.booleans())
+def test_union_annihilation_equals_the_per_index_verdict(p, bump):
+    """One apply per operator to the union of the f_I gives the verdict of
+    one apply per f_I, for the Mellin operators and for the same operators
+    with their leading coefficient off by 1.  That coefficient is of x^a
+    D^b with |b| = m, whose image is reliable only through degree order -
+    m, so the order is at least 2m, as well as the order floor."""
+    ops = mellin_system(p)
+    if bump:
+        (key, c), *_ = ops[0].sorted_terms()
+        ops = (DiffOperator(p.n, {**ops[0].terms, key: c + 1}), *ops[1:])
+    order = max(2 * p.m, p.n * (p.m - 1))
+    verdict = cli._basis_annihilated(p, ops, order)
+    assert verdict == _annihilated_index_by_index(p, ops, order)
+    assert verdict is not bump
 
 
 def test_verify_fails_when_a_residue_class_is_dropped(capsys, monkeypatch):

@@ -20,24 +20,24 @@ from mellinsys import cli, roots, series
 from mellinsys.profiles import (coset_representatives, index_box,
                                 make_profile, relation_basis)
 from mellinsys.cli import main
-from mellinsys.roots import (SUBSTITUTION_TOL,
-                             EquationInstance, RootFindingError,
+from mellinsys.roots import (EquationInstance, RootFindingError,
                              coset_equation_jets, invariant_subspace_witness,
                              log_residual, log_solution,
                              origin_instance, relation_check, root_sum,
-                             roots_at_point, scaled_root_max_deviation)
+                             roots_at_point)
 from mellinsys.weyl import DiffOperator
 from mellinsys.series import (TruncatedSeries, exponents_up_to,
                               independence_rank, principal_series, twist_rank)
 from mellinsys.profiles import ProfileError
 import branch_oracle
-from branch_oracle import (elementary_symmetric, equation_record_by_branches,
-                           lift_jets, lift_jets_by_series,
-                           lift_jets_full_order,
+from branch_oracle import (SUBSTITUTION_TOL, elementary_symmetric,
+                           equation_record_by_branches, lift_jets,
+                           lift_jets_by_series, lift_jets_full_order,
                            log_parts_by_branches, log_parts_from_weights,
                            mellin_residual, nonvanishing,
                            poly_and_derivative, root_sum_by_branches,
                            scaled_root_deviation_by_series,
+                           scaled_root_max_deviation,
                            substitution_residual_by_products)
 from profile_oracle import profile_suite
 from ring_oracle import (COMPLEX, RingSeries, get_cyclotomic_ring,
@@ -204,14 +204,14 @@ def test_lift_reaches_the_order_in_ceil_log2_updates(monkeypatch, m, ms):
     for all m branches, reach the closed-form branches at every order."""
     orders = {1: [1, 1], 2: [1, 2, 2], 3: [1, 3, 3], 4: [1, 3, 4, 4],
               7: [1, 3, 7, 7], 8: [1, 3, 7, 8, 8], 12: [1, 3, 7, 12, 12]}
-    real = roots._dense_p_and_dp
+    real = branch_oracle._dense_p_and_dp
     seen, rows = [], set()
 
     def spy(y, order, *rest):
         seen.append(order)
         rows.add(y.shape[0])
         return real(y, order, *rest)
-    monkeypatch.setattr(roots, "_dense_p_and_dp", spy)
+    monkeypatch.setattr(branch_oracle, "_dense_p_and_dp", spy)
     p = make_profile(m, ms)
     for order, updates in orders.items():
         seen.clear()
@@ -224,10 +224,10 @@ def test_lift_refuses_a_table_above_the_bound():
     """n = 4 at order 64 needs about 1.2e10 pairs: refused before the pair
     table is built, while the largest lift of the tests (m = 9, n = 3,
     order 12) is admitted."""
-    built = roots._lift_table.cache_info()
+    built = branch_oracle._lift_table.cache_info()
     with pytest.raises(ValueError, match="MAX_LIFT_VALUES"):
         lift_jets(origin_instance(make_profile(5, [4, 3, 2, 1])), 64)
-    assert roots._lift_table.cache_info() == built
+    assert branch_oracle._lift_table.cache_info() == built
     assert len(lift_jets(origin_instance(make_profile(9, [8, 7, 6])), 12)) == 9
 
 
@@ -279,6 +279,130 @@ def test_scaled_root_gap_of_the_univariate_sweep(p):
     """The 36 univariate profiles at order 8, as ``verify`` runs them."""
     gap = scaled_root_max_deviation(p, 8)
     assert gap == scaled_root_deviation_by_series(p, 8) < SUBSTITUTION_TOL
+
+
+# ---------------------------------------------------------------------------
+# the branches at a point
+# ---------------------------------------------------------------------------
+
+def _base(p):
+    """The base point of ``verify``'s point-roots and point-branches."""
+    return tuple(0.2 * cmath.exp(0.7j * (j + 1)) for j in range(p.n))
+
+
+POINT_CASES = ([(p, 12) for p in profile_suite(9, 1, d_one_only=False)]
+               + [(make_profile(3, [2, 1]), 12), (make_profile(4, [2, 1]), 6),
+                  (make_profile(6, [4, 2]), 12),
+                  (make_profile(4, [3, 2, 1]), 12),
+                  (make_profile(5, [4, 3, 2]), 12),
+                  (make_profile(6, [5, 3, 1]), 15),
+                  (make_profile(7, [5, 3, 1]), 18)])
+
+
+@pytest.mark.parametrize(
+    "p,order", POINT_CASES,
+    ids=[f"{p.m}-{'-'.join(map(str, p.m_list))}-order-{o}"
+         for p, o in POINT_CASES])
+def test_point_branches_match_the_aberth_roots(p, order):
+    """Every rotation of y_pr at the base point is within tol of its own
+    Aberth root, for seeds 0 and 12345: within 0.2 tol, where tol is 1e-12
+    plus the size of the terms of the highest degree that y_pr has."""
+    ypr, x = principal_series(p, order), _base(p)
+    top = max(map(sum, ypr.terms))
+    want = roots.POINT_TOL + sum(
+        abs(complex(c) * math.prod(v**k for v, k in zip(x, s)))
+        for s, c in ypr.terms.items() if sum(s) == top)
+    for seed in (0, 12345):
+        vals = roots_at_point(EquationInstance(p, (0,) * p.n, x), seed=seed)
+        gap, tol = roots.point_branch_gap(p, order, x, vals)
+        assert gap <= 0.2 * tol
+        assert tol == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("m,ms,order,top", [(3, [1], 5, 4), (3, [1], 8, 7),
+                                            (6, [1], 5, 4), (3, [2, 1], 4, 4)])
+def test_point_tolerance_reads_the_top_degree_that_y_pr_has(m, ms, order,
+                                                            top):
+    """(3;1) has no term of degree 2, 5, 8, ... and (6;1) none of degree
+    5: at such an order the tol reads the degree below, and the branches
+    still match the roots."""
+    p = make_profile(m, ms)
+    x = _base(p)
+    assert max(map(sum, principal_series(p, order).terms)) == top
+    vals = roots_at_point(EquationInstance(p, (0,) * p.n, x))
+    gap, tol = roots.point_branch_gap(p, order, x, vals)
+    assert gap <= tol
+    assert tol > roots.POINT_TOL + 1e-9
+
+
+@pytest.mark.parametrize("m,ms,order", [(3, [2, 1], 8), (5, [2], 12),
+                                        (6, [4, 2], 10), (4, [3, 2, 1], 6)])
+def test_branches_at_point_are_the_embedded_rotations(m, ms, order):
+    """Branch b at the point is the sum of the embedded Q[Z/m] branch b of
+    the ring oracle, monomial by monomial, up to rounding."""
+    p = make_profile(m, ms)
+    x = _base(p)
+    branches, _ = roots.branches_at_point(p, order, x)
+    for b, value in enumerate(branches):
+        jet = scaled_root_series(p, b, order).to_complex()
+        want = sum(c * math.prod(v**k for v, k in zip(x, s))
+                   for s, c in jet.terms.items())
+        assert abs(value - want) < 1e-14
+
+
+def test_point_branch_gap_needs_a_one_to_one_match():
+    """Two branches nearest one root make the gap inf; a root moved by
+    1e-6 makes a finite gap above tol."""
+    p = make_profile(3, [2, 1])
+    vals = roots_at_point(EquationInstance(p, (0, 0), _base(p)))
+    gap, tol = roots.point_branch_gap(p, 12, _base(p), vals)
+    assert gap <= tol
+    assert roots.point_branch_gap(p, 12, _base(p),
+                                  [vals[0], vals[0], vals[2]])[0] == math.inf
+    moved = roots.point_branch_gap(p, 12, _base(p),
+                                   [vals[0] + 1e-6, *vals[1:]])[0]
+    assert tol < moved < math.inf
+
+
+def test_substitution_pair_table_is_shared_per_variable_count():
+    """(3;2,1) and (6;4,2) read one pair table for (2, 12).  Column s lists
+    the a <= s in lexicographic order, so its run reversed lists s - a, 2
+    bytes a pair."""
+    roots._pair_table.cache_clear()
+    roots._substitution_residual.cache_clear()
+    for p in (make_profile(3, [2, 1]), make_profile(6, [4, 2])):
+        assert roots._substitution_residual(p, 12) == 0.0
+    info = roots._pair_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    exps, index, counts, left = roots._pair_table(2, 4)
+    assert exps == tuple(exponents_up_to(2, 4))
+    assert index == {s: k for k, s in enumerate(exps)}
+    at = 0
+    for s, count in zip(exps, counts):
+        run = [exps[k] for k in left[at:at + count]]
+        at += count
+        assert run == sorted((a0, a1) for a0 in range(s[0] + 1)
+                             for a1 in range(s[1] + 1))
+        assert run[::-1] == [(s[0] - a0, s[1] - a1) for a0, a1 in run]
+    assert at == len(left) and left.itemsize == 2
+    roots._substitution_residual.cache_clear()
+
+
+def test_a_pair_table_above_the_cap_is_not_kept(monkeypatch):
+    """With the cap below the 1820 pairs of (2, 12), the residual builds
+    its table, reads the same value and keeps nothing."""
+    roots._pair_table.cache_clear()
+    roots._substitution_residual.cache_clear()
+    p = make_profile(3, [2, 1])
+    bumped = _bumped(principal_series(p, 12), (3, 4))
+    want = substitution_residual_by_products(p, bumped)
+    monkeypatch.setattr(roots, "MAX_SHARED_PAIRS", 1819)
+    monkeypatch.setattr(roots, "_source", lambda *args: bumped)
+    try:
+        assert roots._substitution_residual(p, 12) == want > 0
+        assert roots._pair_table.cache_info().currsize == 0
+    finally:
+        roots._substitution_residual.cache_clear()
 
 
 def test_substitution_residual_measures_a_small_perturbation():
@@ -622,6 +746,7 @@ def extra_term(monkeypatch):
     ``roots`` and the ``mellin_residual`` oracle see; memoized images are
     dropped before and after."""
     roots._images.cache_clear()
+    roots._branch_residual.cache_clear()
     real = roots.mellin_system
 
     def add(a, b):
@@ -632,6 +757,7 @@ def extra_term(monkeypatch):
             monkeypatch.setattr(module, "mellin_system", mutated)
     yield add
     roots._images.cache_clear()
+    roots._branch_residual.cache_clear()
 
 
 def test_congruence_guard_raises_on_a_non_congruent_term(extra_term):
@@ -849,8 +975,8 @@ def test_equation_report_shape_and_values():
     assert rep["twist"] == [0, 1]
     assert rep["profile"]["m_list"] == [2, 1]
     assert rep["rank"] == 3
-    assert rep["substitution_residual"] < SUBSTITUTION_TOL
-    assert rep["annihilation_residual"] < ANNIHILATION_TOL
+    assert rep["substitution_residual"] == 0.0
+    assert rep["annihilation_residual"] == 0.0
     import json
     assert json.loads(json.dumps(rep)) == rep
 
@@ -905,7 +1031,8 @@ def test_equation_records_see_a_changed_principal_coefficient(monkeypatch,
     def bumped(profile, order):
         y = real(profile, order)
         return _bumped(y, max(y.terms, key=lambda s: (sum(s), s)))
-    caches = (roots._source, roots._images, roots._substitution_residual)
+    caches = (roots._source, roots._images, roots._substitution_residual,
+              roots._branch_residual)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(roots, "principal_series", bumped)
@@ -982,8 +1109,8 @@ def test_verify_json_builds_branches_for_the_numeric_witnesses_only(
     """The only complex values that reach a numeric rank are the jets of
     ``coset_equation_jets`` (``algebraic-span``) and, with them, the chi
     of every ``log_solution`` (``direct-sum``), for d = 1 only; the
-    ``scaled-roots`` gap reads the dense lift column by column, with no
-    branch built."""
+    ``point-branches`` witness sums y_pr at one point, with no branch
+    built, and no Newton lift is left in the library."""
     ranked, real = [], cli.independence_rank
     monkeypatch.setattr(cli, "independence_rank",
                         lambda maps: ranked.append(maps) or real(maps))
