@@ -64,9 +64,6 @@ from .weyl import mellin_system
 ROOT_RESIDUAL_TOL = 1e-12
 ROOT_SEPARATION_TOL = 1e-8
 POINT_TOL = 1e-12  # floor of the point-branches tolerance
-# A pair table with more pairs is built for its residual and not kept: kept,
-# it would add to the peak memory of ``verify`` (1.5 MB at n = 4, order 16).
-MAX_SHARED_PAIRS = 2**18
 
 
 class RootFindingError(ArithmeticError):
@@ -356,7 +353,6 @@ def _branch_residual(profile: ExponentProfile, order: int) -> float:
     return worst / _source(profile, order, 1).max_abs()
 
 
-@lru_cache(maxsize=8)
 def _pair_table(n: int, order: int) -> tuple:
     """(exps, index, counts, left): the exponents of n variables through
     ``order`` in the order of ``exponents_up_to``, their positions, and
@@ -366,9 +362,7 @@ def _pair_table(n: int, order: int) -> tuple:
     the a <= s in lexicographic order.  s - a runs through the same box in
     reverse order, so the positions of s - a are that run reversed, and
     C(s, a) = prod_i C(s_i, a_i) comes from rows of binomials in the same
-    order.  ``left`` takes 2 bytes a pair while the positions fit.  The
-    table is built on the first residual that needs it and shared,
-    read-only, by every profile with n variables.
+    order.  ``left`` takes 2 bytes a pair while the positions fit.
     """
     from array import array  # here, so that no other subcommand loads it
     exps = tuple(exponents_up_to(n, order))
@@ -389,15 +383,12 @@ def _substitution_residual(profile: ExponentProfile, order: int) -> float:
     Scaled as f~_s = m^|s| s! f_s, y_pr is integral by its closed form (a
     coefficient that is not stays an exact Fraction), a product is the
     binomial convolution (fg)~_s = sum_{a <= s} C(s, a) f~_a g~_{s-a} over
-    the pairs of ``_pair_table`` (shared up to MAX_SHARED_PAIRS pairs), and
-    x_j f is m s_j f~_{s-e_j}.  One table of powers y^0..y^m takes m - 1
-    products; each residual coefficient is unscaled once, for its float.
+    the pairs of ``_pair_table``, and x_j f is m s_j f~_{s-e_j}.  One table
+    of powers y^0..y^m takes m - 1 products; each residual coefficient is
+    unscaled once, for its float.
     """
     m, y = profile.m, _source(profile, order, 1).terms
-    n = profile.n
-    build = (_pair_table if math.comb(order + 2 * n, 2 * n) <= MAX_SHARED_PAIRS
-             else _pair_table.__wrapped__)
-    exps, index, counts, left = build(n, order)
+    exps, index, counts, left = _pair_table(profile.n, order)
     scales = [m**sum(s) * math.prod(map(math.factorial, s)) for s in exps]
     u = [y.get(s, 0) * w for s, w in zip(exps, scales)]
     u = [q.numerator if q.denominator == 1 else q for q in u]

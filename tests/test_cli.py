@@ -335,17 +335,25 @@ def test_basis_annihilation_fails_on_a_term_off_the_congruence(capsys,
     assert "breaks a = b (mod 3)" in line
 
 
-def test_union_annihilation_refuses_a_silent_term_off_the_congruence():
+def test_union_annihilation_refuses_a_silent_term_off_the_congruence(
+        capsys, monkeypatch):
     """A term x^a D^b with a != b (mod m) and b_1 above the order sends
     every series to 0, so one apply per f_I still passes; the union
-    verdict would be unsound under such a term, and fails."""
-    p, order = make_profile(3, [2, 1]), 12
-    ops = mellin_system(p)
-    b = (order + 1, 0)
-    silent = DiffOperator(p.n, {**ops[0].terms, ((order + 2, 0), b): 1})
-    ops = (silent, *ops[1:])
-    assert _annihilated_index_by_index(p, ops, order)
-    assert not cli._basis_annihilated(p, ops, order)
+    verdict would be unsound under such a term, so basis-annihilation
+    fails, alone."""
+    order, real = 12, cli.mellin_system
+
+    def silent(p):
+        ops = real(p)
+        term = ((order + 2, 0), (order + 1, 0))
+        return (DiffOperator(p.n, {**ops[0].terms, term: 1}), *ops[1:])
+    p = make_profile(3, [2, 1])
+    assert _annihilated_index_by_index(p, silent(p), order)
+    monkeypatch.setattr(cli, "mellin_system", silent)
+    code, text, json_code, failed, _ = _failed_checks(
+        capsys, ["3", "2", "1", "--order", str(order)])
+    assert code == json_code == 2
+    assert text == failed == ["basis-annihilation"]
 
 
 def _annihilated_index_by_index(p, ops, order):

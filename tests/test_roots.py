@@ -296,7 +296,10 @@ POINT_CASES = ([(p, 12) for p in profile_suite(9, 1, d_one_only=False)]
                   (make_profile(4, [3, 2, 1]), 12),
                   (make_profile(5, [4, 3, 2]), 12),
                   (make_profile(6, [5, 3, 1]), 15),
-                  (make_profile(7, [5, 3, 1]), 18)])
+                  (make_profile(7, [5, 3, 1]), 18),
+                  (make_profile(6, [5, 3, 2, 1]), 20)]
+               + [(make_profile(m, [k]), m + 2)
+                  for m, k in ((31, 1), (31, 16), (62, 61), (62, 31))])
 
 
 @pytest.mark.parametrize(
@@ -364,16 +367,9 @@ def test_point_branch_gap_needs_a_one_to_one_match():
     assert tol < moved < math.inf
 
 
-def test_substitution_pair_table_is_shared_per_variable_count():
-    """(3;2,1) and (6;4,2) read one pair table for (2, 12).  Column s lists
-    the a <= s in lexicographic order, so its run reversed lists s - a, 2
-    bytes a pair."""
-    roots._pair_table.cache_clear()
-    roots._substitution_residual.cache_clear()
-    for p in (make_profile(3, [2, 1]), make_profile(6, [4, 2])):
-        assert roots._substitution_residual(p, 12) == 0.0
-    info = roots._pair_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def test_substitution_pair_table_layout():
+    """Column s lists the a <= s in lexicographic order, so its run
+    reversed lists s - a, 2 bytes a pair."""
     exps, index, counts, left = roots._pair_table(2, 4)
     assert exps == tuple(exponents_up_to(2, 4))
     assert index == {s: k for k, s in enumerate(exps)}
@@ -385,24 +381,6 @@ def test_substitution_pair_table_is_shared_per_variable_count():
                              for a1 in range(s[1] + 1))
         assert run[::-1] == [(s[0] - a0, s[1] - a1) for a0, a1 in run]
     assert at == len(left) and left.itemsize == 2
-    roots._substitution_residual.cache_clear()
-
-
-def test_a_pair_table_above_the_cap_is_not_kept(monkeypatch):
-    """With the cap below the 1820 pairs of (2, 12), the residual builds
-    its table, reads the same value and keeps nothing."""
-    roots._pair_table.cache_clear()
-    roots._substitution_residual.cache_clear()
-    p = make_profile(3, [2, 1])
-    bumped = _bumped(principal_series(p, 12), (3, 4))
-    want = substitution_residual_by_products(p, bumped)
-    monkeypatch.setattr(roots, "MAX_SHARED_PAIRS", 1819)
-    monkeypatch.setattr(roots, "_source", lambda *args: bumped)
-    try:
-        assert roots._substitution_residual(p, 12) == want > 0
-        assert roots._pair_table.cache_info().currsize == 0
-    finally:
-        roots._substitution_residual.cache_clear()
 
 
 def test_substitution_residual_measures_a_small_perturbation():
