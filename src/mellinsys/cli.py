@@ -13,6 +13,13 @@ the same text in one pass.  Series and operator terms are held as rows
 (:class:`_TermRows`) of exponent tuples and coefficient text, and the m
 root branches of ``series --roots`` are read off the rows of y_pr: branch
 j carries y_s in coordinate j(1 + <M, s>) mod m of Q[Z/m].
+
+Each output row is built by one ``%`` format or one ``join`` over pieces
+made once per call, not by a loop over its exponents: a JSON term's text
+up to its coefficient is one template per row shape with a ``%d`` slot per
+exponent, a list of equal-length int lists (the index sets of ``dims``)
+one template per row, and a text monomial a join over a table of factor
+texts (:func:`~mellinsys.series.monomial_texts`).
 """
 
 from __future__ import annotations
@@ -25,14 +32,16 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 from . import roots as roots_mod
 from .profiles import (ExponentProfile, ProfileError, coset_representatives,
-                       dims, dot, index_box, make_profile, modular_counts,
+                       dims, index_box, make_profile, modular_counts,
                        relation_basis, var_names)
 from .rings import roots_of_unity, vanishes
 from .series import (TruncatedSeries, convenient_basis_series,
-                     independence_rank, is_generating, monomial_text,
+                     independence_rank, is_generating, monomial_texts,
                      principal_series, twist_rank)
 from .weyl import (DiffOperator, discriminant_poly, derivative_factorization,
                    horn_mellin_multiplier, horn_system, lattice_matrices,
@@ -90,8 +99,9 @@ _json_str = json.encoder.encode_basestring_ascii
 class _TermRows:
     """A term list of docs/schema.md held as rows, for :func:`_write_json`.
 
-    A row is its exponent tuples, one for each name in ``keys`` ("exp", or
-    "x" and "d"), then its coefficient text.  With ``m`` unset the
+    A row is one tuple of the exponents of every name in ``keys`` in turn
+    ("exp", or "x" then "d", each with the same count), then its
+    coefficient text.  With ``m`` unset the
     coefficient is that string.  Root branch ``j`` over Q[Z/m] takes rows
     (exponent, k, text): its coefficient lists m strings, the text in
     coordinate j*k mod m and "0" in the others.  ``heads`` keeps, per
@@ -115,8 +125,10 @@ def _dumps(obj) -> str:
     escaped as with ``ensure_ascii``; every other scalar (float, bool, None)
     goes through the stdlib's C encoder, so NaN, +-Infinity and float repr
     match.  Circular containers are not detected (they exhaust recursion).
-    A :class:`_TermRows` is written as the list of term dicts it stands
-    for, one string per term, with no dict, list or call per term.
+    A list whose items are lists of one length >= 1 holding only plain int
+    (no bool) is written one ``%`` format per row.  A :class:`_TermRows` is
+    written as the list of term dicts it stands for, one string per term,
+    with no dict, list or call per term (:func:`_write_rows`).
     """
     out: list[str] = []
     _write_json(obj, out, "\n")
@@ -154,6 +166,11 @@ def _write_json(obj, out: list, nl: str) -> None:
             items = map(_json_str, obj)
         elif kinds == {int}:
             items = map(int.__repr__, obj)
+        elif (kinds == {list} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            row = "[" + inner + "  " + ("," + inner + "  ").join(
+                ["%d"] * len(obj[0])) + inner + "]"
+            items = map(row.__mod__, map(tuple, obj))
         else:
             sep = "[" + inner
             for value in obj:
@@ -172,6 +189,9 @@ def _write_json(obj, out: list, nl: str) -> None:
 
 
 def _write_rows(terms: _TermRows, out: list, nl: str) -> None:
+    """Append the term dicts of ``terms``.  The text of each row up to its
+    coefficient is one ``%`` format of its exponents, with a template built
+    once per call from the keys and the row width."""
     rows = terms.rows
     if not rows:
         out.append("[]")
@@ -181,13 +201,11 @@ def _write_rows(terms: _TermRows, out: list, nl: str) -> None:
     val = key + "  "
     heads = terms.heads.get(nl)
     if heads is None:
-        sep = "," + val
-        fields = [(i, f"{_json_str(name)}: [{val}")
-                  for i, name in enumerate(terms.keys)]
-        heads = terms.heads[nl] = [
-            "{" + key + "".join([f + sep.join(map(str, row[i])) + key + "],"
-                                 + key for i, f in fields]) + '"coeff": '
-            for row in rows]
+        width = len(rows[0][0]) // len(terms.keys)
+        slots = "[" + val + ("," + val).join(["%d"] * width) + key + "],"
+        template = "{" + key + "".join([f"{_json_str(name)}: {slots}{key}"
+                                        for name in terms.keys]) + '"coeff": '
+        heads = terms.heads[nl] = [template % row[0] for row in rows]
     close = item + "}"
     if terms.m is None:
         body = [h + _json_str(row[-1]) + close for h, row in zip(heads, rows)]
@@ -247,7 +265,7 @@ def _render_op(op: DiffOperator) -> str:
 
 
 def _op_rows(op: DiffOperator) -> _TermRows:
-    return _TermRows(("x", "d"), [(a, b, str(c))
+    return _TermRows(("x", "d"), [(a + b, str(c))
                                   for (a, b), c in op.sorted_terms()])
 
 
@@ -352,7 +370,8 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
     chosen = [(name, [(s, str(c)) for s, c in f.sorted_items()])
               for name, f in chosen]
     if show_roots:
-        roots = [(s, (1 + dot(p.m_list, s)) % p.m, str(c))
+        m, weights = p.m, p.m_list
+        roots = [(s, (1 + sum(map(mul, weights, s))) % m, str(c))
                  for s, c in ypr.sorted_items()]
     if config.as_json:
         series = [{"name": name, "n_vars": p.n, "order": order,
@@ -373,10 +392,10 @@ def cmd_series(config: RunConfig, principal: bool, basis, show_roots: bool,
     out = []
     for name, rows in chosen:
         out.append(f"-- {name} (order {order}, ring rational)")
-        out += [f"{text} * {monomial_text(s, names)}" for s, text in rows]
+        monos = monomial_texts([s for s, _ in rows], names)
+        out += [f"{text} * {mono}" for (_, text), mono in zip(rows, monos)]
     if show_roots:
-        m = p.m
-        monos = [monomial_text(s, names) for s, _, _ in roots]
+        monos = monomial_texts([s for s, _, _ in roots], names)
         pre = ["[" + "0, " * k for k in range(m)]
         post = [", 0" * (m - 1 - k) + "] * " for k in range(m)]
         for j in range(m):

@@ -24,7 +24,9 @@ The solution-space constructions for the Mellin system of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial, prod
+from operator import getitem
 
 import numpy as np
 
@@ -58,7 +60,12 @@ class TruncatedSeries:
         return max((abs(float(c)) for c in self.terms.values()), default=0.0)
 
     def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        """The (exponent, coefficient) pairs by total degree, then
+        lexicographically: a lexicographic sort of the exponents, then a
+        stable sort by degree, both on C-level keys."""
+        keys = sorted(self.terms)
+        keys.sort(key=sum)
+        return list(zip(keys, map(self.terms.__getitem__, keys)))
 
     def __repr__(self):
         return (f"TruncatedSeries(n={self.n_vars}, order={self.order}, "
@@ -270,7 +277,17 @@ def twist_rank(f: TruncatedSeries, twists, m: int) -> int:
 # Rendering
 # ---------------------------------------------------------------------------
 
+def monomial_texts(exps, names) -> list[str]:
+    """:func:`monomial_text` of each exponent tuple in ``exps``, joined from
+    one table of factor texts ("", x1, x1^2, ...) per name; the entries of
+    the exponents must be non-negative."""
+    top = max(chain.from_iterable(exps), default=0)
+    table = [["", nm] + [f"{nm}^{e}" for e in range(2, top + 1)]
+             for nm in names]
+    return [" ".join(filter(None, map(getitem, table, exp))) or "1"
+            for exp in exps]
+
+
 def monomial_text(exp, names) -> str:
     """``x1^2 x3`` for the exponent (2, 0, 1); "1" for the zero exponent."""
-    return " ".join(f"{nm}^{e}" if e > 1 else nm
-                    for nm, e in zip(names, exp) if e) or "1"
+    return monomial_texts([exp], names)[0]

@@ -53,7 +53,7 @@ from math import comb, factorial, lcm, perm, prod
 from operator import add, getitem, sub
 
 from .profiles import ExponentProfile, dot, make_profile, var_names
-from .series import TruncatedSeries, exponents_up_to
+from .series import TruncatedSeries, exponents_up_to, monomial_texts
 
 
 def _zeros(n):
@@ -276,25 +276,25 @@ class DiffOperator:
                       key=lambda kv: (-sum(kv[0][1]), kv[0][1], kv[0][0]))
 
     def render(self, letter: str = "x") -> str:
+        """``c x^a D^b`` terms in :meth:`sorted_terms` order, with each
+        monomial from :func:`~mellinsys.series.monomial_texts` over the x
+        and D names and a coefficient 1 or -1 read off its text."""
         if not self.terms:
             return "0"
-        names = var_names(self.n_vars, letter)
-        dnames = var_names(self.n_vars, "D")
+        items = self.sorted_terms()
+        names = var_names(self.n_vars, letter) + var_names(self.n_vars, "D")
+        monos = monomial_texts([a + b for (a, b), _ in items], names)
         parts = []
-        for (a, b), c in self.sorted_terms():
-            factors = [f"{nm}^{e}" if e > 1 else nm
-                       for nm, e in zip(names, a) if e]
-            factors += [f"{nm}^{e}" if e > 1 else nm
-                        for nm, e in zip(dnames, b) if e]
-            mono = " ".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
+        for (_, c), mono in zip(items, monos):
+            text = str(c)
+            if mono == "1":
+                parts.append(text)
+            elif text == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif text == "-1":
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c} {mono}")
+                parts.append(f"{text} {mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def render_ode(self, letter: str = "x") -> str:

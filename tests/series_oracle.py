@@ -20,7 +20,7 @@ which the tests read classes of y_pr with.
 same text from term rows without building it.  ``coeff_json`` and
 ``json_fields`` are its per-ring parts, and ``series_text`` is the text
 form, one ``coeff * monomial`` line per term with the ring's coefficient
-text.
+text and a monomial from this module's own writer, ``monomial``.
 
 Each kernel takes a library series (rational) or a ``RingSeries`` and
 returns a ``RingSeries`` (``ring_oracle``).
@@ -29,7 +29,7 @@ returns a ``RingSeries`` (``ring_oracle``).
 from fractions import Fraction
 
 from mellinsys.profiles import var_names
-from mellinsys.series import TruncatedSeries, exponents_up_to, monomial_text
+from mellinsys.series import TruncatedSeries, exponents_up_to
 from ring_oracle import COMPLEX, RATIONAL, RingSeries, ring_series
 
 
@@ -138,11 +138,23 @@ def series_to_json(series):
     }
 
 
+def monomial(exp, names) -> str:
+    """The text of x^exp: one factor per nonzero exponent, ``x1`` for 1 and
+    ``x1^e`` above, joined by spaces; "1" when there is none."""
+    factors = []
+    for name, e in zip(names, exp):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return " ".join(factors) if factors else "1"
+
+
 def series_text(series) -> str:
     """The ``mellinsys series`` text of a series, sorted by degree then lex."""
     series = ring_series(series)
     names, text = var_names(series.n_vars), series.ring.coeff_text
-    return "\n".join(f"{text(c)} * {monomial_text(s, names)}"
+    return "\n".join(f"{text(c)} * {monomial(s, names)}"
                      for s, c in series.sorted_items()) or "0"
 
 

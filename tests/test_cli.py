@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mellinsys import cli, roots, series
@@ -22,7 +22,7 @@ from profile_oracle import profile_suite
 from ring_oracle import scaled_root_series
 from series_oracle import series_text, series_to_json
 from test_golden import CASES as GOLDEN_CASES
-from weyl_oracle import (linear, operator_to_json,
+from weyl_oracle import (linear, operator_to_json, render, render_ode,
                          theta_product_by_composition)
 
 
@@ -616,6 +616,25 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
                  | st.text() | _SPECIAL_TEXT)
 _JSON_KEYS = (st.text() | _SPECIAL_TEXT | st.integers() | st.booleans()
               | st.none() | st.floats())
+_INTS = st.integers() | st.sampled_from([2**64, -(2**100), 10**300])
+
+
+def _rows(item, width=st.integers(0, 4)):
+    """Lists of 1-4 rows, each a list of ``width`` drawn items."""
+    return width.flatmap(lambda k: st.lists(
+        st.lists(item, min_size=k, max_size=k), min_size=1, max_size=4))
+
+
+# lists of equal-length int lists, which _dumps formats one row per call,
+# and the near misses that must take its generic path
+_INDEX_LISTS = (_rows(_INTS)
+                | _rows(_INTS | st.booleans(), st.integers(1, 3))
+                | _rows(_INTS | st.floats(), st.integers(1, 3))
+                | st.lists(st.lists(_INTS, max_size=3), min_size=2,
+                           max_size=4)
+                | _rows(_INTS).map(lambda rows: [tuple(r) for r in rows])
+                | _rows(_INTS, st.integers(1, 3)).map(
+                    lambda rows: rows + [tuple(rows[0])]))
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: (st.lists(inner, max_size=4)
@@ -624,12 +643,21 @@ _JSON_VALUES = st.recursive(
                    | st.lists(st.booleans(), min_size=1, max_size=4)
                    | st.lists(st.integers(), min_size=1, max_size=4)
                    | st.lists(st.text() | _SPECIAL_TEXT, min_size=1,
-                              max_size=4)),
+                              max_size=4)
+                   | _INDEX_LISTS),
     max_leaves=24)
 
 
 @settings(deadline=None, max_examples=300)
 @given(_JSON_VALUES)
+@example([[1, 2], [3, -4], [10**300, 0]])
+@example({"gamma": [[0, 1, 2]], "pairs": [[[1, 0], [0, 1]]]})
+@example([[1, True], [2, 3]])
+@example([[1, 2.0], [3, 4]])
+@example([[1], [2, 3]])
+@example([[], []])
+@example([(1, 2), (3, 4)])
+@example([[1, 2], (3, 4)])
 def test_dumps_equals_stdlib_indent_two(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
 
@@ -685,6 +713,11 @@ def _term_row_cases():
 
 
 TERM_ROW_CASES = _term_row_cases()
+# the orders of the export benchmark, where exponents have two digits
+HIGH_ORDER_CASES = [(7, [6, 5, 4], 18, (6, 5, 4), True),
+                    (6, [5, 3, 1], 15, (5, 0, 3), False),
+                    (5, [4, 3, 2], 12, (4, 1, 2), True),
+                    (7, [3], 12, (5,), False)]
 
 
 def _series_payload(p, order, index, generating):
@@ -728,16 +761,33 @@ def _operators_payload(p, check_horn):
     return payload
 
 
-@pytest.mark.parametrize("m,ms,order,index,check_horn", TERM_ROW_CASES,
+def _operator_lines(p):
+    """The operator lines of ``operators`` text, from the oracle renders."""
+    horn_w, horn_x = horn_system(p)
+    text = render if p.n > 1 else render_ode
+    return ([f"mellin[{j + 1}]  : {text(op)}"
+             for j, op in enumerate(mellin_system(p))]
+            + [f"cleared[{j + 1}] : {text(op)}"
+               for j, op in enumerate(mellin_system_theta_form(p))]
+            + [f"horn_w[{j + 1}]  : {text(op, 'w')}"
+               for j, op in enumerate(horn_w)]
+            + [f"horn_x[{j + 1}]  : {text(op)}"
+               for j, op in enumerate(horn_x)])
+
+
+@pytest.mark.parametrize("m,ms,order,index,check_horn",
+                         TERM_ROW_CASES + HIGH_ORDER_CASES,
                          ids=[f"{m}-{'-'.join(map(str, ms))}-o{order}"
-                              for m, ms, order, *_ in TERM_ROW_CASES])
+                              for m, ms, order, *_ in TERM_ROW_CASES
+                              + HIGH_ORDER_CASES])
 def test_term_rows_match_the_dict_form(capsys, m, ms, order, index,
                                        check_horn):
     p = make_profile(m, ms)
     args = [str(m), *map(str, ms), "--order", str(order)]
+    basis = ["--basis", ",".join(map(str, index))]
     generating = order >= p.n * (m - 1)
-    code, out, _ = run_cli(capsys, "series", *args, "--principal", "--basis",
-                           ",".join(map(str, index)), "--roots", "--json",
+    code, out, _ = run_cli(capsys, "series", *args, "--principal", *basis,
+                           "--roots", "--json",
                            *(["--generating-check"] if generating else []))
     assert code == 0
     want = _series_payload(p, order, index, generating)
@@ -750,10 +800,23 @@ def test_term_rows_match_the_dict_form(capsys, m, ms, order, index,
         f"{series_text(scaled_root_series(p, j, order))}\n"
         for j in range(m))
 
+    code, out, _ = run_cli(capsys, "series", *args, "--principal", *basis)
+    assert code == 0
+    assert out == (f"-- principal (order {order}, ring rational)\n"
+                   f"{series_text(principal_series(p, order))}\n"
+                   f"-- basis{cli._fmt_vec(index)} (order {order}, ring "
+                   f"rational)\n"
+                   f"{series_text(convenient_basis_series(p, index, order))}"
+                   "\n")
+
     code, out, _ = run_cli(capsys, "operators", *args, "--json",
                            *(["--check-horn"] if check_horn else []))
     assert code == 0
     assert out == json.dumps(_operators_payload(p, check_horn), indent=2) + "\n"
+
+    code, out, _ = run_cli(capsys, "operators", *args)
+    assert code == 0
+    assert out.splitlines()[1:1 + 4 * p.n] == _operator_lines(p)
 
 
 def test_term_row_cases_cover_every_order():

@@ -22,12 +22,13 @@ from field_oracle import cyclotomic_field
 from profile_oracle import profile_suite
 from ring_oracle import (COMPLEX, RATIONAL, RingSeries, get_cyclotomic_ring,
                          ring_series, rotate, scaled_root_series)
-from series_oracle import (inverse, log, naive_product, series_text,
-                           series_to_json, subseries)
+from series_oracle import (inverse, log, monomial, naive_product,
+                           series_text, series_to_json, subseries)
 from mellinsys.series import (TruncatedSeries, convenient_basis_series,
                               exponents_up_to, independence_rank,
-                              is_generating, principal_coefficient,
-                              principal_series, rank_complex, twist_rank)
+                              is_generating, monomial_text, monomial_texts,
+                              principal_coefficient, principal_series,
+                              rank_complex, twist_rank)
 from mellinsys.weyl import mellin_system
 from weyl_oracle import apply
 
@@ -816,3 +817,42 @@ def test_series_json_and_text_are_deterministic():
     cy = series_to_json(rotate(y, (0, 0), 3))
     assert cy["m"] == 3
     assert cy["terms"][0]["coeff"] == ["1", "0", "0"]
+
+
+_SORT_PROFILES = {1: make_profile(3, [1]), 2: make_profile(3, [2, 1]),
+                  3: make_profile(4, [3, 2, 1])}
+
+
+@st.composite
+def shuffled_series(draw):
+    """A rational series over 1-3 variables whose terms are inserted in a
+    drawn order, and optionally the image of a Mellin operator's ``apply``
+    on it, whose terms come out grouped by shift."""
+    n, order = draw(st.integers(1, 3)), draw(st.integers(4, 14))
+    exps = draw(st.lists(st.lists(st.integers(0, order), min_size=n,
+                                  max_size=n).map(tuple),
+                         unique=True, max_size=40))
+    coeffs = draw(st.lists(st.fractions(max_denominator=9).filter(bool),
+                           min_size=len(exps), max_size=len(exps)))
+    f = TruncatedSeries(n, order, dict(zip(exps, coeffs)))
+    if draw(st.booleans()):
+        f = mellin_system(_SORT_PROFILES[n])[0].apply(f)
+    return f
+
+
+@settings(deadline=None, max_examples=150)
+@given(shuffled_series())
+def test_sorted_items_is_the_degree_then_lex_sort(f):
+    assert f.sorted_items() == sorted(f.terms.items(),
+                                      key=lambda kv: (sum(kv[0]), kv[0]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 14), min_size=n, max_size=n).map(tuple),
+    max_size=8)))
+def test_monomial_texts_match_the_oracle_writer(exps):
+    names = ["x1", "x2", "x3"]
+    assert monomial_texts(exps, names) == [monomial(s, names) for s in exps]
+    assert [monomial_text(s, names) for s in exps] == monomial_texts(exps,
+                                                                     names)

@@ -34,8 +34,8 @@ from weyl_oracle import (apply, compose_by_fractions,
                          euler_product_identity, factorization_check,
                          from_univariate, horn_w_by_own_factors,
                          horn_x_by_own_factors, least_theta_multiplier, linear,
-                         mellin_by_composition, operator_to_json,
-                         right_divide_theta_minus_one,
+                         mellin_by_composition, operator_to_json, render,
+                         render_ode, right_divide_theta_minus_one,
                          theta_poly_by_composition,
                          theta_product_by_composition)
 
@@ -579,6 +579,29 @@ def test_render_stability():
     # highest derivative order first; ties broken by ascending x-exponent
     assert js[0] == {"x": [0], "d": [2], "coeff": "4"}
     assert js[1] == {"x": [2], "d": [2], "coeff": "1"}
+
+
+@st.composite
+def rendered_operators(draw):
+    """Operators over 1-3 variables with exponents up to 12 and unit,
+    integer and fractional coefficients."""
+    n = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(0, 12), min_size=n, max_size=n).map(tuple)
+    coeffs = (st.sampled_from([1, -1, 2, -3])
+              | st.fractions(max_denominator=5))
+    return DiffOperator(n, draw(st.dictionaries(st.tuples(exps, exps),
+                                                coeffs, max_size=12)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(rendered_operators(), st.sampled_from(["x", "w"]))
+@example(DiffOperator(2, {}), "x")
+@example(DiffOperator(2, {((0, 0), (0, 0)): -1, ((1, 0), (0, 11)): 1,
+                          ((0, 0), (0, 1)): -1}), "w")
+def test_render_equals_the_term_by_term_oracle(op, letter):
+    assert op.render(letter) == render(op, letter)
+    if op.n_vars == 1:
+        assert op.render_ode(letter) == render_ode(op, letter)
 
 
 def test_scalar_multiplication_operators():

@@ -35,7 +35,10 @@ ascending coefficient lists, the form the displayed factorizations take.
 
 ``operator_to_json`` is the documented JSON form of an operator as a list
 of term dicts; ``mellinsys operators --json`` writes the same text from
-term rows without building it.
+term rows without building it.  ``render`` and ``render_ode`` are the
+text forms of ``mellinsys operators``, written term by term with their
+own sort, factor lists and coefficient polynomials, which the library's
+``DiffOperator.render`` and ``render_ode`` are checked against.
 
 The library applies operators to rational series only; ``apply`` is the
 pair-by-pair action on a series over any ring of ``ring_oracle``, one
@@ -50,6 +53,7 @@ from math import comb, perm, prod
 
 from field_oracle import _poly_sub
 from mellinsys import weyl
+from mellinsys.profiles import var_names
 from mellinsys.weyl import DiffOperator, mellin_operator_1d
 from ring_oracle import RingSeries, ring_series
 
@@ -306,3 +310,66 @@ def operator_to_json(op):
     """The docs/schema.md operator: one {"x", "d", "coeff"} dict per term."""
     return [{"x": list(a), "d": list(b), "coeff": str(c)}
             for (a, b), c in op.sorted_terms()]
+
+
+def render(op: DiffOperator, letter: str = "x") -> str:
+    """``c x^a D^b`` terms by descending |b|, then b, then a, joined by
+    " + " with "+ -" written "- "; "0" for no terms."""
+    if not op.terms:
+        return "0"
+    names = var_names(op.n_vars, letter)
+    dnames = var_names(op.n_vars, "D")
+    parts = []
+    for (a, b), c in sorted(op.terms.items(),
+                            key=lambda kv: (-sum(kv[0][1]), kv[0][1],
+                                            kv[0][0])):
+        factors = [f"{nm}^{e}" if e > 1 else nm
+                   for nm, e in zip(names, a) if e]
+        factors += [f"{nm}^{e}" if e > 1 else nm
+                    for nm, e in zip(dnames, b) if e]
+        mono = " ".join(factors)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c} {mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def _poly_text(poly: dict, letter: str) -> str:
+    """A polynomial {degree: coefficient} by descending degree."""
+    parts = []
+    for deg in sorted(poly, reverse=True):
+        c = poly[deg]
+        xs = letter if deg == 1 else f"{letter}^{deg}"
+        if deg == 0:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(xs)
+        elif c == -1:
+            parts.append(f"-{xs}")
+        else:
+            parts.append(f"{c} {xs}")
+    return " + ".join(parts)
+
+
+def render_ode(op: DiffOperator, letter: str = "x") -> str:
+    """A univariate operator as sum_i p_i(x) D^i, highest i first, with
+    p_i in parentheses when it has more than one term."""
+    polys: dict = {}
+    for ((a,), (b,)), c in op.terms.items():
+        if c:
+            polys.setdefault(b, {})[a] = c
+    parts = []
+    for i in sorted(polys, reverse=True):
+        ptxt = _poly_text(polys[i], letter)
+        if i == 0:
+            parts.append(ptxt)
+        else:
+            dpart = "D" if i == 1 else f"D^{i}"
+            parts.append(f"({ptxt}) {dpart}" if len(polys[i]) > 1
+                         else f"{ptxt} {dpart}")
+    return " + ".join(parts).replace("+ -", "- ")
